@@ -11,8 +11,7 @@ import argparse
 import json
 import sys
 
-from stab_lab.measures import relations_experiment
-from stab_lab.states import FamilySpec
+from stab_lab.measures import relations_corpus, relations_experiment
 
 
 def run(argv=None):
@@ -21,14 +20,7 @@ def run(argv=None):
     parser.add_argument("--out", help="JSON output file (stdout if omitted)")
     args = parser.parse_args(argv)
 
-    specs = []
-    for n in (1, 2):
-        specs.append(FamilySpec("uniform", n))
-        specs.append(FamilySpec("basis", n))
-        specs.append(FamilySpec("t_tensor", n))
-        for s in range(5):
-            specs.append(FamilySpec("haar", n, seed=args.seed + s))
-    report = relations_experiment(specs, seed=args.seed)
+    report = relations_experiment(relations_corpus(args.seed), seed=args.seed)
 
     if args.out:
         with open(args.out, "w") as fh:

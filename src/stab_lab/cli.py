@@ -288,13 +288,7 @@ def _cmd_calibrate(config: ExperimentConfig):
 
 
 def _cmd_relations(config: ExperimentConfig):
-    specs = []
-    for n in (1, 2):
-        specs.append(states.FamilySpec("uniform", n))
-        specs.append(states.FamilySpec("basis", n))
-        specs.append(states.FamilySpec("t_tensor", n))
-        for s in range(5):
-            specs.append(states.FamilySpec("haar", n, seed=config.seed + s))
+    specs = measures.relations_corpus(config.seed)
     _emit(config, {"report": measures.relations_experiment(specs, seed=config.seed)})
 
 
@@ -354,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=default_seed)
     common.add_argument("--out", help="output file (stdout if omitted)")
     common.add_argument("--shots", type=int, default=10_000)
-    common.add_argument("--threads", type=int, default=1, help="worker hint")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name):
@@ -401,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     known = {
-        "command", "seed", "out", "shots", "threads",
+        "command", "seed", "out", "shots",
         "state", "family", "n", "x0", "family_seed", "eps",
     }
     extra = {

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import Subspace, dot, symp_unpack
-from .states import StateVector, sign_table
+from .gf2 import Subspace, span_points, symp_unpack
+from .states import StateVector, dot_parity, quadratic_parity, sign_table
 
 REAL_GATES = ("H", "Z", "CNOT")
+_BUILD_ROWS = 1024
 
 
 class GateError(ValueError):
@@ -159,20 +160,6 @@ class StabilizerState:
     def m(self) -> int:
         return len(self.basis)
 
-    def point(self, y: int) -> int:
-        x = self.offset
-        for i, b in enumerate(self.basis):
-            if (y >> i) & 1:
-                x ^= b
-        return x
-
-    def sign_form(self, y: int) -> int:
-        q = 0
-        for i, row in enumerate(self.q_upper):
-            if (y >> i) & 1:
-                q ^= dot(row, y)
-        return q
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -196,14 +183,38 @@ class StabilizerState:
         )
 
 
+def stabilizer_vectors(states) -> np.ndarray:
+    """Row k = g-convention amplitudes of states[k] (all on the same n).
+
+    Runs of consecutive states that share a support direction are built
+    together: point y of state k is offset_k + span(basis)[y], with amplitude
+    sqrt(N / 2^m) * i^<ell_k, y> * (-1)^Q_k(y). Runs are cut at multiples of
+    _BUILD_ROWS states, which bounds the temporaries of the n = 4 table."""
+    N = 1 << states[0].n
+    out = np.zeros((len(states), N), dtype=complex)
+    runs = itertools.groupby(
+        enumerate(states), key=lambda ks: (ks[1].basis, ks[0] // _BUILD_ROWS)
+    )
+    for (basis, _), run in runs:
+        ks, run = zip(*run)
+        m = len(basis)
+        y = np.arange(1 << m)
+        offsets = np.array([s.offset for s in run])[:, None]
+        ells = np.array([s.ell for s in run])[:, None]
+        rows = np.array([s.q_upper for s in run], dtype=np.int64).T
+        signs = 1 - 2 * quadratic_parity(y, rows)
+        phase = np.where(dot_parity(y, ells), 1j, 1) * signs
+        np.put_along_axis(
+            out[ks[0] : ks[-1] + 1],
+            offsets ^ span_points(basis),
+            math.sqrt(N / (1 << m)) * phase,
+            axis=1,
+        )
+    return out
+
+
 def stabilizer_to_statevector(s: StabilizerState) -> StateVector:
-    N = 1 << s.n
-    g = np.zeros(N, dtype=complex)
-    scale = math.sqrt(N / (1 << s.m))
-    for y in range(1 << s.m):
-        phase = (1j ** (dot(s.ell, y))) * (1 - 2 * s.sign_form(y))
-        g[s.point(y)] = scale * phase
-    return StateVector(s.n, g)
+    return StateVector(s.n, stabilizer_vectors([s])[0])
 
 
 def stabilizer_from_statevector(state: StateVector, tol: float = 1e-9) -> StabilizerState:
@@ -224,43 +235,27 @@ def stabilizer_from_statevector(state: StateVector, tol: float = 1e-9) -> Stabil
         raise ValueError("support is not an affine subspace")
     basis = direction.basis
     m = direction.dim
-
-    def param_point(y: int) -> int:
-        x = aff_offset
-        for i, b in enumerate(basis):
-            if (y >> i) & 1:
-                x ^= b
-        return x
-
-    base = g[param_point(0)]
+    points = aff_offset ^ span_points(basis)
+    base = g[points[0]]
 
     def phase_bits(y: int) -> tuple[int, int]:
         # amp(y)/amp(0) = i^l * (-1)^d with l, d in {0, 1}
-        ratio = g[param_point(y)] / base
+        ratio = g[points[y]] / base
         for l in (0, 1):
             for d in (0, 1):
                 if abs(ratio - (1j**l) * (1 - 2 * d)) < 1e-6:
                     return l, d
         raise ValueError("relative phase is not a fourth root of unity")
 
-    ell = 0
-    diag = {}
-    for i in range(m):
-        l, d = phase_bits(1 << i)
-        ell |= l << i
-        diag[i] = d
-    rows = [0] * m
-    for i in range(m):
-        rows[i] |= diag[i] << i
+    single = [phase_bits(1 << i) for i in range(m)]
+    ell = sum(l << i for i, (l, _) in enumerate(single))
+    rows = [d << i for i, (_, d) in enumerate(single)]
     for i in range(m):
         for j in range(i + 1, m):
-            y = (1 << i) | (1 << j)
-            l, d = phase_bits(y)
-            li, lj = (ell >> i) & 1, (ell >> j) & 1
-            if l != (li ^ lj):
+            l, d = phase_bits((1 << i) | (1 << j))
+            if l != single[i][0] ^ single[j][0]:
                 raise ValueError("i-phase part is not linear")
-            m_ij = d ^ diag[i] ^ diag[j]
-            rows[i] |= m_ij << j
+            rows[i] |= (d ^ single[i][1] ^ single[j][1]) << j
     cand = StabilizerState(n, aff_offset, basis, ell, tuple(rows))
     vec = stabilizer_to_statevector(cand)
     ref = vec.inner(state)
@@ -301,8 +296,7 @@ def expected_stabilizer_count(n: int) -> int:
 @functools.lru_cache(maxsize=None)
 def stabilizer_unit_matrix(n: int) -> np.ndarray:
     """Row k = unit-convention amplitudes of the k-th enumerated stabilizer."""
-    states = enumerate_stabilizers(n)
-    return np.array([stabilizer_to_statevector(s).unit() for s in states])
+    return stabilizer_vectors(enumerate_stabilizers(n)) / math.sqrt(1 << n)
 
 
 def fourth_moment(state: StateVector) -> float:

@@ -2,7 +2,10 @@
 
 Vectors in F2^n are Python ints with bit i holding coordinate i. Points of
 the symplectic space F2^(2n) are packed as z = (y << n) | alpha. All
-operations are pure functions on immutable values.
+operations are pure functions on immutable values, except `rref_insert`, which
+grows a row list in place. Whole spans (every XOR combination of a list of
+vectors, see `span_points`) come back as numpy integer arrays indexed by the
+combination bits y.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 # Covering-argument constants: a set with additive energy >= eps has a large
 # intersection with an affine subspace, with quality eps^COVER_EXPONENT /
@@ -51,23 +56,41 @@ def symplectic_form(n: int, z1: int, z2: int) -> int:
     return dot(z1, symp_swap(n, z2))
 
 
-def _rref(vectors: Iterable[int]) -> tuple[int, ...]:
-    """Reduced row echelon basis, pivots at the highest set bits, rows sorted
-    in decreasing integer order."""
-    rows: list[int] = []
-    for v in vectors:
-        for r in rows:
-            v = min(v, v ^ r)
-        if v:
-            rows.append(v)
-            rows.sort(reverse=True)
-            # re-reduce to keep the basis fully reduced
-            for i in range(len(rows)):
-                for j in range(len(rows)):
-                    if i != j and rows[j] and (rows[i] ^ rows[j]) < rows[i]:
-                        rows[i] ^= rows[j]
-            rows = sorted((r for r in rows if r), reverse=True)
-    return tuple(rows)
+def span_points(vectors) -> np.ndarray:
+    """out[y] = XOR of vectors[i] over the set bits i of y, for every y in
+    range(2^len(vectors)).
+
+    The vectors are ints, or equally shaped integer arrays (a batch); for a
+    batch the combination index y is the last axis of the result."""
+    vecs = np.asarray(vectors)
+    if not len(vecs):
+        vecs = vecs.astype(np.int64)
+    out = np.zeros(vecs.shape[1:] + (1,), dtype=vecs.dtype)
+    for v in vecs:
+        out = np.concatenate([out, out ^ v[..., None]], axis=-1)
+    return out
+
+
+def _reduce(rows: Sequence[int], v: int) -> int:
+    """v minus every row whose pivot (highest set bit) v contains; rows must
+    be fully reduced and in decreasing order."""
+    for r in rows:
+        v = min(v, v ^ r)
+    return v
+
+
+def rref_insert(rows: list[int], v: int) -> int:
+    """Gauss-Jordan insert of v into rows, in place.
+
+    rows is kept fully reduced with pivots at the highest set bits (each
+    pivot bit set in its own row only) and sorted in decreasing order, which
+    makes it the canonical basis of its span. Returns the reduced v: nonzero
+    exactly when v was outside the span and has been added."""
+    v = _reduce(rows, v)
+    if v:
+        pivot = 1 << (v.bit_length() - 1)
+        rows[:] = sorted([r ^ v if r & pivot else r for r in rows] + [v], reverse=True)
+    return v
 
 
 @dataclass(frozen=True)
@@ -81,7 +104,10 @@ class Subspace:
     def from_vectors(ambient_dim: int, vectors: Iterable[int]) -> "Subspace":
         if ambient_dim > MAX_DIM:
             raise DimensionMismatchError(f"dimension {ambient_dim} exceeds {MAX_DIM}")
-        return Subspace(ambient_dim, _rref(vectors))
+        rows: list[int] = []
+        for v in vectors:
+            rref_insert(rows, v)
+        return Subspace(ambient_dim, tuple(rows))
 
     @property
     def dim(self) -> int:
@@ -92,34 +118,21 @@ class Subspace:
 
     def reduce(self, v: int) -> int:
         """Canonical coset representative of v (lexicographically smallest)."""
-        for r in self.basis:
-            v = min(v, v ^ r)
-        return v
+        return _reduce(self.basis, v)
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 
     def __iter__(self) -> Iterator[int]:
-        for picks in itertools.product((0, 1), repeat=self.dim):
-            acc = 0
-            for bit, b in zip(picks, self.basis):
-                if bit:
-                    acc ^= b
-            yield acc
+        # basis[0] varies slowest, so it takes the highest combination bit
+        return (int(v) for v in span_points(self.basis[::-1]))
 
     def complement_basis(self) -> tuple[int, ...]:
         """Vectors extending the basis to all of F2^ambient_dim."""
-        out: list[int] = []
         rows = list(self.basis)
-        for i in range(self.ambient_dim):
-            cand = 1 << i
-            red = cand
-            for r in rows:
-                red = min(red, red ^ r)
-            if red:
-                rows = list(_rref(rows + [cand]))
-                out.append(cand)
-        return tuple(out)
+        return tuple(
+            1 << i for i in range(self.ambient_dim) if rref_insert(rows, 1 << i)
+        )
 
 
 @dataclass(frozen=True)
@@ -175,6 +188,10 @@ class LinMap:
             y &= y - 1
         return acc
 
+    def images(self) -> np.ndarray:
+        """self(y) for every y in range(2^n)."""
+        return span_points(self.cols)
+
     def transpose(self) -> "LinMap":
         cols = tuple(
             sum(((self.cols[i] >> j) & 1) << i for i in range(self.n))
@@ -200,9 +217,6 @@ class LinMap:
         """The map x -> u * <v, x>."""
         return LinMap(n, tuple(u if (v >> j) & 1 else 0 for j in range(n)))
 
-    def encoding(self) -> tuple[int, ...]:
-        return self.cols
-
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -218,6 +232,10 @@ class AffineMap:
     def __call__(self, y: int) -> int:
         return self.linear(y) ^ self.shift
 
+    def images(self) -> np.ndarray:
+        """self(y) for every y in range(2^n)."""
+        return self.linear.images() ^ self.shift
+
     def graph(self) -> list[int]:
         """All packed points (y, map(y)); always 2^n of them."""
         n = self.n
@@ -230,34 +248,12 @@ def linmap_from_images(n: int, pairs: Sequence[tuple[int, int]]) -> LinMap:
     span = Subspace.from_vectors(n, (v for v, _ in pairs))
     if span.dim != len(pairs):
         raise ValueError("input vectors are not independent")
-    full_pairs = list(pairs) + [(c, 0) for c in span.complement_basis()]
-    cols = []
-    for j in range(n):
-        image = _solve_in_span(full_pairs, 1 << j)
-        if image is None:
-            raise ValueError("inputs do not span F2^n after completion")
-        cols.append(image)
-    return LinMap(n, tuple(cols))
-
-
-def _solve_in_span(pairs: list[tuple[int, int]], target: int) -> int | None:
-    """XOR-combination of pair outputs whose inputs sum to target, or None."""
-    # triangularize copies
-    work = sorted(pairs, key=lambda p: -p[0])
-    basis: list[tuple[int, int]] = []
-    for v, w in work:
-        for bv, bw in basis:
-            if v ^ bv < v:
-                v, w = v ^ bv, w ^ bw
-        if v:
-            basis.append((v, w))
-            basis.sort(key=lambda p: -p[0])
-    out = 0
-    for bv, bw in basis:
-        if target ^ bv < target:
-            target ^= bv
-            out ^= bw
-    return out if target == 0 else None
+    # The graph rows (v << n) | w span {(x, map(x))}; their canonical basis
+    # has pivots e_j << n, so row j reads (e_j << n) | map(e_j).
+    rows: list[int] = []
+    for v, w in list(pairs) + [(c, 0) for c in span.complement_basis()]:
+        rref_insert(rows, (v << n) | w)
+    return LinMap(n, tuple(r & ((1 << n) - 1) for r in reversed(rows)))
 
 
 def phase_sum(S: Subspace, zp: int) -> int:
@@ -282,26 +278,19 @@ def perp(S: Subspace) -> Subspace:
 
 def nullspace(ambient_dim: int, constraints: Sequence[int]) -> Subspace:
     """{z : <z, c> = 0 for every constraint c}."""
-    rows = list(_rref(constraints))
+    rows = list(Subspace.from_vectors(ambient_dim, constraints).basis)
     pivots = [r.bit_length() - 1 for r in rows]
     free = [i for i in range(ambient_dim) if i not in pivots]
     basis = []
     for fidx in free:
+        # each row holds fidx or not, plus its own pivot and no other pivot
         v = 1 << fidx
         for r, p in zip(rows, pivots):
             if dot(v, r):
                 v |= 1 << p
-        # v now satisfies all RREF constraints: check and collect
-        basis.append(v)
-    # Fix-up: RREF rows may interact; correct by direct solve per pivot.
-    fixed = []
-    for v in basis:
-        for r, p in zip(rows, pivots):
-            if dot(v, r):
-                v ^= 1 << p
         assert all(dot(v, r) == 0 for r in rows)
-        fixed.append(v)
-    return Subspace.from_vectors(ambient_dim, fixed)
+        basis.append(v)
+    return Subspace.from_vectors(ambient_dim, basis)
 
 
 def cover_affine_map(

@@ -19,12 +19,13 @@ from .charfn import char_function
 from .clifford import (
     StabilizerState,
     enumerate_stabilizers,
-    stabilizer_to_statevector,
     stabilizer_unit_matrix,
+    stabilizer_vectors,
 )
 from .states import FamilySpec, StateVector, make_state
 
 SINGULAR_TOL = 1e-9
+STABILIZER_FIDELITY_TOL = 1e-9
 RANK_RESIDUAL_TOL = 1e-9
 _CHUNK = 4096
 
@@ -101,7 +102,8 @@ def stabilizer_fidelity(state: StateVector) -> tuple[float, StabilizerState]:
     full stabilizer enumeration (ties broken by enumeration order)."""
     if state.n > 4:
         raise MeasureError("exhaustive fidelity capped at n = 4")
-    overlaps = np.abs(stabilizer_unit_matrix(state.n).conj() @ state.unit()) ** 2
+    # |<s|phi>| = |S conj(phi)|: conjugating phi, not S, spares a table copy
+    overlaps = np.abs(stabilizer_unit_matrix(state.n) @ state.unit().conj()) ** 2
     best = int(np.argmax(overlaps))
     return float(overlaps[best]), enumerate_stabilizers(state.n)[best]
 
@@ -173,9 +175,11 @@ class GramMatrix:
             raise MeasureError("Gram matrix shape mismatch")
 
 
-def quantize_overlap(value: complex, tol: float = 1e-10) -> Optional[tuple[int, int]]:
-    """Express value as i^ell * 2^(-m/2) (quarter roots of unity only).
-    Returns (ell, m) or None. Zero maps to None by convention."""
+def _quantize_overlap(
+    value: complex, roots: int, tol: float
+) -> Optional[tuple[int, int]]:
+    """Express value as e^(2 pi i ell / roots) * 2^(-m/2); (ell, m) or None.
+    Zero maps to None by convention."""
     mag = abs(value)
     if mag <= tol:
         return None
@@ -183,10 +187,16 @@ def quantize_overlap(value: complex, tol: float = 1e-10) -> Optional[tuple[int, 
     if m < 0 or abs(mag - 2 ** (-m / 2)) > tol:
         return None
     phase = value / mag
-    for ell in range(4):
-        if abs(phase - 1j**ell) <= tol:
+    for ell in range(roots):
+        if abs(phase - np.exp(2j * math.pi * ell / roots)) <= tol:
             return ell, m
     return None
+
+
+def quantize_overlap(value: complex, tol: float = 1e-10) -> Optional[tuple[int, int]]:
+    """Express value as i^ell * 2^(-m/2) (quarter roots of unity only).
+    Returns (ell, m) or None. Zero maps to None by convention."""
+    return _quantize_overlap(value, 4, tol)
 
 
 def quantize_overlap_eighth(
@@ -194,17 +204,7 @@ def quantize_overlap_eighth(
 ) -> Optional[tuple[int, int]]:
     """Express value as e^(i pi ell / 4) * 2^(-m/2) (eighth roots of unity).
     Returns (ell, m) or None."""
-    mag = abs(value)
-    if mag <= tol:
-        return None
-    m = round(-2 * math.log2(mag))
-    if m < 0 or abs(mag - 2 ** (-m / 2)) > tol:
-        return None
-    phase = value / mag
-    for ell in range(8):
-        if abs(phase - np.exp(1j * math.pi * ell / 4)) <= tol:
-            return ell, m
-    return None
+    return _quantize_overlap(value, 8, tol)
 
 
 def gram_lambda_min(
@@ -216,7 +216,7 @@ def gram_lambda_min(
     if not 1 <= k <= 8:
         raise MeasureError("Gram machinery supports 1 <= k <= 8 states")
     n = states[0].n
-    vecs = np.array([stabilizer_to_statevector(s).unit() for s in states])
+    vecs = stabilizer_vectors(states) / math.sqrt(1 << n)
     entries = vecs.conj() @ vecs.T
     gram = GramMatrix(
         k, entries, n, tuple(indices) if indices is not None else tuple(range(k))
@@ -318,12 +318,16 @@ class MeasureReport:
 
 
 def measure_report(state: StateVector) -> MeasureReport:
+    """Norm, fidelity and rank of one state. Above the rank-search cap
+    (n = 4) the rank is the bound pair (lower, 2^n), with lower = 2 whenever
+    the fidelity shows the state is not itself a stabilizer state."""
     fid, wit = stabilizer_fidelity(state)
     wit_index = enumerate_stabilizers(state.n).index(wit)
     if state.n <= 3:
         rank, rank_wit = stabilizer_rank(state)
     else:
-        rank, rank_wit = (1, state.N), None
+        lower = 1 if fid >= 1 - STABILIZER_FIDELITY_TOL else 2
+        rank, rank_wit = (lower, state.N), None
     return MeasureReport(state.n, gowers3(state), fid, wit_index, rank, rank_wit)
 
 
@@ -337,6 +341,19 @@ def counterexample_state(n: int, seed: int) -> StateVector:
     vec /= np.linalg.norm(vec)
     out = 0.5 * np.eye(N, dtype=complex)[0] + (math.sqrt(3) / 2) * vec
     return StateVector.from_unit(out)
+
+
+def relations_corpus(seed: int = 0) -> list[FamilySpec]:
+    """The standard n <= 2 corpus of the relations experiment: uniform,
+    basis and t_tensor states plus five seeded Haar states per n."""
+    specs = []
+    for n in (1, 2):
+        specs.append(FamilySpec("uniform", n))
+        specs.append(FamilySpec("basis", n))
+        specs.append(FamilySpec("t_tensor", n))
+        for s in range(5):
+            specs.append(FamilySpec("haar", n, seed=seed + s))
+    return specs
 
 
 def relations_experiment(

@@ -15,6 +15,8 @@ from typing import Optional
 
 import numpy as np
 
+from .gf2 import span_points
+
 NORM_TOL = 1e-12
 JSON_NORM_TOL = 1e-6
 
@@ -30,6 +32,18 @@ def _xor_index(N: int, y: int) -> np.ndarray:
 def dot_parity(values: np.ndarray, mask: int) -> np.ndarray:
     """<v, mask> over F2, elementwise, as an int64 0/1 array."""
     return np.bitwise_count(np.asarray(values) & mask).astype(np.int64) & 1
+
+
+def quadratic_parity(values: np.ndarray, rows) -> np.ndarray:
+    """sum_i x_i <rows[i], x> over F2 for each x in values, as an int64 0/1
+    array. rows holds ints, or equally shaped integer arrays for a batch of
+    forms (batch axes first, values on the last axis of the result).
+
+    By bilinearity this is <x, R(x)>, where R(x) is the XOR of the rows
+    picked by the low bits of x."""
+    x = np.asarray(values)
+    picked = span_points(rows)[..., x & ((1 << len(rows)) - 1)]
+    return dot_parity(x, picked)
 
 
 def sign_table(N: int, alpha: int) -> np.ndarray:

@@ -38,9 +38,10 @@ from .gf2 import (
     LinMap,
     linmap_from_images,
     nullspace,
+    span_points,
 )
 from .measures import gowers3
-from .states import StateVector, dot_parity, walsh_hadamard
+from .states import StateVector, dot_parity, quadratic_parity, walsh_hadamard
 
 CONTRACT_TOL = 1e-9
 EXHAUSTIVE_MAX_N = 4
@@ -125,21 +126,7 @@ def sample_zeta(t: CharTable, delta: float, seed: int = 0) -> ZetaSample:
 
 def graph_sum(t: CharTable, mapping) -> float:
     """sum_y t(y, mapping(y)) for an AffineMap or LinMap."""
-    images = np.array([mapping(y) for y in range(t.N)])
-    return float(t.f[np.arange(t.N), images].sum())
-
-
-def _linear_images(n: int, cols_array: np.ndarray) -> np.ndarray:
-    """images[m, y] for a batch of column stacks cols_array (batch, n)."""
-    N = 1 << n
-    out = np.zeros((len(cols_array), N), dtype=int)
-    for y in range(1, N):
-        acc = np.zeros(len(cols_array), dtype=int)
-        for j in range(n):
-            if (y >> j) & 1:
-                acc ^= cols_array[:, j]
-        out[:, y] = acc
-    return out
+    return float(t.f[np.arange(t.N), mapping.images()].sum())
 
 
 def best_affine_map(t: CharTable) -> tuple[AffineMap, float]:
@@ -158,10 +145,8 @@ def best_affine_map(t: CharTable) -> tuple[AffineMap, float]:
         shifts = np.arange(N)
         for start in range(0, n_maps, chunk):
             ms = np.arange(start, min(start + chunk, n_maps))
-            cols = np.stack(
-                [(ms >> ((n - 1 - j) * n)) & (N - 1) for j in range(n)], axis=1
-            )
-            images = _linear_images(n, cols)  # (batch, N)
+            cols = [(ms >> ((n - 1 - j) * n)) & (N - 1) for j in range(n)]
+            images = span_points(cols)  # (batch, N)
             gathered = t.f[
                 np.arange(N)[None, :, None],
                 images[:, :, None] ^ shifts[None, None, :],
@@ -184,10 +169,7 @@ def _hill_climb_affine(t: CharTable) -> tuple[AffineMap, float]:
     yidx = np.arange(N)
 
     def value(cols: list[int], shift: int) -> float:
-        images = np.zeros(N, dtype=int)
-        for j in range(n):
-            images[yidx & (1 << j) != 0] ^= cols[j]
-        return float(t.f[yidx, images ^ shift].sum())
+        return float(t.f[yidx, span_points(cols) ^ shift].sum())
 
     best_cols, best_shift = [0] * n, 0
     best_val = value(best_cols, best_shift)
@@ -327,12 +309,8 @@ class QuadraticPoly:
 
     def values(self) -> np.ndarray:
         """q(x) for all x, as a 0/1 array."""
-        N = 1 << self.n
-        x = np.arange(N)
-        q = dot_parity(x, self.alpha)
-        for i, row in enumerate(self.upper_rows):
-            q ^= ((x >> i) & 1) & dot_parity(x, row)
-        return q
+        x = np.arange(1 << self.n)
+        return dot_parity(x, self.alpha) ^ quadratic_parity(x, self.upper_rows)
 
     def signs(self) -> np.ndarray:
         return 1 - 2 * self.values()

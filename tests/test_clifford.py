@@ -25,6 +25,7 @@ from stab_lab.clifford import (
     stabilizer_unit_matrix,
     weyl_expectation,
 )
+from stab_lab.gf2 import dot
 from stab_lab.states import FamilySpec, StateVector, make_state
 
 
@@ -158,6 +159,33 @@ def test_stabilizer_statevector_normalized():
     for s in enumerate_stabilizers(2):
         vec = stabilizer_to_statevector(s)
         assert vec.is_normalized(1e-12)
+
+
+def _canonical_form_unit(s):
+    """Per-point oracle: amplitude sqrt(N / 2^m) * i^<ell,y> * (-1)^Q(y) on
+    x(y) = offset + sum_i y_i basis_i, Q(y) = sum_i y_i <q_upper_i, y>."""
+    N = 1 << s.n
+    g = np.zeros(N, dtype=complex)
+    scale = math.sqrt(N / (1 << s.m))
+    for y in range(1 << s.m):
+        x, q = s.offset, 0
+        for i, (b, row) in enumerate(zip(s.basis, s.q_upper)):
+            if (y >> i) & 1:
+                x ^= b
+                q ^= dot(row, y)
+        g[x] = scale * ((1j ** dot(s.ell, y)) * (1 - 2 * q))
+    return g / math.sqrt(N)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unit_matrix_bit_identical_to_canonical_form(n):
+    mat = stabilizer_unit_matrix(n)
+    states = enumerate_stabilizers(n)
+    rows = range(len(states))
+    if n == 4:
+        rows = np.random.default_rng(4).choice(len(states), size=500, replace=False)
+    oracle = np.array([_canonical_form_unit(states[k]) for k in rows])
+    assert np.array_equal(mat[list(rows)].view(np.float64), oracle.view(np.float64))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

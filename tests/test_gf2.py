@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,8 @@ from stab_lab.gf2 import (
     nullspace,
     perp,
     phase_sum,
+    rref_insert,
+    span_points,
     symp_pack,
     symp_swap,
     symp_unpack,
@@ -79,6 +82,60 @@ def test_subspace_basis_is_canonical(n, vectors):
     # any spanning set in any order gives the same basis
     resub = Subspace.from_vectors(n, reversed(list(sub)))
     assert sub.basis == resub.basis
+
+
+@given(st.lists(st.integers(0, (1 << 10) - 1), max_size=12))
+def test_rref_insert_keeps_canonical_form(vectors):
+    rows = []
+    for v in vectors:
+        before = list(rows)
+        added = rref_insert(rows, v)
+        assert (added != 0) == (len(rows) == len(before) + 1)
+        pivots = [r.bit_length() - 1 for r in rows]
+        assert len(set(pivots)) == len(rows) and 0 not in rows
+        for r, p in zip(rows, pivots):
+            assert all((other >> p) & 1 == (other == r) for other in rows)
+        assert rows == sorted(rows, reverse=True)
+    assert tuple(rows) == Subspace.from_vectors(10, vectors).basis
+
+
+@given(st.integers(1, 6), st.data())
+def test_linmap_from_images_roundtrip(n, data):
+    top = (1 << n) - 1
+    inputs = Subspace.from_vectors(n, data.draw(st.lists(st.integers(0, top), max_size=n)))
+    pairs = [(v, data.draw(st.integers(0, top))) for v in inputs.basis]
+    m = linmap_from_images(n, pairs)
+    for v, w in pairs:
+        assert m(v) == w
+    for c in inputs.complement_basis():
+        assert m(c) == 0
+
+
+@given(st.integers(1, 8), st.lists(st.integers(0, 255), max_size=8))
+def test_nullspace_dimension(n, constraints):
+    constraints = [c & ((1 << n) - 1) for c in constraints]
+    rank = Subspace.from_vectors(n, constraints).dim
+    ns = nullspace(n, constraints)
+    assert ns.dim == n - rank
+    assert all(dot(v, c) == 0 for v in ns.basis for c in constraints)
+
+
+@given(st.integers(1, 5), st.lists(st.integers(0, 31), max_size=5))
+def test_span_points_matches_xor_loop(n, vectors):
+    vectors = [v & ((1 << n) - 1) for v in vectors]
+    expected = []
+    for y in range(1 << len(vectors)):
+        acc = 0
+        for i, v in enumerate(vectors):
+            if (y >> i) & 1:
+                acc ^= v
+        expected.append(acc)
+    assert span_points(vectors).tolist() == expected
+    pairs = np.array([[v, v ^ 1] for v in vectors], dtype=np.int64).reshape(-1, 2)
+    batch = span_points(pairs)  # two vector lists at once, y on the last axis
+    assert batch.shape == (2, 1 << len(vectors))
+    assert batch[0].tolist() == expected
+    assert batch[1].tolist() == span_points([v ^ 1 for v in vectors]).tolist()
 
 
 def test_complement_basis_completes():

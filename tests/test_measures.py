@@ -224,6 +224,16 @@ def test_measure_report_roundtrip(t_state):
     assert np.isclose(d["fidelity"], math.cos(math.pi / 8) ** 2)
 
 
+def test_measure_report_rank_bounds_at_n4():
+    # above the rank-search cap the report gives a bound pair, and a state
+    # with fidelity below 1 is not a stabilizer state, so its rank is >= 2
+    haar = measure_report(make_state(FamilySpec("haar", 4, seed=0)).normalized())
+    assert haar.fidelity < 0.5
+    assert haar.rank == (2, 16)
+    uniform = measure_report(make_state(FamilySpec("uniform", 4)))
+    assert uniform.rank == (1, 16)
+
+
 def test_counterexample_family():
     for seed in range(3):
         psi = counterexample_state(2, seed)
