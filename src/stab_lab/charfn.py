@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import StateVector, fwht
+from .states import MAX_QUBITS, StateVector, fwht
 
-MAX_TABLE_QUBITS = 6  # 4^6 doubles per table
 NEGATIVE_TOL = 1e-12
 
 
@@ -67,8 +66,8 @@ class BellDistribution:
 
 def char_function(state: StateVector) -> CharTable:
     """All 4^n values via one Walsh transform per phase-derivative row."""
-    if state.n > MAX_TABLE_QUBITS:
-        raise TableError(f"tables capped at n = {MAX_TABLE_QUBITS}")
+    if state.n > MAX_QUBITS:
+        raise TableError(f"tables capped at n = {MAX_QUBITS}")
     g = state.g
     N = state.N
     idx = np.arange(N)

@@ -223,14 +223,12 @@ def _cmd_extract_stabilizer(config: ExperimentConfig):
 
 def _cmd_bell_sim(config: ExperimentConfig):
     state = _load_state(config).normalized()
-    records = tester.bell_difference_sample(state, config.shots, config.seed)
+    zs, same = tester.bell_difference_sample(state, config.shots, config.seed)
     lines = ["y_bits,alpha_bits,same_bit"]
     n = state.n
-    for r in records:
-        y, alpha = r.z >> n, r.z & ((1 << n) - 1)
-        lines.append(
-            f"{format(y, f'0{n}b')},{format(alpha, f'0{n}b')},{int(r.same_bit)}"
-        )
+    for z, s in zip(zs.tolist(), same.tolist()):
+        y, alpha = z >> n, z & ((1 << n) - 1)
+        lines.append(f"{format(y, f'0{n}b')},{format(alpha, f'0{n}b')},{int(s)}")
     _emit(config, {}, csv_body="\n".join(lines) + "\n")
 
 

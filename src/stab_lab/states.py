@@ -19,6 +19,7 @@ from .gf2 import span_points
 
 NORM_TOL = 1e-12
 JSON_NORM_TOL = 1e-6
+MAX_QUBITS = 6  # 4^6 doubles per characteristic table
 
 
 class StateFormatError(ValueError):
@@ -164,9 +165,19 @@ def haar_unit(n: int, rng: np.random.Generator) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+def _check_qubits(n: int) -> None:
+    if not 1 <= n <= MAX_QUBITS:
+        raise StateFormatError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+
+
 def make_state(spec: FamilySpec) -> StateVector:
+    _check_qubits(spec.n)
     n, N = spec.n, 1 << spec.n
+    if spec.kind in ("stabilizer", "interpolate") and spec.stab is None:
+        raise StateFormatError(f"family {spec.kind!r} needs a stabilizer anchor")
     if spec.kind == "basis":
+        if not 0 <= spec.x0 < N:
+            raise StateFormatError(f"basis index must be in [0, {N}), got {spec.x0}")
         g = np.zeros(N, dtype=complex)
         g[spec.x0] = math.sqrt(N)
         return StateVector(n, g)
@@ -210,12 +221,14 @@ def load_state_json(text: str, renormalize: bool = False) -> StateVector:
     try:
         data = json.loads(text)
         n = int(data["n"])
-        amps = data["amplitudes"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        vec = np.array([complex(re, im) for re, im in data["amplitudes"]])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StateFormatError(f"malformed state file: {exc}") from exc
-    if len(amps) != 1 << n:
-        raise StateFormatError(f"expected {1 << n} amplitudes, got {len(amps)}")
-    vec = np.array([complex(re, im) for re, im in amps])
+    _check_qubits(n)
+    if len(vec) != 1 << n:
+        raise StateFormatError(f"expected {1 << n} amplitudes, got {len(vec)}")
+    if not np.isfinite(vec).all():
+        raise StateFormatError("amplitudes must be finite")
     nrm = float(np.linalg.norm(vec))
     if abs(nrm - 1.0) > JSON_NORM_TOL:
         if not renormalize:

@@ -4,10 +4,12 @@ distinguisher.
 
 Shots are simulated at the distribution level: the outcome z is drawn from
 the exact difference distribution q = f*f and the agreement bit from
-Bernoulli((1 + f(z))/2). The z-law is that of the physical 4-copy Bell
-measurement for every state, complex amplitudes included (Gross-Nezami-Walter,
-arXiv:1712.08628). A full 4-copy simulator (n <= 2) cross-checks it: the two
-laws agree to rounding (total variation below 1e-15 on Haar states at n = 2).
+Bernoulli((1 + f(z))/2). A run of shots is two arrays, the int64 outcomes z
+and the bool agreement bits, and R-hat is a count over the second. The z-law
+is that of the physical 4-copy Bell measurement for every state, complex
+amplitudes included (Gross-Nezami-Walter, arXiv:1712.08628). A full 4-copy
+simulator (n <= 2) cross-checks it: the two laws agree to rounding (total
+variation below 1e-15 on Haar states at n = 2).
 """
 
 from __future__ import annotations
@@ -21,14 +23,11 @@ from .charfn import bell_diff_distribution, char_function, exact_R
 from .states import StateVector, sign_table
 
 
+MAX_SHOTS = 10_000_000
+
+
 class TesterError(ValueError):
     __test__ = False  # keep pytest from collecting the Test* name
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    z: int
-    same_bit: bool
 
 
 @dataclass(frozen=True)
@@ -42,10 +41,11 @@ class TestDecision:
 
 def bell_difference_sample(
     state: StateVector, shots: int, seed: int = 0
-) -> list[ShotRecord]:
-    """Draw i.i.d. outcomes z ~ q and agreement bits ~ Bernoulli((1+f(z))/2)."""
-    if shots < 1:
-        raise TesterError("need at least one shot")
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw i.i.d. outcomes z ~ q and agreement bits ~ Bernoulli((1+f(z))/2);
+    returns (z, same) as int64 and bool arrays of length shots."""
+    if not 1 <= shots <= MAX_SHOTS:
+        raise TesterError(f"shots must be in [1, {MAX_SHOTS}]")
     t = char_function(state.normalized())
     q = bell_diff_distribution(t)
     probs = q.q / q.q.sum()
@@ -53,15 +53,20 @@ def bell_difference_sample(
     zs = rng.choice(len(probs), size=shots, p=probs)
     f_at = t.flat()[zs]
     same = rng.random(shots) < 0.5 * (1.0 + f_at)
-    return [ShotRecord(int(z), bool(s)) for z, s in zip(zs, same)]
+    return zs, same
 
 
 def estimate_R(state: StateVector, shots: int, seed: int = 0) -> float:
     """R-hat = 2 * (fraction of agreement bits) - 1; unbiased for
     sum_z q(z) f(z) with standard error at most 1/sqrt(shots)."""
-    records = bell_difference_sample(state, shots, seed)
-    same = sum(r.same_bit for r in records)
-    return 2.0 * same / shots - 1.0
+    _, same = bell_difference_sample(state, shots, seed)
+    return 2.0 * int(np.count_nonzero(same)) / shots - 1.0
+
+
+def _decide(state: StateVector, tau: float, shots: int, seed: int) -> TestDecision:
+    r_hat = estimate_R(state, shots, seed)
+    verdict = "close" if r_hat >= tau else "far"
+    return TestDecision(r_hat, tau, verdict, shots, seed)
 
 
 def tolerant_test(
@@ -83,9 +88,7 @@ def tolerant_test(
     if not 0 < eps2 < eps1 <= 1:
         raise TesterError("need 0 < eps2 < eps1 <= 1")
     tau = eps1**8 / 2 if threshold is None else threshold
-    r_hat = estimate_R(state, shots, seed)
-    verdict = "close" if r_hat >= tau else "far"
-    return TestDecision(r_hat, tau, verdict, shots, seed)
+    return _decide(state, tau, shots, seed)
 
 
 def rank_vs_haar_test(
@@ -103,10 +106,7 @@ def rank_vs_haar_test(
         raise TesterError(
             f"no calibrated threshold for (n={state.n}, k={k}); run calibrate"
         )
-    tau = thresholds[(state.n, k)]
-    r_hat = estimate_R(state, shots, seed)
-    verdict = "close" if r_hat >= tau else "far"
-    return TestDecision(r_hat, tau, verdict, shots, seed)
+    return _decide(state, thresholds[(state.n, k)], shots, seed)
 
 
 def calibrate(
@@ -118,6 +118,8 @@ def calibrate(
 ) -> dict:
     """Empirical threshold for rank<=k vs Haar at size n: the midpoint of the
     class medians of R-hat over seeded corpora."""
+    if min(n, k, corpus_size) < 1:
+        raise TesterError("calibrate needs n, k and corpus_size of at least 1")
     from .measures import random_low_rank_state
     from .states import FamilySpec, haar_unit, make_state
 

@@ -41,7 +41,13 @@ from .gf2 import (
     span_points,
 )
 from .measures import gowers3
-from .states import StateVector, dot_parity, quadratic_parity, walsh_hadamard
+from .states import (
+    MAX_QUBITS,
+    StateVector,
+    dot_parity,
+    quadratic_parity,
+    walsh_hadamard,
+)
 
 CONTRACT_TOL = 1e-9
 EXHAUSTIVE_MAX_N = 4
@@ -324,7 +330,7 @@ def _strict_upper_rows(l: LinMap) -> tuple[int, ...]:
 
 
 def extract_quadratic(
-    g: np.ndarray, l: LinMap
+    g: np.ndarray, l: LinMap, t: CharTable
 ) -> tuple[QuadraticPoly, float, int]:
     """Best linear correction to the quadratic phase of a symmetric
     zero-diagonal map: with H(x) = (-1)^{sum_{i<j} l_ij x_i x_j}, pick alpha
@@ -332,10 +338,13 @@ def extract_quadratic(
     achieved correlation, and alpha.
 
     The choice is certified by the exact fourth-moment identity
-    sum_alpha (Hg-hat)(alpha)^4 = (1/N) sum_y f(y, l(y)) and the resulting
+    sum_alpha (Hg-hat)(alpha)^4 = (1/N) sum_y t(y, l(y)), where t is the
+    characteristic table of g that the map search used, and the resulting
     floor correlation^2 >= that sum / E[g^2] (both checked)."""
     if not l.is_symmetric() or l.diagonal() != 0:
         raise PipelineError("quadratic extraction needs symmetric zero diagonal")
+    if t.n != l.n:
+        raise PipelineError("table and map act on different qubit counts")
     g = np.asarray(g)
     if np.iscomplexobj(g) and np.abs(g.imag).max() > 1e-12:
         raise PipelineError("quadratic extraction needs a real function")
@@ -347,8 +356,6 @@ def extract_quadratic(
     alpha = int(np.argmax(np.abs(hat)))
     corr = float(abs(hat[alpha]))
 
-    # Certification against the characteristic table of g.
-    t = char_function(StateVector(l.n, g.astype(complex)))
     graph_mass = graph_sum(t, l) / t.N
     fourth = float(np.sum(hat**4))
     if abs(fourth - graph_mass) > 1e-9:
@@ -402,8 +409,8 @@ def extract_stabilizer(
     its squared overlap with the input, and the per-stage trace."""
     if not state.is_normalized(1e-9):
         raise ValueError("input must be normalized")
-    if state.n > 6:
-        raise ValueError("pipeline capped at n = 6")
+    if state.n > MAX_QUBITS:
+        raise ValueError(f"pipeline capped at n = {MAX_QUBITS}")
     gamma = gowers3(state)
     tilde, nu, which = split_real(state)
     circuit, balanced = balance(tilde, seed=seed)
@@ -412,7 +419,7 @@ def extract_stabilizer(
     l0, val_linear = drop_shift(amap, t)
     ls, val_sym = symmetrize_map(l0, t)
     lz, val_zd = zero_diagonal_map(ls, t)
-    qpoly, corr, _alpha = extract_quadratic(balanced.g, lz)
+    qpoly, corr, _alpha = extract_quadratic(balanced.g, lz, t)
 
     s_prime = StateVector(state.n, qpoly.signs().astype(complex))
     s_vec = apply_clifford(circuit.inverse(), s_prime)

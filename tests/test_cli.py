@@ -6,9 +6,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stab_lab.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
-from stab_lab.states import FamilySpec, dump_state_json, make_state
+from stab_lab.states import FamilySpec, dump_state_json, haar_unit, make_state
 
 
 def run(args):
@@ -220,3 +222,122 @@ def test_seed_env_default(monkeypatch, tmp_path, t_state_file):
     out = tmp_path / "s.json"
     assert run(["measures", "--state", t_state_file, "--out", str(out)]) == EXIT_OK
     assert _read_json(out)["config"]["seed"] == 41
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract-stabilizer", "--family", "basis", "--n", "2", "--x0", "9"],
+        ["gowers", "--family", "interpolate", "--n", "2", "--eps", "0.5"],
+        ["gowers", "--family", "stabilizer", "--n", "2"],
+        ["measures", "--family", "haar", "--n", "0"],
+        ["charfn", "--family", "haar", "--n", "7"],
+        ["bell-sim", "--family", "haar", "--n", "2", "--shots", "10000001"],
+        ["calibrate", "--n", "2", "--k", "0", "--corpus-size", "2"],
+        ["calibrate", "--n", "2", "--k", "1", "--corpus-size", "0"],
+    ],
+)
+def test_bad_arguments_exit_2(argv):
+    assert run(argv) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_state_file_exits_2(tmp_path, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"n": 1, "amplitudes": [[{bad}, 0.0], [0.0, 0.0]]}}')
+    assert run(["gowers", "--state", str(path)]) == EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract on generated input
+
+
+CONTRACT_COMMANDS = (
+    "charfn", "gowers", "measures", "fidelity", "bell-sim", "tolerant-test",
+    "extract-stabilizer",
+)
+GOOD_FAMILIES = ("basis", "uniform", "haar", "t_tensor")
+BAD_FAMILIES = ("stabilizer", "interpolate", "bogus")
+BAD_STATE_FILES = ("nan", "wrong_length", "huge_n")
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _state_file_text(kind, n, seed):
+    if kind == "huge_n":
+        return json.dumps({"n": 10**12, "amplitudes": [[1.0, 0.0]]})
+    vec = haar_unit(n, np.random.default_rng(seed)) if 0 <= n <= 8 else np.ones(1)
+    amps = [[float(a.real), float(a.imag)] for a in vec]
+    if kind == "nan":
+        amps[0][0] = float("nan")
+    elif kind == "wrong_length":
+        amps.append([0.0, 0.0])
+    return json.dumps({"n": n, "amplitudes": amps})
+
+
+@st.composite
+def contract_argv(draw):
+    """argv for one command and the state file text it reads (or None).
+
+    Half the cases draw every value from its valid range, so that successful
+    runs and their JSON are exercised; the rest draw from the wider ranges
+    (n in [-1, 8], x0 in [-1, 2^n], shots in [0, 1000], bad families and
+    malformed state files)."""
+    in_range = draw(st.booleans())
+    command = draw(st.sampled_from(CONTRACT_COMMANDS))
+    n = draw(st.integers(1, 6) if in_range else st.integers(-1, 8))
+    families = GOOD_FAMILIES if in_range else GOOD_FAMILIES + BAD_FAMILIES
+    sources = ("family", "valid") + (() if in_range else BAD_STATE_FILES)
+    source = draw(st.sampled_from(sources))
+    if source == "family":
+        if in_range:
+            x0 = draw(st.integers(0, (1 << n) - 1))
+        else:
+            x0 = draw(st.integers(-1, 1 << max(n, 0)))
+        state = ["--family", draw(st.sampled_from(families)), "--n", str(n),
+                 "--x0", str(x0), "--family-seed", str(draw(st.integers(0, 3)))]
+        text = None
+    else:
+        state = ["--state", "STATE_FILE"]
+        text = _state_file_text(source, n, draw(st.integers(0, 3)))
+    shots = draw(st.integers(1 if in_range else 0, 1000))
+    argv = [command, *state, "--shots", str(shots)]
+    if command == "gowers":
+        degree = draw(st.integers(1, 3) if in_range else st.integers(0, 4))
+        argv += ["--degree", str(degree)]
+        argv += ["--direct"] if draw(st.booleans()) else []
+    if command == "tolerant-test":
+        eps = st.floats(0.01, 1.0) if in_range else st.floats(-0.5, 1.5)
+        eps1, eps2 = draw(eps), draw(eps)
+        if in_range:
+            eps1, eps2 = max(eps1, eps2), min(eps1, eps2)
+        argv += [f"--eps1={eps1!r}", f"--eps2={eps2!r}"]
+    return argv, text
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=contract_argv())
+def test_cli_contract_on_generated_input(tmp_path_factory, case):
+    argv, text = case
+    work = tmp_path_factory.mktemp("contract")
+    state_file, out = work / "state.json", work / "out"
+    if text is not None:
+        state_file.write_text(text)
+    argv = [str(state_file) if a == "STATE_FILE" else a for a in argv]
+    code = main(argv + ["--out", str(out)])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVARIANT)
+    if code != EXIT_OK:
+        return
+    body = out.read_text()
+    if argv[0] in ("charfn", "bell-sim"):
+        lines = body.splitlines()
+        _strict_json(lines[1].removeprefix("# config="))
+        for row in lines[3:]:
+            assert all(math.isfinite(float(v)) for v in row.split(","))
+    else:
+        _strict_json(body)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stab_lab.states import (
+    MAX_QUBITS,
     FamilySpec,
     StateFormatError,
     StateVector,
@@ -157,6 +158,24 @@ def test_unknown_family_rejected():
         make_state(FamilySpec("bogus", 1))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec("haar", 0),
+        FamilySpec("haar", -1),
+        FamilySpec("uniform", MAX_QUBITS + 1),
+        FamilySpec("haar", 10**12),
+        FamilySpec("basis", 2, x0=4),
+        FamilySpec("basis", 2, x0=-1),
+        FamilySpec("stabilizer", 2),
+        FamilySpec("interpolate", 2, eps=0.5),
+    ],
+)
+def test_family_rejects_bad_arguments(spec):
+    with pytest.raises(StateFormatError):
+        make_state(spec)
+
+
 def test_json_roundtrip():
     state = make_state(FamilySpec("haar", 2, seed=11))
     text = dump_state_json(state)
@@ -172,6 +191,16 @@ def test_json_rejects_malformed():
         load_state_json("not json")
     with pytest.raises(StateFormatError):
         load_state_json(json.dumps({"n": 2, "amplitudes": [[1.0, 0.0]]}))
+    for text in (
+        '{"n": 1, "amplitudes": [[NaN, 0.0], [0.0, 0.0]]}',
+        '{"n": 1, "amplitudes": [[1.0, -Infinity], [0.0, 0.0]]}',
+        '{"n": Infinity, "amplitudes": [[1.0, 0.0]]}',
+        '{"n": 1, "amplitudes": [["a", "b"], [0.0, 0.0]]}',
+        json.dumps({"n": 0, "amplitudes": [[1.0, 0.0]]}),
+        json.dumps({"n": 10**12, "amplitudes": [[1.0, 0.0]]}),
+    ):
+        with pytest.raises(StateFormatError):
+            load_state_json(text)
 
 
 def test_json_norm_tolerance():

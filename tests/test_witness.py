@@ -246,7 +246,8 @@ def test_zero_diagonal_rejects_asymmetric():
 
 def test_extract_quadratic_exact_phase():
     l = LinMap(2, (0b10, 0b01))
-    qpoly, corr, alpha = extract_quadratic(XOR_STATE.g, l)
+    t = char_function(XOR_STATE)
+    qpoly, corr, alpha = extract_quadratic(XOR_STATE.g, l, t)
     assert np.isclose(corr, 1.0)
     assert alpha == 0
     assert np.allclose(qpoly.signs(), XOR_STATE.g.real)
@@ -254,7 +255,8 @@ def test_extract_quadratic_exact_phase():
 
 def test_extract_quadratic_trivial():
     g = np.ones(4)
-    qpoly, corr, alpha = extract_quadratic(g, LinMap.zero(2))
+    t = char_function(_quad_state(2, g))
+    qpoly, corr, alpha = extract_quadratic(g, LinMap.zero(2), t)
     assert np.isclose(corr, 1.0)
     assert alpha == 0
     assert qpoly.values().sum() == 0
@@ -262,17 +264,24 @@ def test_extract_quadratic_trivial():
 
 def test_extract_quadratic_t_real_part(t_state):
     tilde, _, _ = split_real(t_state)
-    qpoly, corr, alpha = extract_quadratic(tilde.g, LinMap.zero(1))
+    t = char_function(tilde)
+    qpoly, corr, alpha = extract_quadratic(tilde.g, LinMap.zero(1), t)
     expected = (2 / math.sqrt(3) + math.sqrt(2 / 3)) / 2
     assert np.isclose(corr, expected, atol=1e-9)
     assert alpha == 0
 
 
 def test_extract_quadratic_validation():
+    t = char_function(XOR_STATE)
     with pytest.raises(PipelineError):
-        extract_quadratic(np.ones(4), LinMap.identity(2))  # nonzero diagonal
+        extract_quadratic(np.ones(4), LinMap.identity(2), t)  # nonzero diagonal
     with pytest.raises(PipelineError):
-        extract_quadratic(np.ones(4) * 1j, LinMap.zero(2))  # complex input
+        extract_quadratic(np.ones(4) * 1j, LinMap.zero(2), t)  # complex input
+    # a table that is not g's fails the fourth-moment identity
+    with pytest.raises(PipelineError, match="fourth-moment"):
+        extract_quadratic(np.ones(4), LinMap.zero(2), t)
+    with pytest.raises(PipelineError):
+        extract_quadratic(np.ones(4), LinMap.zero(2), CharTable(1, np.ones((2, 2))))
 
 
 def test_quadratic_poly_cocycle():
