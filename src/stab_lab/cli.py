@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -245,15 +246,36 @@ def _cmd_tolerant_test(config: ExperimentConfig):
     _emit(config, {"decision": dataclasses.asdict(decision)})
 
 
-def _load_thresholds(path: str) -> dict:
+def _valid_entry(e) -> bool:
+    if not isinstance(e, dict):
+        return False
+    n, k, threshold = e.get("n"), e.get("k"), e.get("threshold")
+    return type(n) is int and type(k) is int and (
+        type(threshold) is int
+        or (type(threshold) is float and math.isfinite(threshold))
+    )
+
+
+def _load_thresholds(path: str) -> list:
+    """The entries of a thresholds file; each must carry integer n and k and
+    a finite threshold."""
     with open(path) as fh:
         data = json.load(fh)
-    return {(e["n"], e["k"]): e["threshold"] for e in data["entries"]}
+    entries = data.get("entries") if isinstance(data, dict) else None
+    if not isinstance(entries, list) or not all(map(_valid_entry, entries)):
+        raise ValueError(
+            f"{path}: expected an 'entries' list of objects with integer n "
+            "and k and a finite threshold"
+        )
+    return entries
 
 
 def _cmd_rank_vs_haar(config: ExperimentConfig):
     state = _load_state(config).normalized()
-    thresholds = _load_thresholds(config.extra["thresholds"])
+    thresholds = {
+        (e["n"], e["k"]): e["threshold"]
+        for e in _load_thresholds(config.extra["thresholds"])
+    }
     decision = tester.rank_vs_haar_test(
         state,
         k=int(config.extra["k"]),
@@ -275,10 +297,9 @@ def _cmd_calibrate(config: ExperimentConfig):
     entries = []
     existing = config.extra.get("merge_into")
     if existing and os.path.exists(existing):
-        with open(existing) as fh:
-            entries = json.load(fh)["entries"]
         entries = [
-            e for e in entries if (e["n"], e["k"]) != (result["n"], result["k"])
+            e for e in _load_thresholds(existing)
+            if (e["n"], e["k"]) != (result["n"], result["k"])
         ]
     entries.append(result)
     entries.sort(key=lambda e: (e["n"], e["k"]))
@@ -327,13 +348,24 @@ _COMMANDS = {
 }
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: nan and +-inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_state_args(p: argparse.ArgumentParser):
     p.add_argument("--state", help="state JSON file")
     p.add_argument("--family", help="named family: basis|uniform|haar|t_tensor")
     p.add_argument("--n", type=int, help="qubit count for --family")
     p.add_argument("--x0", type=int, default=0, help="basis index for --family basis")
     p.add_argument("--family-seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--eps", type=_finite_float, default=0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "bell-sim", "doubling"):
         p = add_parser(name)
         _add_state_args(p)
-    sub.choices["rank"].add_argument("--delta", type=float, default=0.0)
-    sub.choices["doubling"].add_argument("--delta", type=float, default=0.05)
+    sub.choices["rank"].add_argument("--delta", type=_finite_float, default=0.0)
+    sub.choices["doubling"].add_argument("--delta", type=_finite_float, default=0.05)
 
     p = add_parser("gowers")
     _add_state_args(p)
@@ -371,9 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("tolerant-test")
     _add_state_args(p)
-    p.add_argument("--eps1", type=float, required=True)
-    p.add_argument("--eps2", type=float, required=True)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--eps1", type=_finite_float, required=True)
+    p.add_argument("--eps2", type=_finite_float, required=True)
+    p.add_argument("--threshold", type=_finite_float, default=None)
 
     p = add_parser("rank-vs-haar")
     _add_state_args(p)

@@ -12,7 +12,10 @@ The approximately-linear structure is found by direct exhaustive search over
 affine maps (feasible at n <= 4) rather than by additive-combinatorics
 covering arguments, whose constants are vacuous at this scale; the exhaustive
 optimum is at least as good as any covered map, so downstream bounds apply
-unchanged.
+unchanged. The search scores all 2^(n^2 + n) maps in one recursion over
+sub-cubes of y (about 1.2M array adds at n = 4), then breaks ties by the
+sequential float sum over y = 0..N-1, so that rounding, not the recursion's
+tree order, decides between near-equal maps.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .gf2 import (
     COVER_EXPONENT,
     AffineMap,
     LinMap,
+    Subspace,
     linmap_from_images,
     nullspace,
     span_points,
@@ -52,6 +56,7 @@ from .states import (
 CONTRACT_TOL = 1e-9
 EXHAUSTIVE_MAX_N = 4
 HILL_CLIMB_RESTARTS = 64
+RESCORE_CHUNK = 1 << 12  # nominees rescored per gather in best_affine_map
 
 
 class PipelineError(RuntimeError):
@@ -141,32 +146,50 @@ def best_affine_map(t: CharTable) -> tuple[AffineMap, float]:
     Exhaustive over all 2^(n^2 + n) candidates for n <= 4; seeded hill climb
     with restarts for n in {5, 6} (a local optimum, flagged by the caller via
     map_search_exhaustive). First optimum in lexicographic (columns, shift)
-    order wins ties."""
+    order wins ties, column 0 most significant and the shift least.
+
+    The exhaustive search scores every candidate at once by recursion over
+    sub-cubes of y. After peeling bits 0..k-1 of y,
+
+        T_k[p, c_0..c_{k-1}, s] = sum_b t((p << k) | b, s + sum_i b_i c_i)
+
+    over the k-bit b, so T_0 = t and T_{k+1}[p, .., c_k, s] =
+    T_k[2p, .., s] + T_k[2p + 1, .., c_k + s]; T_n is the score of every
+    (columns, shift) in lexicographic order. These sums run in tree order,
+    which rounds differently from the sequential sum over y = 0..N-1 that
+    defines the value, and exact ties are common. So the recursion only
+    nominates the candidates within CONTRACT_TOL of its maximum (the two
+    orders differ by about N^2 * eps * max, far less); each nominee is
+    rescored by the sequential sum, and the first exact maximum wins. The
+    rescoring takes RESCORE_CHUNK nominees at a time, so even a flat table,
+    which nominates every map, peaks at about 18 MB at n = 4."""
     n, N = t.n, t.N
-    if n <= EXHAUSTIVE_MAX_N:
-        best_val = -1.0
-        best_idx = None
-        n_maps = 1 << (n * n)
-        chunk = 1 << 12
-        shifts = np.arange(N)
-        for start in range(0, n_maps, chunk):
-            ms = np.arange(start, min(start + chunk, n_maps))
-            cols = [(ms >> ((n - 1 - j) * n)) & (N - 1) for j in range(n)]
-            images = span_points(cols)  # (batch, N)
-            gathered = t.f[
-                np.arange(N)[None, :, None],
-                images[:, :, None] ^ shifts[None, None, :],
-            ]
-            vals = gathered.sum(axis=1)  # (batch, N_shifts)
-            local = int(np.argmax(vals))
-            local_val = float(vals.flat[local])
-            if local_val > best_val:
-                best_val = local_val
-                best_idx = (int(ms[local // N]), int(local % N))
-        m, shift = best_idx
-        cols = tuple(int((m >> ((n - 1 - j) * n)) & (N - 1)) for j in range(n))
-        return AffineMap(LinMap(n, cols), shift), best_val
-    return _hill_climb_affine(t)
+    if n > EXHAUSTIVE_MAX_N:
+        return _hill_climb_affine(t)
+    yidx = np.arange(N)
+    xor = yidx[:, None] ^ yidx[None, :]
+    T = t.f[:, None, :]
+    for _ in range(n):
+        nxt = np.take(T[1::2], xor, axis=-1)
+        nxt += T[0::2][:, :, None, :]
+        T = nxt.reshape(len(nxt), -1, N)
+    vals = T.reshape(-1)
+    nominees = np.flatnonzero(vals >= vals.max() - CONTRACT_TOL)
+    best_val, best = -math.inf, 0
+    for start in range(0, len(nominees), RESCORE_CHUNK):
+        idx = nominees[start:start + RESCORE_CHUNK]
+        ms, shifts = idx >> n, idx & (N - 1)
+        cols = [(ms >> ((n - 1 - j) * n)) & (N - 1) for j in range(n)]
+        gathered = t.f[yidx, span_points(cols) ^ shifts[:, None]]
+        acc = gathered[:, 0]
+        for y in range(1, N):
+            acc = acc + gathered[:, y]
+        local = int(np.argmax(acc))
+        if acc[local] > best_val:
+            best_val, best = float(acc[local]), int(idx[local])
+    m, shift = best >> n, best & (N - 1)
+    cols = tuple((m >> ((n - 1 - j) * n)) & (N - 1) for j in range(n))
+    return AffineMap(LinMap(n, cols), shift), best_val
 
 
 def _hill_climb_affine(t: CharTable) -> tuple[AffineMap, float]:
@@ -249,26 +272,7 @@ def symmetrize_map(l: LinMap, t: CharTable) -> tuple[LinMap, float]:
         if lp(y) != l(y):
             raise PipelineError("symmetrization moved the kernel graph")
     if n <= EXHAUSTIVE_MAX_N:
-        # The completion off the kernel is a free choice; scan every
-        # symmetric map that agrees with l on Y and keep the heaviest graph
-        # (first maximum in column-lexicographic order, so deterministic).
-        best_val = graph_sum(t, lp)
-        pairs = [(i, j) for j in range(n) for i in range(j + 1)]
-        for mask in range(1 << len(pairs)):
-            cols = [0] * n
-            for bit, (i, j) in enumerate(pairs):
-                if (mask >> bit) & 1:
-                    cols[j] |= 1 << i
-                    if i != j:
-                        cols[i] |= 1 << j
-            cand = LinMap(n, tuple(cols))
-            if any(cand(y) != l(y) for y in Y.basis):
-                continue
-            val = graph_sum(t, cand)
-            if val > best_val + CONTRACT_TOL or (
-                abs(val - best_val) <= CONTRACT_TOL and cand.cols < lp.cols
-            ):
-                lp, best_val = cand, val
+        lp = _heaviest_completion(l, Y, lp, t)
     before = graph_sum(t, l)
     after = graph_sum(t, lp)
     if after < before**2 / t.N - CONTRACT_TOL:
@@ -276,6 +280,35 @@ def symmetrize_map(l: LinMap, t: CharTable) -> tuple[LinMap, float]:
             f"quadratic law failed: {after:.12g} < {before:.12g}^2/{t.N}"
         )
     return lp, after
+
+
+def _heaviest_completion(
+    l: LinMap, Y: Subspace, start: LinMap, t: CharTable
+) -> LinMap:
+    """The completion off Y = ker(l + l^T) is a free choice: score every
+    symmetric map (one per mask of upper-triangle bits) that agrees with l
+    on Y, and keep the heaviest graph, a near-tie going to the smaller
+    columns. The rule is replayed from start in mask order, so the choice
+    is deterministic."""
+    n = l.n
+    best, best_val = start, graph_sum(t, start)
+    pairs = [(i, j) for j in range(n) for i in range(j + 1)]
+    masks = np.arange(1 << len(pairs))
+    cols = np.zeros((len(masks), n), dtype=np.int64)
+    for bit, (i, j) in enumerate(pairs):
+        on = (masks >> bit) & 1
+        cols[:, j] |= on << i
+        cols[:, i] |= on << j
+    images = span_points(cols.T)  # [mask, y]
+    basis = list(Y.basis)
+    agree = (images[:, basis] == [l(y) for y in basis]).all(axis=1)
+    vals = t.f[np.arange(t.N), images[agree]].sum(axis=1)
+    for val, cand in zip(vals.tolist(), cols[agree].tolist()):
+        if val > best_val + CONTRACT_TOL or (
+            abs(val - best_val) <= CONTRACT_TOL and tuple(cand) < best.cols
+        ):
+            best, best_val = LinMap(n, tuple(cand)), val
+    return best
 
 
 def zero_diagonal_map(l: LinMap, t: CharTable) -> tuple[LinMap, float]:

@@ -235,6 +235,14 @@ def test_seed_env_default(monkeypatch, tmp_path, t_state_file):
         ["bell-sim", "--family", "haar", "--n", "2", "--shots", "10000001"],
         ["calibrate", "--n", "2", "--k", "0", "--corpus-size", "2"],
         ["calibrate", "--n", "2", "--k", "1", "--corpus-size", "0"],
+        ["relations", "--seed", "-1"],
+        ["tolerant-test", "--family", "haar", "--n", "2", "--eps1", "0.9",
+         "--eps2", "0.3", "--threshold", "nan"],
+        ["tolerant-test", "--family", "haar", "--n", "2", "--eps1=inf",
+         "--eps2", "0.3"],
+        ["doubling", "--family", "haar", "--n", "2", "--delta", "nan"],
+        ["rank", "--family", "haar", "--n", "2", "--delta", "nan"],
+        ["gowers", "--family", "haar", "--n", "2", "--eps=-inf"],
     ],
 )
 def test_bad_arguments_exit_2(argv):
@@ -256,9 +264,18 @@ CONTRACT_COMMANDS = (
     "charfn", "gowers", "measures", "fidelity", "bell-sim", "tolerant-test",
     "extract-stabilizer",
 )
+# relations has no input but --seed and takes about 2 s per run;
+# test_relations_command and test_bad_arguments_exit_2 cover it.
+MORE_CONTRACT_COMMANDS = ("rank", "doubling", "rank-vs-haar", "gram-scan", "calibrate")
+STATE_COMMANDS = CONTRACT_COMMANDS + ("rank", "doubling", "rank-vs-haar")
 GOOD_FAMILIES = ("basis", "uniform", "haar", "t_tensor")
 BAD_FAMILIES = ("stabilizer", "interpolate", "bogus")
 BAD_STATE_FILES = ("nan", "wrong_length", "huge_n")
+NON_FINITE = ("nan", "inf", "-inf")
+BAD_THRESHOLDS_FILES = (
+    "list", "no_entries", "no_k", "nan", "inf", "string", "list_n", "not_json",
+    "missing",
+)
 
 
 def _strict_json(text):
@@ -280,64 +297,171 @@ def _state_file_text(kind, n, seed):
     return json.dumps({"n": n, "amplitudes": amps})
 
 
-@st.composite
-def contract_argv(draw):
-    """argv for one command and the state file text it reads (or None).
+def _thresholds_file_text(kind, n, k, threshold):
+    """A thresholds file holding one (n, k) entry, or a malformed one
+    (None: no file at all)."""
+    entry = {"n": n, "k": k, "threshold": threshold}
+    if kind == "missing":
+        return None
+    if kind == "not_json":
+        return '{"entries": ['
+    if kind == "list":
+        return json.dumps([entry])
+    if kind == "no_entries":
+        return json.dumps({"rows": [entry]})
+    if kind == "no_k":
+        del entry["k"]
+    elif kind in ("nan", "inf"):
+        entry["threshold"] = float(kind)
+    elif kind == "string":
+        entry["threshold"] = str(threshold)
+    elif kind == "list_n":
+        entry["n"] = [n]
+    return json.dumps({"entries": [entry]})
 
-    Half the cases draw every value from its valid range, so that successful
-    runs and their JSON are exercised; the rest draw from the wider ranges
-    (n in [-1, 8], x0 in [-1, 2^n], shots in [0, 1000], bad families and
-    malformed state files)."""
-    in_range = draw(st.booleans())
-    command = draw(st.sampled_from(CONTRACT_COMMANDS))
-    n = draw(st.integers(1, 6) if in_range else st.integers(-1, 8))
-    families = GOOD_FAMILIES if in_range else GOOD_FAMILIES + BAD_FAMILIES
-    sources = ("family", "valid") + (() if in_range else BAD_STATE_FILES)
-    source = draw(st.sampled_from(sources))
-    if source == "family":
-        if in_range:
-            x0 = draw(st.integers(0, (1 << n) - 1))
-        else:
-            x0 = draw(st.integers(-1, 1 << max(n, 0)))
-        state = ["--family", draw(st.sampled_from(families)), "--n", str(n),
-                 "--x0", str(x0), "--family-seed", str(draw(st.integers(0, 3)))]
-        text = None
+
+@pytest.mark.parametrize("kind", BAD_THRESHOLDS_FILES)
+def test_malformed_thresholds_file_exits_2(tmp_path, kind):
+    path = tmp_path / "thresholds.json"
+    text = _thresholds_file_text(kind, 2, 1, 0.5)
+    if text is not None:
+        path.write_text(text)
+    assert run(["rank-vs-haar", "--family", "haar", "--n", "2", "--k", "1",
+                "--thresholds", str(path)]) == EXIT_USAGE
+    if text is not None:  # --merge-into may name a file not yet written
+        assert run(["calibrate", "--n", "1", "--k", "1", "--corpus-size", "1",
+                    "--shots", "10", "--merge-into", str(path)]) == EXIT_USAGE
+
+
+def _float_flag(draw, name, lo, hi, in_range):
+    """--name=value, from [lo, hi] in range, else from [lo, hi], a wider
+    range, or nan and +-inf."""
+    kind = 0 if in_range else draw(st.integers(0, 2))
+    if kind == 2:
+        value = draw(st.sampled_from(NON_FINITE))
     else:
-        state = ["--state", "STATE_FILE"]
-        text = _state_file_text(source, n, draw(st.integers(0, 3)))
+        value = repr(draw(st.floats(lo - kind, hi + kind)))
+    return [f"--{name}={value}"]
+
+
+@st.composite
+def contract_argv(draw, commands):
+    """argv for one command, the state file text it reads and the thresholds
+    file text it reads (each None when unused).
+
+    A quarter of the cases draw every value from its valid range, so that
+    successful runs and their output are exercised. A quarter keep the state
+    and the sizes valid but draw the float flags and the thresholds file
+    from wider sets (nan, +-inf, out of range, malformed files). The other
+    half draw everything from the wider ranges (n in [-1, 8], x0 in
+    [-1, 2^n], shots in [0, 1000], bad families, malformed state files).
+    Sizes stay small: rank and measures skip n = 3 (a rank miss there scans
+    582k pairs, about 2 s), gram-scan has --nmax <= 2 and calibrate a corpus
+    of at most 3."""
+    mode = draw(st.sampled_from(["valid", "bad_flags", "wild", "wild"]))
+    in_range, flags_in_range = mode != "wild", mode == "valid"
+    command = draw(st.sampled_from(commands))
+    n_max = {"rank": 2, "calibrate": 4}.get(command, 6)
+    n = draw(st.integers(1, n_max) if in_range else st.integers(-1, 8))
+    if command in ("rank", "measures") and n == 3:
+        n = 2
     shots = draw(st.integers(1 if in_range else 0, 1000))
-    argv = [command, *state, "--shots", str(shots)]
+    argv = [command, "--shots", str(shots)]
+    argv += ["--seed", str(draw(st.integers(0 if in_range else -1, 3)))]
+    text = thresholds = None
+    if command in STATE_COMMANDS:
+        families = GOOD_FAMILIES if in_range else GOOD_FAMILIES + BAD_FAMILIES
+        sources = ("family", "valid") + (() if in_range else BAD_STATE_FILES)
+        source = draw(st.sampled_from(sources))
+        if source == "family":
+            if in_range:
+                x0 = draw(st.integers(0, (1 << n) - 1))
+            else:
+                x0 = draw(st.integers(-1, 1 << max(n, 0)))
+            argv += ["--family", draw(st.sampled_from(families)), "--n", str(n),
+                     "--x0", str(x0), "--family-seed", str(draw(st.integers(0, 3)))]
+        else:
+            argv += ["--state", "STATE_FILE"]
+            text = _state_file_text(source, n, draw(st.integers(0, 3)))
+        if draw(st.booleans()):
+            argv += _float_flag(draw, "eps", 0.0, 1.0, flags_in_range)
     if command == "gowers":
         degree = draw(st.integers(1, 3) if in_range else st.integers(0, 4))
         argv += ["--degree", str(degree)]
         argv += ["--direct"] if draw(st.booleans()) else []
     if command == "tolerant-test":
-        eps = st.floats(0.01, 1.0) if in_range else st.floats(-0.5, 1.5)
-        eps1, eps2 = draw(eps), draw(eps)
-        if in_range:
-            eps1, eps2 = max(eps1, eps2), min(eps1, eps2)
-        argv += [f"--eps1={eps1!r}", f"--eps2={eps2!r}"]
-    return argv, text
+        if flags_in_range:
+            eps2, eps1 = sorted([draw(st.floats(0.01, 1.0)) for _ in range(2)])
+            argv += [f"--eps1={eps1!r}", f"--eps2={eps2!r}"]
+        else:
+            argv += _float_flag(draw, "eps1", 0.01, 1.0, flags_in_range)
+            argv += _float_flag(draw, "eps2", 0.01, 1.0, flags_in_range)
+        if draw(st.booleans()):
+            argv += _float_flag(draw, "threshold", -1.0, 1.0, flags_in_range)
+    if command in ("rank", "doubling") and draw(st.booleans()):
+        argv += _float_flag(draw, "delta", 0.01, 0.5, flags_in_range)
+    k = draw(st.integers(1, 3) if in_range else st.integers(-1, 8))
+    if command in ("rank-vs-haar", "calibrate"):
+        kinds = ("valid",) + (() if flags_in_range else BAD_THRESHOLDS_FILES)
+        thresholds = _thresholds_file_text(
+            draw(st.sampled_from(kinds)), n, k, draw(st.floats(-1.0, 1.0))
+        )
+    if command == "rank-vs-haar":
+        argv += ["--k", str(k), "--thresholds", "THRESHOLDS_FILE"]
+    if command == "calibrate":
+        corpus = draw(st.integers(1 if in_range else -1, 3))
+        argv += ["--n", str(n), "--k", str(k), "--corpus-size", str(corpus)]
+        if draw(st.booleans()):
+            argv += ["--merge-into", "THRESHOLDS_FILE"]
+    if command == "gram-scan":
+        argv += ["--k", str(k), "--nmax",
+                 str(draw(st.integers(1 if in_range else -1, 2))),
+                 "--mode", draw(st.sampled_from(["exhaustive", "sampled"])),
+                 "--trials", str(draw(st.integers(1 if in_range else -1, 50)))]
+    return argv, text, thresholds
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(case=contract_argv())
-def test_cli_contract_on_generated_input(tmp_path_factory, case):
-    argv, text = case
-    work = tmp_path_factory.mktemp("contract")
-    state_file, out = work / "state.json", work / "out"
+def _check_csv(command, body):
+    lines = body.splitlines()
+    _strict_json(lines[1].removeprefix("# config="))
+    for row in lines[3:]:
+        if command == "gram-scan":
+            lam = row.split(",")[2]
+            assert lam == "" or math.isfinite(float(lam))
+        else:
+            assert all(math.isfinite(float(v)) for v in row.split(","))
+
+
+def _check_contract(work, case):
+    argv, text, thresholds = case
+    state_file, thresholds_file = work / "state.json", work / "thresholds.json"
+    out = work / "out"
     if text is not None:
         state_file.write_text(text)
-    argv = [str(state_file) if a == "STATE_FILE" else a for a in argv]
+    if thresholds is not None:
+        thresholds_file.write_text(thresholds)
+    names = {"STATE_FILE": str(state_file), "THRESHOLDS_FILE": str(thresholds_file)}
+    argv = [names.get(a, a) for a in argv]
     code = main(argv + ["--out", str(out)])
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVARIANT)
     if code != EXIT_OK:
         return
     body = out.read_text()
-    if argv[0] in ("charfn", "bell-sim"):
-        lines = body.splitlines()
-        _strict_json(lines[1].removeprefix("# config="))
-        for row in lines[3:]:
-            assert all(math.isfinite(float(v)) for v in row.split(","))
+    if argv[0] in ("charfn", "bell-sim", "gram-scan"):
+        _check_csv(argv[0], body)
     else:
         _strict_json(body)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=contract_argv(CONTRACT_COMMANDS))
+def test_cli_contract_on_generated_input(tmp_path_factory, case):
+    _check_contract(tmp_path_factory.mktemp("contract"), case)
+
+
+@pytest.mark.parametrize("command", CONTRACT_COMMANDS + MORE_CONTRACT_COMMANDS)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_contract_per_command(tmp_path_factory, command, data):
+    case = data.draw(contract_argv((command,)))
+    _check_contract(tmp_path_factory.mktemp("contract"), case)

@@ -1,18 +1,23 @@
 """Stage-by-stage checks of the stabilizer-witness extraction pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_real_states, random_states
 from stab_lab.charfn import CharTable, char_function
 from stab_lab.clifford import balance
-from stab_lab.gf2 import AffineMap, LinMap
-from stab_lab.measures import stabilizer_fidelity
+from stab_lab.gf2 import AffineMap, LinMap, nullspace, span_points
+from stab_lab.measures import counterexample_state, stabilizer_fidelity
 from stab_lab.states import FamilySpec, StateVector, make_state
 from stab_lab.witness import (
+    CONTRACT_TOL,
     PipelineError,
+    _heaviest_completion,
     QuadraticPoly,
     ZetaSample,
     best_affine_map,
@@ -154,6 +159,94 @@ def test_hill_climb_fallback_runs():
     assert val >= graph_sum(t, AffineMap(LinMap.zero(5), 0)) - 1e-12
 
 
+def _enumerate_affine_maps(t):
+    """Oracle: score every (columns, shift) by gathering its graph, 4096 maps
+    at a time, summing over y in sequential order; first maximum wins."""
+    n, N = t.n, t.N
+    best_val, best_idx = -1.0, None
+    shifts = np.arange(N)
+    for start in range(0, 1 << (n * n), 1 << 12):
+        ms = np.arange(start, min(start + (1 << 12), 1 << (n * n)))
+        cols = [(ms >> ((n - 1 - j) * n)) & (N - 1) for j in range(n)]
+        images = span_points(cols)
+        gathered = t.f[
+            np.arange(N)[None, :, None],
+            images[:, :, None] ^ shifts[None, None, :],
+        ]
+        vals = gathered.sum(axis=1)
+        local = int(np.argmax(vals))
+        if float(vals.flat[local]) > best_val:
+            best_val = float(vals.flat[local])
+            best_idx = (int(ms[local // N]), int(local % N))
+    m, shift = best_idx
+    cols = tuple(int((m >> ((n - 1 - j) * n)) & (N - 1)) for j in range(n))
+    return AffineMap(LinMap(n, cols), shift), best_val
+
+
+def _assert_same_search(t):
+    amap, val = best_affine_map(t)
+    want_map, want_val = _enumerate_affine_maps(t)
+    assert amap == want_map
+    assert val.hex() == want_val.hex()
+
+
+@st.composite
+def random_tables(draw, n_max):
+    """Nonnegative tables. Half are quantized to quarters, which forces exact
+    ties; a quarter sit within a few ulps of 1, where sums in different
+    orders round differently."""
+    n = draw(st.integers(1, n_max))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (1 << n, 1 << n)
+    kind = draw(st.sampled_from(["plain", "quarters", "quarters", "ulps"]))
+    if kind == "ulps":
+        return CharTable(n, 1 + rng.integers(0, 4, shape) * 2.0**-52)
+    f = rng.random(shape) * draw(st.sampled_from([1.0, 0.1, 3.0]))
+    if kind == "quarters":
+        f = np.round(f * 4) / 4
+    return CharTable(n, f)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(t=random_tables(3))
+def test_best_affine_map_matches_enumeration(t):
+    _assert_same_search(t)
+
+
+def _balanced_table(state):
+    return char_function(balance(split_real(state)[0], seed=0)[1])
+
+
+N4_CORPUS = {
+    "uniform": lambda: char_function(make_state(FamilySpec("uniform", 4))),
+    "t_tensor raw": lambda: char_function(make_state(FamilySpec("t_tensor", 4))),
+    "t_tensor balanced": lambda: _balanced_table(
+        make_state(FamilySpec("t_tensor", 4))
+    ),
+    "haar balanced": lambda: _balanced_table(random_states(4, 1, seed=3)[0]),
+    "counterexample balanced": lambda: _balanced_table(counterexample_state(4, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(N4_CORPUS))
+def test_best_affine_map_matches_enumeration_n4(name):
+    _assert_same_search(N4_CORPUS[name]())
+
+
+def test_best_affine_map_constant_table_n4_stays_small():
+    # Every candidate ties exactly, so all 2^20 are nominated and rescored.
+    t = CharTable(4, np.full((16, 16), 0.1))
+    tracemalloc.start()
+    try:
+        amap, val = best_affine_map(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert amap == AffineMap(LinMap.zero(4), 0)
+    assert val == _enumerate_affine_maps(t)[1]
+    assert peak < 64 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # map rounding stages
 
@@ -202,6 +295,40 @@ def test_symmetrize_eta_squared_law():
         ls, val = symmetrize_map(l, t)
         assert ls.is_symmetric()
         assert val >= graph_sum(t, l) ** 2 / t.N - 1e-9
+
+
+def _completion_by_loop(l, Y, lp, t):
+    """Oracle for the completion scan: one LinMap per mask, in mask order."""
+    n = l.n
+    best_val = graph_sum(t, lp)
+    pairs = [(i, j) for j in range(n) for i in range(j + 1)]
+    for mask in range(1 << len(pairs)):
+        cols = [0] * n
+        for bit, (i, j) in enumerate(pairs):
+            if (mask >> bit) & 1:
+                cols[j] |= 1 << i
+                if i != j:
+                    cols[i] |= 1 << j
+        cand = LinMap(n, tuple(cols))
+        if any(cand(y) != l(y) for y in Y.basis):
+            continue
+        val = graph_sum(t, cand)
+        if val > best_val + CONTRACT_TOL or (
+            abs(val - best_val) <= CONTRACT_TOL and cand.cols < lp.cols
+        ):
+            lp, best_val = cand, val
+    return lp
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(t=random_tables(4), data=st.data())
+def test_completion_scan_matches_mask_loop(t, data):
+    n = t.n
+    draw_map = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+    l = LinMap(n, tuple(data.draw(draw_map)))
+    start = LinMap(n, tuple(data.draw(draw_map)))
+    Y = nullspace(n, (l.add(l.transpose())).transpose().cols)
+    assert _heaviest_completion(l, Y, start, t) == _completion_by_loop(l, Y, start, t)
 
 
 def test_zero_diagonal_examples(t_state):
