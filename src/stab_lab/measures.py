@@ -28,6 +28,8 @@ SINGULAR_TOL = 1e-9
 STABILIZER_FIDELITY_TOL = 1e-9
 RANK_RESIDUAL_TOL = 1e-9
 _CHUNK = 4096
+MAX_TRIALS = 100_000  # sampled subsets per (k, n) in lambda_star_scan
+_PAIR_ROWS = 64  # rows of i per block of the rank search's pair sweep
 
 
 class MeasureError(ValueError):
@@ -108,15 +110,45 @@ def stabilizer_fidelity(state: StateVector) -> tuple[float, StabilizerState]:
     return float(overlaps[best]), enumerate_stabilizers(state.n)[best]
 
 
-def _subset_residuals(S: np.ndarray, v: np.ndarray, combos: np.ndarray) -> np.ndarray:
-    """Squared least-squares distance of unit vector v to span{S[c]} for each
-    index tuple c, batched."""
-    A = S[combos]  # (batch, r, N)
-    G = A.conj() @ A.swapaxes(1, 2)  # G_ij = <a_i, a_j>
-    b = A.conj() @ v
-    Ginv = np.linalg.pinv(G, rcond=1e-12, hermitian=True)
-    proj = np.einsum("ki,kij,kj->k", b.conj(), Ginv, b).real
-    return np.maximum(float(np.vdot(v, v).real) - proj, 0.0)
+def _first_hit(
+    U: np.ndarray, w: np.ndarray, depth: int, thr: float
+) -> Optional[tuple[int, ...]]:
+    """Lexicographically first depth-subset of U's rows whose span leaves w a
+    squared residual <= thr, or None. U and w arrive with the span of the
+    chosen prefix already projected out; a row whose projected norm^2 is at
+    most SINGULAR_TOL is dependent and adds nothing to the span."""
+    M = len(U)
+    nrm = np.einsum("ij,ij->i", U.conj(), U).real  # ||u_j||^2
+    b = U.conj() @ w  # <u_j, w>
+    w2 = float(np.vdot(w, w).real)
+    # 1 / ||u_j||^2, and 0 for a dependent row, which then projects nothing out
+    inv = np.divide(1.0, nrm, out=np.zeros(M), where=nrm > SINGULAR_TOL)
+    if depth == 1:
+        hits = np.flatnonzero(w2 - np.abs(b) ** 2 * inv <= thr)
+        return (int(hits[0]),) if len(hits) else None
+    if depth == 2:
+        # every pair (i, j > i) in closed form: project u_i out of u_j and w
+        for lo in range(0, M - 1, _PAIR_ROWS):
+            hi = min(lo + _PAIR_ROWS, M - 1)
+            G = U[lo:hi].conj() @ U[lo:].T  # G[a, c] = <u_{lo+a}, u_{lo+c}>
+            inv_i = inv[lo:hi, None]
+            nj = nrm[lo:] - np.abs(G) ** 2 * inv_i
+            bj = b[lo:] - G.conj() * (b[lo:hi, None] * inv_i)
+            w2p = w2 - np.abs(b[lo:hi, None]) ** 2 * inv_i
+            gain = np.abs(bj) ** 2 / np.maximum(nj, SINGULAR_TOL)
+            res = w2p - np.where(nj > SINGULAR_TOL, gain, 0.0)
+            upper = np.arange(lo, M) > np.arange(lo, hi)[:, None]
+            hits = np.flatnonzero(upper & (res <= thr))
+            if len(hits):
+                a, c = divmod(int(hits[0]), M - lo)
+                return lo + a, lo + c
+        return None
+    for p in range(M - depth + 1):
+        rest = U[p + 1:] - np.outer(U[p + 1:] @ U[p].conj() * inv[p], U[p])
+        hit = _first_hit(rest, w - b[p] * inv[p] * U[p], depth - 1, thr)
+        if hit is not None:
+            return (p,) + tuple(p + 1 + h for h in hit)
+    return None
 
 
 def stabilizer_rank(
@@ -125,9 +157,19 @@ def stabilizer_rank(
     """Smallest r such that some r-subset of stabilizer states contains the
     state in its span, up to least-squares residual delta.
 
-    Exact for n <= 2 (subsets searched in lexicographic order, first hit
-    wins). For n = 3 only r <= 2 is searched; a miss returns the bound pair
-    (3, 2^n) with no witness.
+    Exact for n <= 2; for n = 3 only r <= 2 is searched, and a miss returns
+    the bound pair (3, 2^n) with no witness. For each r the witness is the
+    lexicographically first r-subset (enumeration indices) whose squared
+    residual is at most delta^2 + RANK_RESIDUAL_TOL.
+
+    The search is depth-first over lexicographic prefixes. It carries the
+    stabilizer rows and the state with the span of the chosen prefix
+    projected out, so adding u_j leaves ||w||^2 - |<u_j, w>|^2 / ||u_j||^2.
+    The last two indices are scored for every pair at once in closed form,
+    _PAIR_ROWS rows of i at a time, and the first hit in row-major order is
+    the first pair. A row whose projected norm^2 is at most SINGULAR_TOL lies
+    in the span already and counts as adding nothing, as a pseudo-inverse of
+    the subset's Gram matrix would drop it.
     """
     if delta < 0:
         raise MeasureError("delta must be nonnegative")
@@ -139,18 +181,9 @@ def stabilizer_rank(
     v = state.unit()
     r_cap = state.N if n <= 2 else 2
     for r in range(1, r_cap + 1):
-        combos = itertools.combinations(range(len(S)), r)
-        offset = 0
-        while True:
-            chunk = np.array(list(itertools.islice(combos, _CHUNK)), dtype=int)
-            if chunk.size == 0:
-                break
-            res = _subset_residuals(S, v, chunk)
-            hits = np.flatnonzero(res <= tol**2 + RANK_RESIDUAL_TOL)
-            if len(hits):
-                witness = tuple(int(i) for i in chunk[hits[0]])
-                return r, witness
-            offset += len(chunk)
+        hit = _first_hit(S, v, r, tol**2 + RANK_RESIDUAL_TOL)
+        if hit is not None:
+            return r, hit
     if n <= 2:
         raise MeasureError("no spanning subset found (cannot happen: basis states span)")
     return (3, state.N), None
@@ -248,9 +281,13 @@ def lambda_star_scan(
     """Minimum lambda_min over nonsingular Gram matrices of k distinct
     enumerated stabilizers, per (k, n). Exhaustive mode is budget-limited to
     (k <= 3, n <= 2) and (k = 2, n <= 3); sampled mode draws seeded random
-    subsets."""
+    subsets, 1 <= trials <= MAX_TRIALS of them per (k, n)."""
     if mode not in ("exhaustive", "sampled"):
         raise MeasureError(f"unknown scan mode {mode!r}")
+    if k_max < 1 or n_max < 1:
+        raise MeasureError("k_max and n_max must be at least 1")
+    if mode == "sampled" and not 1 <= trials <= MAX_TRIALS:
+        raise MeasureError(f"trials must be in [1, {MAX_TRIALS}]")
     rows = []
     rng = np.random.default_rng(seed)
     for n in range(1, n_max + 1):

@@ -243,6 +243,12 @@ def test_seed_env_default(monkeypatch, tmp_path, t_state_file):
         ["doubling", "--family", "haar", "--n", "2", "--delta", "nan"],
         ["rank", "--family", "haar", "--n", "2", "--delta", "nan"],
         ["gowers", "--family", "haar", "--n", "2", "--eps=-inf"],
+        ["gram-scan", "--k", "2", "--nmax", "1", "--mode", "sampled", "--trials", "-5"],
+        ["gram-scan", "--k", "2", "--nmax", "1", "--mode", "sampled", "--trials", "0"],
+        ["gram-scan", "--k", "2", "--nmax", "1", "--mode", "sampled",
+         "--trials", "100001"],
+        ["gram-scan", "--k", "0", "--nmax", "1"],
+        ["gram-scan", "--k", "2", "--nmax", "0"],
     ],
 )
 def test_bad_arguments_exit_2(argv):
@@ -264,9 +270,10 @@ CONTRACT_COMMANDS = (
     "charfn", "gowers", "measures", "fidelity", "bell-sim", "tolerant-test",
     "extract-stabilizer",
 )
-# relations has no input but --seed and takes about 2 s per run;
-# test_relations_command and test_bad_arguments_exit_2 cover it.
-MORE_CONTRACT_COMMANDS = ("rank", "doubling", "rank-vs-haar", "gram-scan", "calibrate")
+# relations has no input but --seed; a run takes a few tenths of a second
+MORE_CONTRACT_COMMANDS = (
+    "rank", "doubling", "rank-vs-haar", "gram-scan", "calibrate", "relations",
+)
 STATE_COMMANDS = CONTRACT_COMMANDS + ("rank", "doubling", "rank-vs-haar")
 GOOD_FAMILIES = ("basis", "uniform", "haar", "t_tensor")
 BAD_FAMILIES = ("stabilizer", "interpolate", "bogus")
@@ -355,16 +362,14 @@ def contract_argv(draw, commands):
     from wider sets (nan, +-inf, out of range, malformed files). The other
     half draw everything from the wider ranges (n in [-1, 8], x0 in
     [-1, 2^n], shots in [0, 1000], bad families, malformed state files).
-    Sizes stay small: rank and measures skip n = 3 (a rank miss there scans
-    582k pairs, about 2 s), gram-scan has --nmax <= 2 and calibrate a corpus
-    of at most 3."""
+    Sizes stay small: gram-scan has --nmax <= 2 and calibrate a corpus of at
+    most 3. rank and measures do reach n = 3, where a rank miss scans all
+    582k pairs in a few hundredths of a second."""
     mode = draw(st.sampled_from(["valid", "bad_flags", "wild", "wild"]))
     in_range, flags_in_range = mode != "wild", mode == "valid"
     command = draw(st.sampled_from(commands))
-    n_max = {"rank": 2, "calibrate": 4}.get(command, 6)
+    n_max = {"rank": 3, "calibrate": 4}.get(command, 6)
     n = draw(st.integers(1, n_max) if in_range else st.integers(-1, 8))
-    if command in ("rank", "measures") and n == 3:
-        n = 2
     shots = draw(st.integers(1 if in_range else 0, 1000))
     argv = [command, "--shots", str(shots)]
     argv += ["--seed", str(draw(st.integers(0 if in_range else -1, 3)))]

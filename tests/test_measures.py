@@ -1,18 +1,27 @@
 """Complexity measures, Gram machinery, and the relations experiment."""
 
+import functools
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_states
 from stab_lab.clifford import (
     StabilizerState,
     enumerate_stabilizers,
     stabilizer_to_statevector,
+    stabilizer_unit_matrix,
 )
 from stab_lab.measures import (
+    MAX_TRIALS,
+    RANK_RESIDUAL_TOL,
     MeasureError,
+    _first_hit,
     counterexample_state,
     delta_k_probe,
     gowers3,
@@ -27,7 +36,7 @@ from stab_lab.measures import (
     stabilizer_fidelity,
     stabilizer_rank,
 )
-from stab_lab.states import FamilySpec, StateVector, make_state
+from stab_lab.states import FamilySpec, StateVector, haar_unit, make_state
 
 ZERO = StabilizerState(1, 0, (), 0, ())
 ONE = StabilizerState(1, 1, (), 0, ())
@@ -130,6 +139,135 @@ def test_rank_validation():
         stabilizer_rank(random_states(1, 1)[0], delta=-0.1)
 
 
+def _subset_search(S, v, r, thr):
+    """Oracle: walk itertools.combinations of S's rows in 4096-subset chunks
+    and score each subset by a pseudo-inverse of its Gram matrix; the first
+    subset with squared residual <= thr wins, else None."""
+    combos = itertools.combinations(range(len(S)), r)
+    while True:
+        chunk = np.array(list(itertools.islice(combos, 4096)), dtype=int)
+        if chunk.size == 0:
+            return None
+        A = S[chunk]
+        G = A.conj() @ A.swapaxes(1, 2)
+        b = A.conj() @ v
+        Ginv = np.linalg.pinv(G, rcond=1e-12, hermitian=True)
+        proj = np.einsum("ki,kij,kj->k", b.conj(), Ginv, b).real
+        res = np.maximum(float(np.vdot(v, v).real) - proj, 0.0)
+        hits = np.flatnonzero(res <= thr)
+        if len(hits):
+            return tuple(int(i) for i in chunk[hits[0]])
+
+
+def _subset_rank(state, delta=0.0):
+    """Oracle for stabilizer_rank: the same caps and bound pair."""
+    thr = max(delta, RANK_RESIDUAL_TOL) ** 2 + RANK_RESIDUAL_TOL
+    S = stabilizer_unit_matrix(state.n)
+    r_cap = state.N if state.n <= 2 else 2
+    for r in range(1, r_cap + 1):
+        hit = _subset_search(S, state.unit(), r, thr)
+        if hit is not None:
+            return r, hit
+    return (3, state.N), None
+
+
+@functools.lru_cache(maxsize=None)
+def _dependent_triples(n):
+    """The dependent triples of enumerated stabilizers at n, in order."""
+    S = stabilizer_unit_matrix(n)
+    return [
+        trio
+        for trio in itertools.combinations(range(len(S)), 3)
+        if np.linalg.matrix_rank(S[list(trio)], tol=1e-9) < 3
+    ]
+
+
+def _combination(n, picks, complex_coeffs, rng):
+    S = stabilizer_unit_matrix(n)
+    coeffs = rng.standard_normal(len(picks))
+    if complex_coeffs:
+        coeffs = coeffs + 1j * rng.standard_normal(len(picks))
+    vec = coeffs @ S[picks]
+    return StateVector.from_unit(vec / np.linalg.norm(vec))
+
+
+@st.composite
+def rank_inputs(draw):
+    """Haar states and real or complex combinations of 1-4 enumerated
+    stabilizers at n <= 2; some combinations start with the first dependent
+    triple (|0>, |1>, |+> at n = 1), so prefixes carry a dependent row."""
+    n = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    delta = draw(st.sampled_from([0.0, 1e-6, 0.3, 0.6, 0.9]))
+    kind = draw(st.sampled_from(["haar", "combination", "dependent"]))
+    if kind == "haar":
+        return random_states(n, 1, seed=int(rng.integers(2**31)))[0], delta
+    M = len(stabilizer_unit_matrix(n))
+    picks = list(rng.choice(M, size=int(rng.integers(1, 5)), replace=False))
+    if kind == "dependent":
+        trio = list(_dependent_triples(n)[0])
+        picks = trio + [p for p in picks if p not in trio][:1]
+    return _combination(n, picks, draw(st.booleans()), rng), delta
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=rank_inputs())
+def test_rank_matches_subset_oracle(case):
+    state, delta = case
+    assert stabilizer_rank(state, delta) == _subset_rank(state, delta)
+
+
+def test_first_hit_rounding_dependent_rows_add_nothing():
+    # stabilizer_rank never meets a dependent prefix row at n <= 2 (its first
+    # four rows are independent), so search tables that start with a
+    # dependent triple. Random global phases leave a dependent row a
+    # projected norm^2 near 1e-32 instead of exactly 0; scored as a
+    # direction, such a row turns about 2 in 100 of these 4-subset misses
+    # into hits.
+    S = stabilizer_unit_matrix(2)
+    triples = _dependent_triples(2)
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        rows = list(triples[rng.integers(len(triples))]) + list(rng.integers(0, len(S), 5))
+        U = S[rows] * np.exp(2j * np.pi * rng.random(len(rows)))[:, None]
+        v = haar_unit(2, rng)
+        thr = float(rng.choice([0.3, 0.6])) ** 2 + RANK_RESIDUAL_TOL
+        for r in (3, 4):
+            assert _first_hit(U, v, r, thr) == _subset_search(U, v, r, thr)
+
+
+def test_rank_matches_subset_oracle_n3():
+    # rank-2 hits at the first, a middle and the last pair in pair order that
+    # is its own first witness (every later pair spans a plane that an
+    # earlier pair spans too)
+    rng = np.random.default_rng(3)
+    cases = [
+        (random_states(3, 1, seed=11)[0], 0.0, ((3, 8), None)),
+        (stabilizer_to_statevector(enumerate_stabilizers(3)[500]), 0.0, (1, (500,))),
+        (_combination(3, [0, 1], True, rng), 0.0, (2, (0, 1))),
+        (_combination(3, [300, 700], True, rng), 0.0, (2, (300, 700))),
+        (_combination(3, [1071, 1075], False, rng), 0.0, (2, (1071, 1075))),
+        (make_state(FamilySpec("t_tensor", 3)), 0.6, (2, (0, 568))),
+    ]
+    for state, delta, want in cases:
+        got = stabilizer_rank(state, delta)
+        assert got == _subset_rank(state, delta)
+        assert got == want
+
+
+def test_rank_miss_n3_memory():
+    state = random_states(3, 1, seed=12)[0]
+    stabilizer_unit_matrix(3)  # the cached table is not the search's memory
+    tracemalloc.start()
+    try:
+        rank, wit = stabilizer_rank(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rank, wit) == ((3, 8), None)
+    assert peak < 16 * 2**20
+
+
 def test_gram_known_values():
     _, lam = gram_lambda_min([ZERO, ONE])
     assert np.isclose(lam, 1.0, atol=1e-12)
@@ -179,6 +317,12 @@ def test_lambda_star_scan_values():
 def test_lambda_star_scan_budget_and_sampled():
     with pytest.raises(MeasureError):
         lambda_star_scan(3, 3, "exhaustive")
+    for k_max, n_max in ((0, 1), (2, 0)):
+        with pytest.raises(MeasureError):
+            lambda_star_scan(k_max, n_max)
+    for trials in (-5, 0, MAX_TRIALS + 1):
+        with pytest.raises(MeasureError):
+            lambda_star_scan(2, 1, "sampled", trials=trials)
     rows = lambda_star_scan(2, 2, "sampled", trials=50, seed=1)
     sampled = [r for r in rows if r.k == 2]
     assert all(r.samples == 50 and not r.exhaustive for r in sampled)
