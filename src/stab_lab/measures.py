@@ -135,8 +135,10 @@ def _first_hit(
             nj = nrm[lo:] - np.abs(G) ** 2 * inv_i
             bj = b[lo:] - G.conj() * (b[lo:hi, None] * inv_i)
             w2p = w2 - np.abs(b[lo:hi, None]) ** 2 * inv_i
-            gain = np.abs(bj) ** 2 / np.maximum(nj, SINGULAR_TOL)
-            res = w2p - np.where(nj > SINGULAR_TOL, gain, 0.0)
+            gain = np.divide(
+                np.abs(bj) ** 2, nj, out=np.zeros_like(nj), where=nj > SINGULAR_TOL
+            )
+            res = w2p - gain
             upper = np.arange(lo, M) > np.arange(lo, hi)[:, None]
             hits = np.flatnonzero(upper & (res <= thr))
             if len(hits):
