@@ -228,7 +228,8 @@ def test_first_hit_rounding_dependent_rows_add_nothing():
     triples = _dependent_triples(2)
     for seed in range(300):
         rng = np.random.default_rng(seed)
-        rows = list(triples[rng.integers(len(triples))]) + list(rng.integers(0, len(S), 5))
+        trio = triples[rng.integers(len(triples))]
+        rows = list(trio) + list(rng.integers(0, len(S), 5))
         U = S[rows] * np.exp(2j * np.pi * rng.random(len(rows)))[:, None]
         v = haar_unit(2, rng)
         thr = float(rng.choice([0.3, 0.6])) ** 2 + RANK_RESIDUAL_TOL
