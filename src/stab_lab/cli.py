@@ -25,8 +25,6 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import charfn, clifford, measures, states, tester, witness
 from .gf2 import doubling_stats, symp_pack
 
@@ -80,17 +78,17 @@ class ExperimentConfig:
     out: Optional[str] = None
     extra: dict = dataclasses.field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["extra"] = dict(self.extra)
-        return d
-
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a temporary file and a rename. The file gets the mode a
+    plain open() would give it (0o666 less the umask), not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stab-lab-")
     try:
         with os.fdopen(fd, "w") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -101,7 +99,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _emit(config: ExperimentConfig, payload: dict, csv_body: Optional[str] = None):
     """Write (or print) the artifact with version + config embedded."""
-    header = {"version": version_string(), "config": config.to_dict()}
+    header = {"version": version_string(), "config": dataclasses.asdict(config)}
     if csv_body is not None:
         text = (
             f"# version={header['version']}\n"
@@ -120,74 +118,59 @@ def _emit(config: ExperimentConfig, payload: dict, csv_body: Optional[str] = Non
         sys.stdout.write(text)
 
 
-def _load_state(config: ExperimentConfig, renormalize: bool = False):
+def _load_state(config: ExperimentConfig):
     if config.state_file:
         with open(config.state_file) as fh:
-            return states.load_state_json(fh.read(), renormalize=renormalize)
+            return states.load_state_json(fh.read())
     if config.family:
         if config.n is None:
             raise states.StateFormatError("--n is required with --family")
-        spec = states.FamilySpec(
-            kind=config.family,
-            n=config.n,
-            x0=config.x0,
-            seed=config.family_seed,
-            eps=config.eps,
-        )
+        spec = states.FamilySpec(kind=config.family, n=config.n, x0=config.x0,
+                                 seed=config.family_seed, eps=config.eps)
         return states.make_state(spec)
     raise states.StateFormatError("provide --state or --family")
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies
+# Subcommand bodies: each gets the config and, for the commands that read
+# one, the loaded and normalized state (None otherwise).
 
 
-def _cmd_charfn(config: ExperimentConfig):
-    t = charfn.char_function(_load_state(config).normalized())
-    _emit(config, {}, csv_body=charfn.char_table_csv(t))
+def _cmd_charfn(config: ExperimentConfig, state):
+    _emit(config, {}, csv_body=charfn.char_table_csv(charfn.char_function(state)))
 
 
-def _cmd_gowers(config: ExperimentConfig):
-    state = _load_state(config).normalized()
-    degree = int(config.extra.get("degree", 3))
+def _cmd_gowers(config: ExperimentConfig, state):
+    degree = config.extra["degree"]
     payload = {"gowers3_pow8": measures.gowers3(state)}
-    if degree != 3 or (state.n <= 4 and config.extra.get("direct")):
+    if degree != 3 or config.extra["direct"]:
         payload["direct_pow2d"] = measures.gowers_norm_direct(state, degree)
         payload["degree"] = degree
     _emit(config, payload)
 
 
-def _cmd_measures(config: ExperimentConfig):
-    report = measures.measure_report(_load_state(config).normalized())
-    _emit(config, {"report": report.to_dict()})
+def _cmd_measures(config: ExperimentConfig, state):
+    _emit(config, {"report": measures.measure_report(state).to_dict()})
 
 
-def _cmd_rank(config: ExperimentConfig):
-    state = _load_state(config).normalized()
-    delta = float(config.extra.get("delta", 0.0))
+def _cmd_rank(config: ExperimentConfig, state):
+    delta = config.extra["delta"]
     rank, wit = measures.stabilizer_rank(state, delta)
-    _emit(
-        config,
-        {
-            "rank": list(rank) if isinstance(rank, tuple) else rank,
-            "witness": list(wit) if wit else None,
-            "delta": delta,
-        },
-    )
+    rank = list(rank) if isinstance(rank, tuple) else rank
+    _emit(config, {"rank": rank, "witness": list(wit) if wit else None, "delta": delta})
 
 
-def _cmd_fidelity(config: ExperimentConfig):
-    state = _load_state(config).normalized()
+def _cmd_fidelity(config: ExperimentConfig, state):
     fid, wit = measures.stabilizer_fidelity(state)
     _emit(config, {"fidelity": fid, "witness": json.loads(wit.to_json())})
 
 
-def _cmd_gram_scan(config: ExperimentConfig):
+def _cmd_gram_scan(config: ExperimentConfig, _):
     rows = measures.lambda_star_scan(
-        k_max=int(config.extra["k"]),
-        n_max=int(config.extra["nmax"]),
-        mode=config.extra.get("mode", "exhaustive"),
-        trials=int(config.extra.get("trials", 2000)),
+        k_max=config.extra["k"],
+        n_max=config.extra["nmax"],
+        mode=config.extra["mode"],
+        trials=config.extra["trials"],
         seed=config.seed,
     )
     lines = ["k,n,min_lambda,witness,exhaustive,samples"]
@@ -198,8 +181,7 @@ def _cmd_gram_scan(config: ExperimentConfig):
     _emit(config, {}, csv_body="\n".join(lines) + "\n")
 
 
-def _cmd_extract_stabilizer(config: ExperimentConfig):
-    state = _load_state(config).normalized()
+def _cmd_extract_stabilizer(config: ExperimentConfig, state):
     wit, overlap, trace = witness.extract_stabilizer(state, seed=config.seed)
     payload = {
         "witness": json.loads(wit.to_json()),
@@ -222,8 +204,7 @@ def _cmd_extract_stabilizer(config: ExperimentConfig):
     _emit(config, payload)
 
 
-def _cmd_bell_sim(config: ExperimentConfig):
-    state = _load_state(config).normalized()
+def _cmd_bell_sim(config: ExperimentConfig, state):
     zs, same = tester.bell_difference_sample(state, config.shots, config.seed)
     lines = ["y_bits,alpha_bits,same_bit"]
     n = state.n
@@ -233,12 +214,11 @@ def _cmd_bell_sim(config: ExperimentConfig):
     _emit(config, {}, csv_body="\n".join(lines) + "\n")
 
 
-def _cmd_tolerant_test(config: ExperimentConfig):
-    state = _load_state(config).normalized()
+def _cmd_tolerant_test(config: ExperimentConfig, state):
     decision = tester.tolerant_test(
         state,
-        eps1=float(config.extra["eps1"]),
-        eps2=float(config.extra["eps2"]),
+        eps1=config.extra["eps1"],
+        eps2=config.extra["eps2"],
         shots=config.shots,
         seed=config.seed,
         threshold=config.extra.get("threshold"),
@@ -270,15 +250,14 @@ def _load_thresholds(path: str) -> list:
     return entries
 
 
-def _cmd_rank_vs_haar(config: ExperimentConfig):
-    state = _load_state(config).normalized()
+def _cmd_rank_vs_haar(config: ExperimentConfig, state):
     thresholds = {
         (e["n"], e["k"]): e["threshold"]
         for e in _load_thresholds(config.extra["thresholds"])
     }
     decision = tester.rank_vs_haar_test(
         state,
-        k=int(config.extra["k"]),
+        k=config.extra["k"],
         shots=config.shots,
         seed=config.seed,
         thresholds=thresholds,
@@ -286,12 +265,12 @@ def _cmd_rank_vs_haar(config: ExperimentConfig):
     _emit(config, {"decision": dataclasses.asdict(decision)})
 
 
-def _cmd_calibrate(config: ExperimentConfig):
+def _cmd_calibrate(config: ExperimentConfig, _):
     result = tester.calibrate(
-        n=int(config.extra["caln"]),
-        k=int(config.extra["k"]),
+        n=config.extra["caln"],
+        k=config.extra["k"],
         seed=config.seed,
-        corpus_size=int(config.extra.get("corpus_size", 100)),
+        corpus_size=config.extra["corpus_size"],
         shots=config.shots,
     )
     entries = []
@@ -306,15 +285,14 @@ def _cmd_calibrate(config: ExperimentConfig):
     _emit(config, {"entries": entries})
 
 
-def _cmd_relations(config: ExperimentConfig):
+def _cmd_relations(config: ExperimentConfig, _):
     specs = measures.relations_corpus(config.seed)
     _emit(config, {"report": measures.relations_experiment(specs, seed=config.seed)})
 
 
-def _cmd_doubling(config: ExperimentConfig):
+def _cmd_doubling(config: ExperimentConfig, state):
     """Additive structure of a zeta-graph subset of the balanced table."""
-    state = _load_state(config).normalized()
-    delta = float(config.extra.get("delta", 0.05))
+    delta = config.extra["delta"]
     tilde, nu, which = witness.split_real(state)
     circuit, balanced = clifford.balance(tilde, seed=config.seed)
     t = charfn.char_function(balanced)
@@ -331,21 +309,8 @@ def _cmd_doubling(config: ExperimentConfig):
     _emit(config, payload)
 
 
-_COMMANDS = {
-    "charfn": _cmd_charfn,
-    "gowers": _cmd_gowers,
-    "measures": _cmd_measures,
-    "rank": _cmd_rank,
-    "fidelity": _cmd_fidelity,
-    "gram-scan": _cmd_gram_scan,
-    "extract-stabilizer": _cmd_extract_stabilizer,
-    "bell-sim": _cmd_bell_sim,
-    "tolerant-test": _cmd_tolerant_test,
-    "rank-vs-haar": _cmd_rank_vs_haar,
-    "calibrate": _cmd_calibrate,
-    "relations": _cmd_relations,
-    "doubling": _cmd_doubling,
-}
+# ---------------------------------------------------------------------------
+# The command table
 
 
 def _finite_float(text: str) -> float:
@@ -359,13 +324,54 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_state_args(p: argparse.ArgumentParser):
-    p.add_argument("--state", help="state JSON file")
-    p.add_argument("--family", help="named family: basis|uniform|haar|t_tensor")
-    p.add_argument("--n", type=int, help="qubit count for --family")
-    p.add_argument("--x0", type=int, default=0, help="basis index for --family basis")
-    p.add_argument("--family-seed", type=int, default=0)
-    p.add_argument("--eps", type=_finite_float, default=0.0)
+_STATE_FLAGS = {
+    "--state": dict(help="state JSON file"),
+    "--family": dict(help="named family: basis|uniform|haar|t_tensor"),
+    "--n": dict(type=int, help="qubit count for --family"),
+    "--x0": dict(type=int, default=0, help="basis index for --family basis"),
+    "--family-seed": dict(type=int, default=0),
+    "--eps": dict(type=_finite_float, default=0.0),
+}
+
+# name -> (body, reads a state, {flag: add_argument keywords}), in --help order.
+# A flag's parsed value lands in ExperimentConfig.extra unless it is None.
+_COMMANDS = {
+    "charfn": (_cmd_charfn, True, {}),
+    "measures": (_cmd_measures, True, {}),
+    "rank": (_cmd_rank, True, {"--delta": dict(type=_finite_float, default=0.0)}),
+    "fidelity": (_cmd_fidelity, True, {}),
+    "extract-stabilizer": (_cmd_extract_stabilizer, True, {}),
+    "bell-sim": (_cmd_bell_sim, True, {}),
+    "doubling": (_cmd_doubling, True, {
+        "--delta": dict(type=_finite_float, default=0.05),
+    }),
+    "gowers": (_cmd_gowers, True, {
+        "--degree": dict(type=int, default=3),
+        "--direct": dict(action="store_true", help="also run brute force"),
+    }),
+    "gram-scan": (_cmd_gram_scan, False, {
+        "--k": dict(type=int, required=True),
+        "--nmax": dict(type=int, required=True),
+        "--mode": dict(choices=("exhaustive", "sampled"), default="exhaustive"),
+        "--trials": dict(type=int, default=2000),
+    }),
+    "tolerant-test": (_cmd_tolerant_test, True, {
+        "--eps1": dict(type=_finite_float, required=True),
+        "--eps2": dict(type=_finite_float, required=True),
+        "--threshold": dict(type=_finite_float, default=None),
+    }),
+    "rank-vs-haar": (_cmd_rank_vs_haar, True, {
+        "--k": dict(type=int, required=True),
+        "--thresholds": dict(required=True, help="thresholds JSON file"),
+    }),
+    "calibrate": (_cmd_calibrate, False, {
+        "--n": dict(dest="caln", type=int, required=True),
+        "--k": dict(type=int, required=True),
+        "--corpus-size": dict(type=int, default=100),
+        "--merge-into": dict(help="existing thresholds file to update"),
+    }),
+    "relations": (_cmd_relations, False, {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,81 +385,33 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output file (stdout if omitted)")
     common.add_argument("--shots", type=int, default=10_000)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name):
-        return sub.add_parser(name, parents=[common])
-
-    for name in ("charfn", "measures", "rank", "fidelity", "extract-stabilizer",
-                 "bell-sim", "doubling"):
-        p = add_parser(name)
-        _add_state_args(p)
-    sub.choices["rank"].add_argument("--delta", type=_finite_float, default=0.0)
-    sub.choices["doubling"].add_argument("--delta", type=_finite_float, default=0.05)
-
-    p = add_parser("gowers")
-    _add_state_args(p)
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--direct", action="store_true", help="also run brute force")
-
-    p = add_parser("gram-scan")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    p.add_argument("--trials", type=int, default=2000)
-
-    p = add_parser("tolerant-test")
-    _add_state_args(p)
-    p.add_argument("--eps1", type=_finite_float, required=True)
-    p.add_argument("--eps2", type=_finite_float, required=True)
-    p.add_argument("--threshold", type=_finite_float, default=None)
-
-    p = add_parser("rank-vs-haar")
-    _add_state_args(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--thresholds", required=True, help="thresholds JSON file")
-
-    p = add_parser("calibrate")
-    p.add_argument("--n", dest="caln", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--corpus-size", type=int, default=100)
-    p.add_argument("--merge-into", help="existing thresholds file to update")
-
-    add_parser("relations")
+    for name, (_, reads_state, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common])
+        for flag, kwargs in {**(_STATE_FLAGS if reads_state else {}), **flags}.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    known = {
-        "command", "seed", "out", "shots",
-        "state", "family", "n", "x0", "family_seed", "eps",
-    }
-    extra = {
-        k: v for k, v in vars(args).items() if k not in known and v is not None
-    }
-    return ExperimentConfig(
-        command=args.command,
-        state_file=getattr(args, "state", None),
-        family=getattr(args, "family", None),
-        n=getattr(args, "n", None),
-        x0=getattr(args, "x0", 0),
-        family_seed=getattr(args, "family_seed", 0),
-        eps=getattr(args, "eps", 0.0),
-        seed=args.seed,
-        shots=args.shots,
-        out=args.out,
-        extra=extra,
-    )
+    """The ExperimentConfig fields from their flags (--state fills
+    state_file); every other flag that was given goes to extra."""
+    values = dict(vars(args))
+    values["state_file"] = values.pop("state", None)
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    fixed = {name: values.pop(name) for name in names if name in values}
+    extra = {k: v for k, v in values.items() if v is not None}
+    return ExperimentConfig(**fixed, extra=extra)
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     config = _config_from_args(args)
+    body, reads_state, _ = _COMMANDS[config.command]
     try:
-        _COMMANDS[config.command](config)
+        body(config, _load_state(config).normalized() if reads_state else None)
     except _INVARIANT_ERRORS as exc:
         print(f"internal-consistency failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

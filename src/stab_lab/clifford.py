@@ -20,7 +20,6 @@ import numpy as np
 from .gf2 import Subspace, span_points, symp_unpack
 from .states import StateVector, dot_parity, quadratic_parity, sign_table
 
-REAL_GATES = ("H", "Z", "CNOT")
 _BUILD_ROWS = 1024
 
 

@@ -99,15 +99,21 @@ def gowers3(state: StateVector) -> float:
 # Fidelity and rank
 
 
-def stabilizer_fidelity(state: StateVector) -> tuple[float, StabilizerState]:
-    """Exact max_{s} |<s|phi>|^2 with an argmax witness, exhaustively over the
-    full stabilizer enumeration (ties broken by enumeration order)."""
+def _fidelity_scan(state: StateVector) -> tuple[float, int]:
+    """max_{s} |<s|phi>|^2 and the enumeration index of its first argmax."""
     if state.n > 4:
         raise MeasureError("exhaustive fidelity capped at n = 4")
     # |<s|phi>| = |S conj(phi)|: conjugating phi, not S, spares a table copy
     overlaps = np.abs(stabilizer_unit_matrix(state.n) @ state.unit().conj()) ** 2
     best = int(np.argmax(overlaps))
-    return float(overlaps[best]), enumerate_stabilizers(state.n)[best]
+    return float(overlaps[best]), best
+
+
+def stabilizer_fidelity(state: StateVector) -> tuple[float, StabilizerState]:
+    """Exact max_{s} |<s|phi>|^2 with an argmax witness, exhaustively over the
+    full stabilizer enumeration (ties broken by enumeration order)."""
+    fid, best = _fidelity_scan(state)
+    return fid, enumerate_stabilizers(state.n)[best]
 
 
 def _first_hit(
@@ -360,8 +366,7 @@ def measure_report(state: StateVector) -> MeasureReport:
     """Norm, fidelity and rank of one state. Above the rank-search cap
     (n = 4) the rank is the bound pair (lower, 2^n), with lower = 2 whenever
     the fidelity shows the state is not itself a stabilizer state."""
-    fid, wit = stabilizer_fidelity(state)
-    wit_index = enumerate_stabilizers(state.n).index(wit)
+    fid, wit_index = _fidelity_scan(state)
     if state.n <= 3:
         rank, rank_wit = stabilizer_rank(state)
     else:

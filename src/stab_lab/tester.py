@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .charfn import bell_diff_distribution, char_function, exact_R
-from .states import StateVector, sign_table
+from .charfn import bell_diff_distribution, char_function
+from .states import StateVector, haar_unit, sign_table
 
 
 MAX_SHOTS = 10_000_000
@@ -121,7 +121,6 @@ def calibrate(
     if min(n, k, corpus_size) < 1:
         raise TesterError("calibrate needs n, k and corpus_size of at least 1")
     from .measures import random_low_rank_state
-    from .states import FamilySpec, haar_unit, make_state
 
     rng = np.random.default_rng(seed)
     low, haar = [], []

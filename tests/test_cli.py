@@ -224,6 +224,117 @@ def test_seed_env_default(monkeypatch, tmp_path, t_state_file):
     assert _read_json(out)["config"]["seed"] == 41
 
 
+# Each subcommand's full config header (all but "out"), so that no flag's
+# default goes missing from the artifacts.
+CONFIG_HEADERS = [
+    (
+        ["charfn", "--family", "t_tensor", "--n", "1"],
+        {"command": "charfn", "state_file": None, "family": "t_tensor", "n": 1, "x0": 0,
+         "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10000, "extra": {}},
+    ),
+    (
+        ["gowers", "--family", "t_tensor", "--n", "2"],
+        {"command": "gowers", "state_file": None, "family": "t_tensor", "n": 2, "x0": 0,
+         "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10000,
+         "extra": {"degree": 3, "direct": False}},
+    ),
+    (
+        ["measures", "--family", "t_tensor", "--n", "1"],
+        {"command": "measures", "state_file": None, "family": "t_tensor", "n": 1,
+         "x0": 0, "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10000, "extra": {}},
+    ),
+    (
+        ["rank", "--family", "t_tensor", "--n", "1"],
+        {"command": "rank", "state_file": None, "family": "t_tensor", "n": 1, "x0": 0,
+         "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10000,
+         "extra": {"delta": 0.0}},
+    ),
+    (
+        ["fidelity", "--family", "t_tensor", "--n", "1"],
+        {"command": "fidelity", "state_file": None, "family": "t_tensor", "n": 1,
+         "x0": 0, "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10000, "extra": {}},
+    ),
+    (
+        ["gram-scan", "--k", "1", "--nmax", "1"],
+        {"command": "gram-scan", "state_file": None, "family": None, "n": None, "x0": 0,
+         "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10000,
+         "extra": {"k": 1, "mode": "exhaustive", "nmax": 1, "trials": 2000}},
+    ),
+    (
+        ["extract-stabilizer", "--family", "t_tensor", "--n", "1"],
+        {"command": "extract-stabilizer", "state_file": None, "family": "t_tensor",
+         "n": 1, "x0": 0, "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10000,
+         "extra": {}},
+    ),
+    (
+        ["bell-sim", "--family", "t_tensor", "--n", "1", "--shots", "5"],
+        {"command": "bell-sim", "state_file": None, "family": "t_tensor", "n": 1,
+         "x0": 0, "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 5, "extra": {}},
+    ),
+    (
+        ["tolerant-test", "--family", "t_tensor", "--n", "1", "--eps1", "0.9",
+         "--eps2", "0.3", "--shots", "100"],
+        {"command": "tolerant-test", "state_file": None, "family": "t_tensor", "n": 1,
+         "x0": 0, "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 100,
+         "extra": {"eps1": 0.9, "eps2": 0.3}},
+    ),
+    (
+        ["rank-vs-haar", "--family", "basis", "--n", "2", "--k", "1",
+         "--thresholds", "thr.json", "--shots", "100"],
+        {"command": "rank-vs-haar", "state_file": None, "family": "basis", "n": 2,
+         "x0": 0, "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 100,
+         "extra": {"k": 1, "thresholds": "thr.json"}},
+    ),
+    (
+        ["calibrate", "--n", "1", "--k", "1", "--corpus-size", "2", "--shots", "10"],
+        {"command": "calibrate", "state_file": None, "family": None, "n": None, "x0": 0,
+         "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10,
+         "extra": {"caln": 1, "corpus_size": 2, "k": 1}},
+    ),
+    (
+        ["relations"],
+        {"command": "relations", "state_file": None, "family": None, "n": None, "x0": 0,
+         "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10000, "extra": {}},
+    ),
+    (
+        ["doubling", "--family", "t_tensor", "--n", "1"],
+        {"command": "doubling", "state_file": None, "family": "t_tensor", "n": 1,
+         "x0": 0, "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10000,
+         "extra": {"delta": 0.05}},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config", CONFIG_HEADERS, ids=[argv[0] for argv, _ in CONFIG_HEADERS]
+)
+def test_config_header_per_command(tmp_path, monkeypatch, argv, config):
+    monkeypatch.delenv("STABLAB_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    entries = [{"n": 2, "k": 1, "threshold": 0.5}]
+    (tmp_path / "thr.json").write_text(json.dumps({"entries": entries}))
+    assert run(argv + ["--out", "a"]) == EXIT_OK
+    text = (tmp_path / "a").read_text()
+    if argv[0] in ("charfn", "bell-sim", "gram-scan"):
+        header = json.loads(text.splitlines()[1].removeprefix("# config="))
+    else:
+        header = json.loads(text)["config"]
+    assert header.pop("out") == "a"
+    assert header == config
+
+
+def test_artifacts_follow_umask(tmp_path):
+    out = tmp_path / "a.csv"
+    old = os.umask(0o022)
+    try:
+        code = run(["charfn", "--family", "t_tensor", "--n", "1", "--out", str(out)])
+    finally:
+        os.umask(old)
+    assert code == EXIT_OK
+    assert out.stat().st_mode & 0o777 == 0o644
+    assert os.stat(str(out) + ".run.json").st_mode & 0o777 == 0o644
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -249,6 +360,7 @@ def test_seed_env_default(monkeypatch, tmp_path, t_state_file):
          "--trials", "100001"],
         ["gram-scan", "--k", "0", "--nmax", "1"],
         ["gram-scan", "--k", "2", "--nmax", "0"],
+        ["gowers", "--family", "haar", "--n", "5", "--direct"],
     ],
 )
 def test_bad_arguments_exit_2(argv):

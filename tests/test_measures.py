@@ -379,6 +379,23 @@ def test_measure_report_rank_bounds_at_n4():
     assert uniform.rank == (1, 16)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_measure_report_witness_index(n):
+    # the report takes the scan's argmax index; searching the enumeration
+    # for the witness state is the oracle, and the witness attains the fidelity
+    table = enumerate_stabilizers(n)
+    specs = [FamilySpec("basis", n), FamilySpec("t_tensor", n)]
+    specs += [FamilySpec("haar", n, seed=s) for s in range(3)]
+    for spec in specs:
+        state = make_state(spec).normalized()
+        fid, wit = stabilizer_fidelity(state)
+        report = measure_report(state)
+        assert report.fidelity == fid
+        assert report.fidelity_witness == table.index(wit)
+        overlap = stabilizer_to_statevector(wit).overlap_sq(state)
+        assert np.isclose(overlap, fid, atol=1e-12)
+
+
 def test_counterexample_family():
     for seed in range(3):
         psi = counterexample_state(2, seed)
