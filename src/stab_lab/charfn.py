@@ -51,19 +51,6 @@ class CharTable:
         return float(self.f.sum() / self.N)
 
 
-@dataclass(frozen=True)
-class BellDistribution:
-    n: int
-    q: np.ndarray  # flat, z-ordered, sums to 1
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        if len(q) != 1 << (2 * self.n):
-            raise TableError("Bell distribution has the wrong length")
-
-
 def char_function(state: StateVector) -> CharTable:
     """All 4^n values via one Walsh transform per phase-derivative row."""
     if state.n > MAX_QUBITS:
@@ -87,20 +74,20 @@ def symplectic_fourier(t: CharTable) -> CharTable:
     return CharTable(t.n, out)
 
 
-def bell_diff_distribution(t: CharTable) -> BellDistribution:
-    """q = f * f with (f*g)(z) = E_w[f(w) g(z+w)] over F2^(2n)."""
+def bell_diff_distribution(t: CharTable) -> np.ndarray:
+    """q = f * f with (f*g)(z) = E_w[f(w) g(z+w)] over F2^(2n), flat and
+    z-ordered like t.flat(); sums to 1 for a normalized state."""
     flat = t.flat()
     M = len(flat)
     hat = fwht(flat)
     q = fwht(hat * hat).real / M**2
-    return BellDistribution(t.n, np.maximum(q, 0.0))
+    return np.maximum(q, 0.0)
 
 
 def exact_R(state: StateVector) -> float:
     """sum_z q(z) f(z), computed exactly from the tables."""
     t = char_function(state)
-    q = bell_diff_distribution(t)
-    return float(np.dot(q.q, t.flat()))
+    return float(np.dot(bell_diff_distribution(t), t.flat()))
 
 
 def char_table_csv(t: CharTable) -> str:

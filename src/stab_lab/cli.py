@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -43,7 +44,10 @@ _VALIDATION_ERRORS = (
 _INVARIANT_ERRORS = (witness.PipelineError, charfn.TableError)
 
 
+@functools.lru_cache(maxsize=None)
 def version_string() -> str:
+    """Computed once per process, so a run that rewrites a tracked file
+    (calibrate --out data/thresholds.json) still records the loaded code."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -66,15 +70,16 @@ def version_string() -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A run's inputs; null in the header for a flag the command lacks."""
+
     command: str
     state_file: Optional[str] = None
     family: Optional[str] = None
     n: Optional[int] = None
-    x0: int = 0
-    family_seed: int = 0
-    eps: float = 0.0
-    seed: int = 0
-    shots: int = 10_000
+    x0: Optional[int] = None
+    family_seed: Optional[int] = None
+    seed: Optional[int] = None
+    shots: Optional[int] = None
     out: Optional[str] = None
     extra: dict = dataclasses.field(default_factory=dict)
 
@@ -126,7 +131,7 @@ def _load_state(config: ExperimentConfig):
         if config.n is None:
             raise states.StateFormatError("--n is required with --family")
         spec = states.FamilySpec(kind=config.family, n=config.n, x0=config.x0,
-                                 seed=config.family_seed, eps=config.eps)
+                                 seed=config.family_seed)
         return states.make_state(spec)
     raise states.StateFormatError("provide --state or --family")
 
@@ -267,7 +272,7 @@ def _cmd_rank_vs_haar(config: ExperimentConfig, state):
 
 def _cmd_calibrate(config: ExperimentConfig, _):
     result = tester.calibrate(
-        n=config.extra["caln"],
+        n=config.n,
         k=config.extra["k"],
         seed=config.seed,
         corpus_size=config.extra["corpus_size"],
@@ -326,23 +331,27 @@ def _finite_float(text: str) -> float:
 
 _STATE_FLAGS = {
     "--state": dict(help="state JSON file"),
-    "--family": dict(help="named family: basis|uniform|haar|t_tensor"),
+    # interpolate needs a stabilizer anchor, which no flag gives
+    "--family": dict(choices=("basis", "uniform", "haar", "t_tensor")),
     "--n": dict(type=int, help="qubit count for --family"),
     "--x0": dict(type=int, default=0, help="basis index for --family basis"),
     "--family-seed": dict(type=int, default=0),
-    "--eps": dict(type=_finite_float, default=0.0),
 }
+# build_parser gives --seed its default, STABLAB_SEED.
+_SEED = {"--seed": dict(type=int)}
+_SAMPLED = {**_SEED, "--shots": dict(type=int, default=10_000)}
 
-# name -> (body, reads a state, {flag: add_argument keywords}), in --help order.
-# A flag's parsed value lands in ExperimentConfig.extra unless it is None.
+# name -> (body, reads a state, {flag: add_argument keywords}), in --help order;
+# all take --out. Values go to ExperimentConfig.extra unless a field or None.
 _COMMANDS = {
     "charfn": (_cmd_charfn, True, {}),
     "measures": (_cmd_measures, True, {}),
     "rank": (_cmd_rank, True, {"--delta": dict(type=_finite_float, default=0.0)}),
     "fidelity": (_cmd_fidelity, True, {}),
-    "extract-stabilizer": (_cmd_extract_stabilizer, True, {}),
-    "bell-sim": (_cmd_bell_sim, True, {}),
+    "extract-stabilizer": (_cmd_extract_stabilizer, True, _SEED),
+    "bell-sim": (_cmd_bell_sim, True, _SAMPLED),
     "doubling": (_cmd_doubling, True, {
+        **_SEED,
         "--delta": dict(type=_finite_float, default=0.05),
     }),
     "gowers": (_cmd_gowers, True, {
@@ -350,27 +359,31 @@ _COMMANDS = {
         "--direct": dict(action="store_true", help="also run brute force"),
     }),
     "gram-scan": (_cmd_gram_scan, False, {
+        **_SEED,
         "--k": dict(type=int, required=True),
         "--nmax": dict(type=int, required=True),
         "--mode": dict(choices=("exhaustive", "sampled"), default="exhaustive"),
         "--trials": dict(type=int, default=2000),
     }),
     "tolerant-test": (_cmd_tolerant_test, True, {
+        **_SAMPLED,
         "--eps1": dict(type=_finite_float, required=True),
         "--eps2": dict(type=_finite_float, required=True),
         "--threshold": dict(type=_finite_float, default=None),
     }),
     "rank-vs-haar": (_cmd_rank_vs_haar, True, {
+        **_SAMPLED,
         "--k": dict(type=int, required=True),
         "--thresholds": dict(required=True, help="thresholds JSON file"),
     }),
     "calibrate": (_cmd_calibrate, False, {
-        "--n": dict(dest="caln", type=int, required=True),
+        **_SAMPLED,
+        "--n": dict(type=int, required=True),
         "--k": dict(type=int, required=True),
         "--corpus-size": dict(type=int, default=100),
         "--merge-into": dict(help="existing thresholds file to update"),
     }),
-    "relations": (_cmd_relations, False, {}),
+    "relations": (_cmd_relations, False, _SEED),
 }
 
 
@@ -379,16 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stab-lab",
         description="Desk-scale stabilizer complexity experiments",
     )
-    default_seed = int(os.environ.get("STABLAB_SEED", "0"))
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=default_seed)
-    common.add_argument("--out", help="output file (stdout if omitted)")
-    common.add_argument("--shots", type=int, default=10_000)
+    # a string default goes through type=int, so a bad value is a usage error
+    default_seed = os.environ.get("STABLAB_SEED", "0")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, reads_state, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name)
+        p.add_argument("--out", help="output file (stdout if omitted)")
         for flag, kwargs in {**(_STATE_FLAGS if reads_state else {}), **flags}.items():
             p.add_argument(flag, **kwargs)
+        if "--seed" in flags:
+            p.set_defaults(seed=default_seed)
     return parser
 
 

@@ -21,6 +21,7 @@ from .gf2 import Subspace, span_points, symp_unpack
 from .states import StateVector, dot_parity, quadratic_parity, sign_table
 
 _BUILD_ROWS = 1024
+SUPPORT_TOL = 1e-9  # amplitudes at most this large lie off the support
 
 
 class GateError(ValueError):
@@ -216,13 +217,13 @@ def stabilizer_to_statevector(s: StabilizerState) -> StateVector:
     return StateVector(s.n, stabilizer_vectors([s])[0])
 
 
-def stabilizer_from_statevector(state: StateVector, tol: float = 1e-9) -> StabilizerState:
+def stabilizer_from_statevector(state: StateVector) -> StabilizerState:
     """Recover the canonical form of a statevector known to be a stabilizer
     state (up to global phase). Raises ValueError if the vector is not one."""
     n, N = state.n, state.N
     g = state.g
     mags = np.abs(g)
-    support = [x for x in range(N) if mags[x] > tol]
+    support = [x for x in range(N) if mags[x] > SUPPORT_TOL]
     if not support:
         raise ValueError("zero vector")
     expected = math.sqrt(N / len(support))

@@ -217,7 +217,7 @@ def dump_state_json(state: StateVector) -> str:
     )
 
 
-def load_state_json(text: str, renormalize: bool = False) -> StateVector:
+def load_state_json(text: str) -> StateVector:
     try:
         data = json.loads(text)
         n = int(data["n"])
@@ -231,10 +231,8 @@ def load_state_json(text: str, renormalize: bool = False) -> StateVector:
         raise StateFormatError("amplitudes must be finite")
     nrm = float(np.linalg.norm(vec))
     if abs(nrm - 1.0) > JSON_NORM_TOL:
-        if not renormalize:
-            raise StateFormatError(
-                f"vector norm {nrm} deviates from 1 by more than {JSON_NORM_TOL}; "
-                "pass renormalize to accept"
-            )
-        vec = vec / nrm
+        raise StateFormatError(
+            f"vector norm {nrm} deviates from 1 by more than {JSON_NORM_TOL}; "
+            "normalize the amplitudes"
+        )
     return StateVector.from_unit(vec)

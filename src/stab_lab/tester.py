@@ -48,7 +48,7 @@ def bell_difference_sample(
         raise TesterError(f"shots must be in [1, {MAX_SHOTS}]")
     t = char_function(state.normalized())
     q = bell_diff_distribution(t)
-    probs = q.q / q.q.sum()
+    probs = q / q.sum()
     rng = np.random.default_rng(seed)
     zs = rng.choice(len(probs), size=shots, p=probs)
     f_at = t.flat()[zs]
@@ -181,6 +181,6 @@ def sampler_vs_four_copy_tv(state: StateVector) -> float:
     """Total variation distance between the distribution-level sampler's z-law
     (q = f*f) and the physical 4-copy law; zero up to rounding for every
     state, complex amplitudes included."""
-    q = bell_diff_distribution(char_function(state.normalized())).q
+    q = bell_diff_distribution(char_function(state.normalized()))
     phys = four_copy_difference_law(state)
     return 0.5 * float(np.abs(q - phys).sum())

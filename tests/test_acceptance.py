@@ -216,7 +216,7 @@ def test_criterion_05_bell_law_and_unbiasedness():
     shots = 100_000
     for state in corpus:
         phys = four_copy_difference_law(state)
-        q = bell_diff_distribution(char_function(state)).q
+        q = bell_diff_distribution(char_function(state))
         assert 0.5 * np.abs(q - phys).sum() < 1e-10
         zs, _ = bell_difference_sample(state, shots, seed=17)
         counts = np.bincount(zs, minlength=len(phys))

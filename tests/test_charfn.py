@@ -119,7 +119,7 @@ def test_graph_shift_inequality():
 
 def test_bell_distribution_brute_force(t_state):
     q = bell_diff_distribution(char_function(t_state))
-    assert np.allclose(q.q, [3 / 8, 1 / 8, 1 / 4, 1 / 4], atol=1e-12)
+    assert np.allclose(q, [3 / 8, 1 / 8, 1 / 4, 1 / 4], atol=1e-12)
     for state in random_states(2, 3, seed=8):
         t = char_function(state)
         flat = t.flat()
@@ -128,8 +128,8 @@ def test_bell_distribution_brute_force(t_state):
         brute = np.array(
             [np.mean(flat * flat[np.arange(M) ^ z]) for z in range(M)]
         )
-        assert np.abs(q.q - brute).max() < 1e-12
-        assert np.isclose(q.q.sum(), 1.0, atol=1e-9)
+        assert np.abs(q - brute).max() < 1e-12
+        assert np.isclose(q.sum(), 1.0, atol=1e-9)
 
 
 def test_triple_convolution_identity():

@@ -3,12 +3,14 @@
 import json
 import math
 import os
+import subprocess
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stab_lab import cli
 from stab_lab.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from stab_lab.states import FamilySpec, dump_state_json, haar_unit, make_state
 
@@ -50,7 +52,7 @@ def test_charfn_csv_structure(t_state_file, tmp_path):
 
 def test_reruns_are_byte_identical(t_state_file, tmp_path):
     out = tmp_path / "a.json"
-    args = ["measures", "--state", t_state_file, "--seed", "3", "--out", str(out)]
+    args = ["measures", "--state", t_state_file, "--out", str(out)]
     assert run(args) == EXIT_OK
     first = out.read_bytes()
     assert run(args) == EXIT_OK
@@ -220,87 +222,116 @@ def test_stdout_emission(capsys, t_state_file):
 def test_seed_env_default(monkeypatch, tmp_path, t_state_file):
     monkeypatch.setenv("STABLAB_SEED", "41")
     out = tmp_path / "s.json"
-    assert run(["measures", "--state", t_state_file, "--out", str(out)]) == EXIT_OK
+    argv = ["extract-stabilizer", "--family", "t_tensor", "--n", "1", "--out", str(out)]
+    assert run(argv) == EXIT_OK
     assert _read_json(out)["config"]["seed"] == 41
 
 
+def test_bad_seed_env_exits_2(monkeypatch):
+    monkeypatch.setenv("STABLAB_SEED", "abc")
+    assert run(["relations"]) == EXIT_USAGE
+    # a command without --seed never reads it
+    assert run(["rank", "--family", "t_tensor", "--n", "1"]) == EXIT_OK
+
+
+def test_version_computed_once_per_process(monkeypatch, tmp_path):
+    """A run that dirties the tree (calibrate rewriting a tracked thresholds
+    file) still records the version its code was loaded at."""
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(cmd)
+        stdout = "abc1234\n" if len(calls) == 1 else "abc1234-dirty\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    cli.version_string.cache_clear()
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    try:
+        for out in outs:
+            argv = ["fidelity", "--family", "t_tensor", "--n", "1", "--out", str(out)]
+            assert run(argv) == EXIT_OK
+    finally:
+        cli.version_string.cache_clear()
+    assert len(calls) == 1
+    assert [_read_json(out)["version"] for out in outs] == ["abc1234", "abc1234"]
+
+
 # Each subcommand's full config header (all but "out"), so that no flag's
-# default goes missing from the artifacts.
+# default goes missing from the artifacts; an input the command does not take
+# is null.
 CONFIG_HEADERS = [
     (
         ["charfn", "--family", "t_tensor", "--n", "1"],
         {"command": "charfn", "state_file": None, "family": "t_tensor", "n": 1, "x0": 0,
-         "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10000, "extra": {}},
+         "family_seed": 0, "seed": None, "shots": None, "extra": {}},
     ),
     (
         ["gowers", "--family", "t_tensor", "--n", "2"],
         {"command": "gowers", "state_file": None, "family": "t_tensor", "n": 2, "x0": 0,
-         "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10000,
+         "family_seed": 0, "seed": None, "shots": None,
          "extra": {"degree": 3, "direct": False}},
     ),
     (
         ["measures", "--family", "t_tensor", "--n", "1"],
         {"command": "measures", "state_file": None, "family": "t_tensor", "n": 1,
-         "x0": 0, "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10000, "extra": {}},
+         "x0": 0, "family_seed": 0, "seed": None, "shots": None, "extra": {}},
     ),
     (
         ["rank", "--family", "t_tensor", "--n", "1"],
         {"command": "rank", "state_file": None, "family": "t_tensor", "n": 1, "x0": 0,
-         "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10000,
-         "extra": {"delta": 0.0}},
+         "family_seed": 0, "seed": None, "shots": None, "extra": {"delta": 0.0}},
     ),
     (
         ["fidelity", "--family", "t_tensor", "--n", "1"],
         {"command": "fidelity", "state_file": None, "family": "t_tensor", "n": 1,
-         "x0": 0, "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10000, "extra": {}},
+         "x0": 0, "family_seed": 0, "seed": None, "shots": None, "extra": {}},
     ),
     (
         ["gram-scan", "--k", "1", "--nmax", "1"],
-        {"command": "gram-scan", "state_file": None, "family": None, "n": None, "x0": 0,
-         "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10000,
+        {"command": "gram-scan", "state_file": None, "family": None, "n": None,
+         "x0": None, "family_seed": None, "seed": 0, "shots": None,
          "extra": {"k": 1, "mode": "exhaustive", "nmax": 1, "trials": 2000}},
     ),
     (
         ["extract-stabilizer", "--family", "t_tensor", "--n", "1"],
         {"command": "extract-stabilizer", "state_file": None, "family": "t_tensor",
-         "n": 1, "x0": 0, "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10000,
-         "extra": {}},
+         "n": 1, "x0": 0, "family_seed": 0, "seed": 0, "shots": None, "extra": {}},
     ),
     (
         ["bell-sim", "--family", "t_tensor", "--n", "1", "--shots", "5"],
         {"command": "bell-sim", "state_file": None, "family": "t_tensor", "n": 1,
-         "x0": 0, "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 5, "extra": {}},
+         "x0": 0, "family_seed": 0, "seed": 0, "shots": 5, "extra": {}},
     ),
     (
         ["tolerant-test", "--family", "t_tensor", "--n", "1", "--eps1", "0.9",
          "--eps2", "0.3", "--shots", "100"],
         {"command": "tolerant-test", "state_file": None, "family": "t_tensor", "n": 1,
-         "x0": 0, "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 100,
+         "x0": 0, "family_seed": 0, "seed": 0, "shots": 100,
          "extra": {"eps1": 0.9, "eps2": 0.3}},
     ),
     (
         ["rank-vs-haar", "--family", "basis", "--n", "2", "--k", "1",
          "--thresholds", "thr.json", "--shots", "100"],
         {"command": "rank-vs-haar", "state_file": None, "family": "basis", "n": 2,
-         "x0": 0, "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 100,
+         "x0": 0, "family_seed": 0, "seed": 0, "shots": 100,
          "extra": {"k": 1, "thresholds": "thr.json"}},
     ),
     (
         ["calibrate", "--n", "1", "--k", "1", "--corpus-size", "2", "--shots", "10"],
-        {"command": "calibrate", "state_file": None, "family": None, "n": None, "x0": 0,
-         "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10,
-         "extra": {"caln": 1, "corpus_size": 2, "k": 1}},
+        {"command": "calibrate", "state_file": None, "family": None, "n": 1,
+         "x0": None, "family_seed": None, "seed": 0, "shots": 10,
+         "extra": {"corpus_size": 2, "k": 1}},
     ),
     (
         ["relations"],
-        {"command": "relations", "state_file": None, "family": None, "n": None, "x0": 0,
-         "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10000, "extra": {}},
+        {"command": "relations", "state_file": None, "family": None, "n": None,
+         "x0": None, "family_seed": None, "seed": 0, "shots": None, "extra": {}},
     ),
     (
         ["doubling", "--family", "t_tensor", "--n", "1"],
         {"command": "doubling", "state_file": None, "family": "t_tensor", "n": 1,
-         "x0": 0, "family_seed": 0, "eps": 0.0, "seed": 0, "shots": 10000,
-         "extra": {"delta": 0.05}},
+         "x0": 0, "family_seed": 0, "seed": 0, "shots": None, "extra": {"delta": 0.05}},
     ),
 ]
 
@@ -361,6 +392,8 @@ def test_artifacts_follow_umask(tmp_path):
         ["gram-scan", "--k", "0", "--nmax", "1"],
         ["gram-scan", "--k", "2", "--nmax", "0"],
         ["gowers", "--family", "haar", "--n", "5", "--direct"],
+        ["charfn", "--family", "t_tensor", "--n", "1", "--shots", "5"],
+        ["measures", "--family", "t_tensor", "--n", "1", "--seed", "3"],
     ],
 )
 def test_bad_arguments_exit_2(argv):
@@ -474,6 +507,7 @@ def contract_argv(draw, commands):
     from wider sets (nan, +-inf, out of range, malformed files). The other
     half draw everything from the wider ranges (n in [-1, 8], x0 in
     [-1, 2^n], shots in [0, 1000], bad families, malformed state files).
+    --seed and --shots go only to the commands whose table entry has them.
     Sizes stay small: gram-scan has --nmax <= 2 and calibrate a corpus of at
     most 3. rank and measures do reach n = 3, where a rank miss scans all
     582k pairs in a few hundredths of a second."""
@@ -482,9 +516,12 @@ def contract_argv(draw, commands):
     command = draw(st.sampled_from(commands))
     n_max = {"rank": 3, "calibrate": 4}.get(command, 6)
     n = draw(st.integers(1, n_max) if in_range else st.integers(-1, 8))
-    shots = draw(st.integers(1 if in_range else 0, 1000))
-    argv = [command, "--shots", str(shots)]
-    argv += ["--seed", str(draw(st.integers(0 if in_range else -1, 3)))]
+    flags = cli._COMMANDS[command][2]
+    argv = [command]
+    if "--shots" in flags:
+        argv += ["--shots", str(draw(st.integers(1 if in_range else 0, 1000)))]
+    if "--seed" in flags:
+        argv += ["--seed", str(draw(st.integers(0 if in_range else -1, 3)))]
     text = thresholds = None
     if command in STATE_COMMANDS:
         families = GOOD_FAMILIES if in_range else GOOD_FAMILIES + BAD_FAMILIES
@@ -500,8 +537,6 @@ def contract_argv(draw, commands):
         else:
             argv += ["--state", "STATE_FILE"]
             text = _state_file_text(source, n, draw(st.integers(0, 3)))
-        if draw(st.booleans()):
-            argv += _float_flag(draw, "eps", 0.0, 1.0, flags_in_range)
     if command == "gowers":
         degree = draw(st.integers(1, 3) if in_range else st.integers(0, 4))
         argv += ["--degree", str(degree)]

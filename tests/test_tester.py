@@ -36,7 +36,7 @@ def test_shots_are_deterministic_under_seed(t_state):
 
 
 def test_shot_support_matches_distribution(t_state):
-    q = bell_diff_distribution(char_function(t_state)).q
+    q = bell_diff_distribution(char_function(t_state))
     support = {z for z in range(len(q)) if q[z] > 0}
     zs, _ = bell_difference_sample(t_state, 500, seed=0)
     for z in zs:
