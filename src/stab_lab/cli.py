@@ -125,6 +125,8 @@ def _emit(config: ExperimentConfig, payload: dict, csv_body: Optional[str] = Non
 
 def _load_state(config: ExperimentConfig):
     if config.state_file:
+        if config.family or config.n is not None:  # the header would not match
+            raise states.StateFormatError("--state excludes --family and --n")
         with open(config.state_file) as fh:
             return states.load_state_json(fh.read())
     if config.family:

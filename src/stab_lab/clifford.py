@@ -21,6 +21,7 @@ from .gf2 import Subspace, span_points, symp_unpack
 from .states import StateVector, dot_parity, quadratic_parity, sign_table
 
 _BUILD_ROWS = 1024
+BALANCE_TRIES = 1000  # random real Cliffords balance draws before giving up
 SUPPORT_TOL = 1e-9  # amplitudes at most this large lie off the support
 
 
@@ -304,24 +305,21 @@ def fourth_moment(state: StateVector) -> float:
     return float(np.sum(np.abs(state.unit()) ** 4))
 
 
-def balance(
-    state: StateVector, max_tries: int = 1000, seed: int = 0
-) -> tuple[CliffordCircuit, StateVector]:
+def balance(state: StateVector, seed: int = 0) -> tuple[CliffordCircuit, StateVector]:
     """Real Clifford C with fourth moment of C|phi> at most 3/N. Identity is
-    tried first; then seeded rejection sampling over random real Cliffords."""
-    if max_tries < 1:
-        raise ValueError("max_tries must be positive")
+    tried first; then seeded rejection sampling over BALANCE_TRIES random
+    real Cliffords."""
     threshold = 3.0 / state.N
     identity = CliffordCircuit(state.n, ())
     best = fourth_moment(state)
     if best <= threshold:
         return identity, state
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(BALANCE_TRIES):
         circuit = random_real_clifford(state.n, seed=int(rng.integers(0, 2**63)))
         cand = apply_clifford(circuit, state)
         moment = fourth_moment(cand)
         if moment <= threshold:
             return circuit, cand
         best = min(best, moment)
-    raise BalanceError(max_tries, best)
+    raise BalanceError(BALANCE_TRIES, best)

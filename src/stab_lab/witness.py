@@ -243,28 +243,18 @@ def drop_shift(amap: AffineMap, t: CharTable) -> tuple[LinMap, float]:
 def symmetrize_map(l: LinMap, t: CharTable) -> tuple[LinMap, float]:
     """Symmetric map agreeing with l on Y = ker(l + l^T); off the kernel the
     completion is free, so for small n we pick the symmetric completion with
-    the heaviest graph (zero completion otherwise).  The graph mass obeys the
-    quadratic law sum_{G(l')} t >= (sum_{G(l)} t)^2 / N (checked)."""
+    the heaviest graph (zero completion otherwise).
+
+    With P the projection onto Y that sends the complement basis of Y to 0,
+    the zero completion is l' = lP + P^T(l^T + lP): on Y, l equals l^T, so
+    P^T l P is symmetric, l' is symmetric, and l' equals l on Y. The graph
+    mass obeys the quadratic law sum_{G(l')} t >= (sum_{G(l)} t)^2 / N
+    (checked)."""
     n = l.n
-    Y = nullspace(n, (l.add(l.transpose())).transpose().cols)
-    # A vector u is in ker(l + l^t) iff <(l + l^t)^t_j, u> = 0 for every
-    # row j; rows of (l+l^t) are the columns of its transpose.
-    p_basis = list(Y.basis) + list(Y.complement_basis())
-    k = Y.dim
-    # Bilinear form in the p-basis: beta(p_a, p_b) = <p_a, l p_b> when p_b
-    # lies in Y (symmetric there since Y kills l + l^t), mirrored for p_a in
-    # Y, zero on complement x complement.
-    B = np.zeros((n, n), dtype=int)
-    for a in range(n):
-        for b in range(n):
-            if b < k:
-                B[a, b] = (p_basis[a] & l(p_basis[b])).bit_count() & 1
-            elif a < k:
-                B[a, b] = (p_basis[b] & l(p_basis[a])).bit_count() & 1
-    b_cols = tuple(int(sum((B[a, b] << a) for a in range(n))) for b in range(n))
-    b_map = LinMap(n, b_cols)
-    p_inv = linmap_from_images(n, [(p, 1 << a) for a, p in enumerate(p_basis)])
-    lp = p_inv.transpose().compose(b_map.compose(p_inv))
+    Y = nullspace(n, l.add(l.transpose()).cols)
+    P = linmap_from_images(n, [(y, y) for y in Y.basis])
+    lP = l.compose(P)
+    lp = lP.add(P.transpose().compose(l.transpose().add(lP)))
     if not lp.is_symmetric():
         raise PipelineError("symmetrization produced a non-symmetric map")
     for y in Y:

@@ -358,7 +358,7 @@ def test_criterion_09_two_design_and_balance():
     corpus += [make_state(FamilySpec("t_tensor", n)) for n in (1, 2, 3, 4)]
     for state in corpus:
         part, _, _ = split_real(state)
-        _, balanced = balance(part, max_tries=1000, seed=0)
+        _, balanced = balance(part, seed=0)
         assert fourth_moment(balanced) <= 3 / state.N + 1e-12
 
 

@@ -394,10 +394,13 @@ def test_artifacts_follow_umask(tmp_path):
         ["gowers", "--family", "haar", "--n", "5", "--direct"],
         ["charfn", "--family", "t_tensor", "--n", "1", "--shots", "5"],
         ["measures", "--family", "t_tensor", "--n", "1", "--seed", "3"],
+        ["rank", "--state", "F", "--family", "haar", "--n", "2"],
+        ["fidelity", "--state", "F", "--n", "2"],
     ],
 )
-def test_bad_arguments_exit_2(argv):
-    assert run(argv) == EXIT_USAGE
+def test_bad_arguments_exit_2(argv, t_state_file):
+    # "F" stands for a valid state file
+    assert run([t_state_file if a == "F" else a for a in argv]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])

@@ -246,12 +246,6 @@ def test_balance_identity_short_circuit():
     assert out is uniform
 
 
-def test_balance_zero_tries_rejected():
-    state = make_state(FamilySpec("basis", 2, x0=0))
-    with pytest.raises(ValueError):
-        balance(state, max_tries=0)
-
-
 def test_balance_error_message():
     err = BalanceError(tries=7, best_moment=0.5)
     assert "7" in str(err) and "0.5" in str(err)

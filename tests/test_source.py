@@ -1,13 +1,17 @@
 """Source checks that stand in for a linter: every name a module imports is
-used somewhere in that module."""
+used somewhere in that module, and every name a package module defines at
+top level is used somewhere in the repository's code."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "stab_lab"
+ROOT = pathlib.Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "stab_lab"
 SOURCES = sorted(PACKAGE.glob("*.py"))
+CODE_DIRS = ("src", "scripts", "tests", "perfbench")
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -31,3 +35,63 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     tree = ast.parse("import os\nfrom typing import Optional\nos.getcwd()\n")
     assert _unused_imports(tree) == ["Optional (line 2)"]
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names read, attributes taken and string constants, counted; strings
+    cover lookups by name such as getattr and the benchmark's span table."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            refs[sub.value] += 1
+    return refs
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _dead_names(module: ast.Module, corpus: list[ast.Module]) -> list[str]:
+    """Top-level functions, classes and constants of module that nothing in
+    corpus refers to outside their own definition; dunders are exempt."""
+    total = sum((_references(tree) for tree in corpus), Counter())
+    dead = []
+    for stmt in module.body:
+        own = _references(stmt)
+        for name in _defined(stmt):
+            dunder = name.startswith("__") and name.endswith("__")
+            if not dunder and total[name] == own[name]:
+                dead.append(f"{name} (line {stmt.lineno})")
+    return dead
+
+
+@pytest.fixture(scope="module")
+def code_trees():
+    paths = (p for d in CODE_DIRS for p in sorted((ROOT / d).rglob("*.py")))
+    return {p: ast.parse(p.read_text()) for p in paths}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dead_names(path, code_trees):
+    assert _dead_names(code_trees[path], list(code_trees.values())) == []
+
+
+def test_dead_name_is_reported():
+    module = ast.parse(
+        "LIMIT = 3\n__all__ = []\ndef used():\n    return LIMIT\n"
+        "def dead(k):\n    return dead(k - 1) if k else 0\n"
+    )
+    caller = ast.parse("used()\n")
+    assert _dead_names(module, [module, caller]) == ["dead (line 5)"]

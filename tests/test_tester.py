@@ -8,11 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_states
+from conftest import random_real_states, random_states
 from stab_lab.charfn import bell_diff_distribution, char_function, exact_R
 from stab_lab.clifford import enumerate_stabilizers, stabilizer_to_statevector
 from stab_lab.measures import random_low_rank_state
-from stab_lab.states import FamilySpec, StateVector, haar_unit, make_state
+from stab_lab.states import (
+    MAX_QUBITS,
+    FamilySpec,
+    StateVector,
+    haar_unit,
+    make_state,
+    sign_table,
+)
 from stab_lab.tester import (
     MAX_SHOTS,
     TesterError,
@@ -139,7 +146,7 @@ def test_bell_pair_distribution_normalized(t_state):
 
 def test_four_copy_law_matches_sampler_for_real_states():
     rng = np.random.default_rng(4)
-    for n in (1, 2):
+    for n in range(1, MAX_QUBITS + 1):
         for _ in range(3):
             vec = rng.standard_normal(1 << n)
             state = StateVector.from_unit(vec / np.linalg.norm(vec))
@@ -154,6 +161,10 @@ def test_four_copy_law_matches_sampler_for_complex_states(t_state):
     for _ in range(3):
         state = StateVector.from_unit(haar_unit(2, rng))
         assert sampler_vs_four_copy_tv(state) < 1e-10
+    for n in range(1, MAX_QUBITS + 1):
+        assert sampler_vs_four_copy_tv(make_state(FamilySpec("t_tensor", n))) < 1e-10
+        for state in random_states(n, 3, seed=n):
+            assert sampler_vs_four_copy_tv(state) < 1e-10
 
 
 def test_four_copy_hand_value(t_state):
@@ -164,9 +175,50 @@ def test_four_copy_hand_value(t_state):
     assert np.allclose(q, [3 / 8, 1 / 8, 1 / 4, 1 / 4], atol=1e-12)
 
 
+def _bell_pair_by_labels(state):
+    """Oracle for bell_pair_distribution: one inner product per label z."""
+    n, N = state.n, state.N
+    u = state.unit()
+    idx = np.arange(N)
+    p = np.zeros(1 << (2 * n))
+    for z in range(1 << (2 * n)):
+        y, alpha = z >> n, z & (N - 1)
+        signs = sign_table(N, alpha)
+        amp = np.sum(u[idx ^ y] * signs[idx ^ y] * u) / np.sqrt(N)
+        p[z] = abs(amp) ** 2
+    return p / p.sum()
+
+
+def _self_convolution_by_z1(p):
+    """Oracle for the XOR self-convolution: one shifted add per z1."""
+    M = len(p)
+    out = np.zeros(M)
+    for z1 in range(M):
+        out[z1 ^ np.arange(M)] += p[z1] * p
+    return out
+
+
+def test_four_copy_law_matches_label_loops():
+    for n in (1, 2, 3):
+        corpus = [
+            make_state(FamilySpec("t_tensor", n)),
+            *random_states(n, 2, seed=20 + n),
+            *random_real_states(n, 2, seed=30 + n),
+        ]
+        for state in corpus:
+            p = _bell_pair_by_labels(state)
+            assert np.abs(bell_pair_distribution(state) - p).max() < 1e-14
+            if n <= 2:
+                want = _self_convolution_by_z1(p)
+                assert np.abs(four_copy_difference_law(state) - want).max() < 1e-14
+
+
 def test_four_copy_size_cap():
+    big = StateVector(MAX_QUBITS + 1, np.ones(1 << (MAX_QUBITS + 1)))
     with pytest.raises(TesterError):
-        four_copy_difference_law(make_state(FamilySpec("uniform", 3)))
+        bell_pair_distribution(big)
+    with pytest.raises(TesterError):
+        four_copy_difference_law(big)
 
 
 def test_calibrate_reproduces_committed_thresholds():

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from conftest import random_real_states, random_states
 from stab_lab.charfn import CharTable, char_function
 from stab_lab.clifford import balance
-from stab_lab.gf2 import AffineMap, LinMap, nullspace, span_points
+from stab_lab.gf2 import AffineMap, LinMap, linmap_from_images, nullspace, span_points
 from stab_lab.measures import counterexample_state, stabilizer_fidelity
 from stab_lab.states import FamilySpec, StateVector, make_state
 from stab_lab.witness import (
     CONTRACT_TOL,
+    EXHAUSTIVE_MAX_N,
     PipelineError,
     _heaviest_completion,
     QuadraticPoly,
@@ -295,6 +296,41 @@ def test_symmetrize_eta_squared_law():
         ls, val = symmetrize_map(l, t)
         assert ls.is_symmetric()
         assert val >= graph_sum(t, l) ** 2 / t.N - 1e-9
+
+
+def _symmetrize_by_p_basis(l, t):
+    """Oracle for symmetrize_map: the bilinear form <., l .> written in the
+    basis (basis of Y, complement of Y), mirrored where one argument lies
+    off Y = ker(l + l^T) and zero where both do, mapped back, then the
+    heaviest completion at n <= EXHAUSTIVE_MAX_N."""
+    n = l.n
+    Y = nullspace(n, (l.add(l.transpose())).transpose().cols)
+    p_basis = list(Y.basis) + list(Y.complement_basis())
+    k = Y.dim
+    B = np.zeros((n, n), dtype=int)
+    for a in range(n):
+        for b in range(n):
+            if b < k:
+                B[a, b] = (p_basis[a] & l(p_basis[b])).bit_count() & 1
+            elif a < k:
+                B[a, b] = (p_basis[b] & l(p_basis[a])).bit_count() & 1
+    b_cols = tuple(int(sum((B[a, b] << a) for a in range(n))) for b in range(n))
+    p_inv = linmap_from_images(n, [(p, 1 << a) for a, p in enumerate(p_basis)])
+    lp = p_inv.transpose().compose(LinMap(n, b_cols).compose(p_inv))
+    if n <= EXHAUSTIVE_MAX_N:
+        lp = _heaviest_completion(l, Y, lp, t)
+    return lp
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_symmetrize_matches_p_basis_construction(n, seed, data):
+    t = char_function(random_real_states(n, 1, seed=seed)[0])
+    cols = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    l = LinMap(n, tuple(cols))
+    ls, val = symmetrize_map(l, t)
+    assert ls == _symmetrize_by_p_basis(l, t)
+    assert val == graph_sum(t, ls)
 
 
 def _completion_by_loop(l, Y, lp, t):
