@@ -26,8 +26,14 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from . import charfn, clifford, measures, states, tester, witness
-from .gf2 import doubling_stats, symp_pack
+# One BLAS thread unless the environment says otherwise, set before numpy
+# loads: every product here is small (n <= 6), and OpenBLAS's default
+# threads only add CPU time, and on a busy host they stall some products.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+from . import charfn, clifford, measures, states, tester, witness  # noqa: E402
+from .gf2 import doubling_stats, symp_pack  # noqa: E402
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -125,15 +131,18 @@ def _emit(config: ExperimentConfig, payload: dict, csv_body: Optional[str] = Non
 
 def _load_state(config: ExperimentConfig):
     if config.state_file:
-        if config.family or config.n is not None:  # the header would not match
-            raise states.StateFormatError("--state excludes --family and --n")
+        # the header would record inputs the state never used
+        if config.family or (config.n, config.x0, config.family_seed) != (None,) * 3:
+            raise states.StateFormatError(
+                "--state excludes --family, --n, --x0 and --family-seed"
+            )
         with open(config.state_file) as fh:
             return states.load_state_json(fh.read())
     if config.family:
         if config.n is None:
             raise states.StateFormatError("--n is required with --family")
-        spec = states.FamilySpec(kind=config.family, n=config.n, x0=config.x0,
-                                 seed=config.family_seed)
+        spec = states.FamilySpec(kind=config.family, n=config.n, x0=config.x0 or 0,
+                                 seed=config.family_seed or 0)
         return states.make_state(spec)
     raise states.StateFormatError("provide --state or --family")
 
@@ -336,8 +345,8 @@ _STATE_FLAGS = {
     # interpolate needs a stabilizer anchor, which no flag gives
     "--family": dict(choices=("basis", "uniform", "haar", "t_tensor")),
     "--n": dict(type=int, help="qubit count for --family"),
-    "--x0": dict(type=int, default=0, help="basis index for --family basis"),
-    "--family-seed": dict(type=int, default=0),
+    "--x0": dict(type=int, help="basis index for --family basis (default 0)"),
+    "--family-seed": dict(type=int, help="seed for --family haar (default 0)"),
 }
 # build_parser gives --seed its default, STABLAB_SEED.
 _SEED = {"--seed": dict(type=int)}
@@ -426,7 +435,12 @@ def main(argv: Optional[list] = None) -> int:
     config = _config_from_args(args)
     body, reads_state, _ = _COMMANDS[config.command]
     try:
-        body(config, _load_state(config).normalized() if reads_state else None)
+        state = _load_state(config).normalized() if reads_state else None
+        if reads_state:  # the header records the family defaults
+            config = dataclasses.replace(
+                config, x0=config.x0 or 0, family_seed=config.family_seed or 0
+            )
+        body(config, state)
     except _INVARIANT_ERRORS as exc:
         print(f"internal-consistency failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -41,33 +41,76 @@ class BalanceError(RuntimeError):
         self.best_moment = best_moment
 
 
-@dataclass(frozen=True)
-class CliffordCircuit:
-    n: int
-    gates: tuple[tuple, ...]  # ("H", i) | ("S", i) | ("Z", i) | ("CNOT", i, j)
+MAX_CIRCUIT_QUBITS = 15  # n^2 + 2n gate codes fit in one byte
 
-    def __post_init__(self):
-        for gate in self.gates:
-            name = gate[0]
-            if name not in ("H", "S", "Z", "CNOT"):
-                raise GateError(f"unknown gate {name}")
-            if any(q >= self.n or q < 0 for q in gate[1:]):
-                raise GateError(f"gate {gate} is out of range for n={self.n}")
-            if name == "CNOT" and gate[1] == gate[2]:
-                raise GateError("CNOT needs distinct qubits")
+
+@functools.lru_cache(maxsize=None)
+def _gate_codes(n: int) -> tuple[tuple[tuple, ...], dict, np.ndarray]:
+    """The n-qubit gate table in code order, H_i, Z_i, S_i, then CNOT_ij for
+    i != j; its inverse {gate: code}; and the codes of the real gates, in
+    table order, as uint8."""
+    if not 0 <= n <= MAX_CIRCUIT_QUBITS:
+        raise GateError(f"circuits are capped at n = {MAX_CIRCUIT_QUBITS}, got {n}")
+    table = [(name, i) for name in ("H", "Z", "S") for i in range(n)]
+    table += [("CNOT", i, j) for i in range(n) for j in range(n) if i != j]
+    real = [k for k, gate in enumerate(table) if gate[0] != "S"]
+    return tuple(table), {g: k for k, g in enumerate(table)}, np.array(real, np.uint8)
+
+
+@dataclass(frozen=True, init=False, slots=True)
+class CliffordCircuit:
+    """A gate word on n qubits; gates are ("H", i) | ("S", i) | ("Z", i) |
+    ("CNOT", i, j). The word holds one byte per gate, its code in the
+    n-qubit gate table."""
+
+    n: int
+    word: bytes
+
+    def __init__(self, n: int, gates=()):
+        _, codes, _ = _gate_codes(n)
+        word = bytearray()
+        for gate in gates:
+            code = codes.get(tuple(gate))
+            if code is None:
+                name = gate[0]
+                if name not in ("H", "S", "Z", "CNOT"):
+                    raise GateError(f"unknown gate {name}")
+                if any(q >= n or q < 0 for q in gate[1:]):
+                    raise GateError(f"gate {gate} is out of range for n={n}")
+                if name == "CNOT" and gate[1] == gate[2]:
+                    raise GateError("CNOT needs distinct qubits")
+                raise GateError(f"malformed gate {gate}")
+            word.append(code)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "word", bytes(word))
+
+    @classmethod
+    def _from_word(cls, n: int, word: bytes) -> "CliffordCircuit":
+        """A circuit from gate codes that are valid by construction."""
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "n", n)
+        object.__setattr__(circuit, "word", word)
+        return circuit
+
+    @property
+    def gates(self) -> tuple[tuple, ...]:
+        table = _gate_codes(self.n)[0]
+        return tuple(table[k] for k in self.word)
+
+    def __repr__(self) -> str:
+        return f"CliffordCircuit(n={self.n}, gates={self.gates!r})"
 
     def is_real(self) -> bool:
         return all(g[0] != "S" for g in self.gates)
 
     def inverse(self) -> "CliffordCircuit":
-        inv = []
+        _, codes, _ = _gate_codes(self.n)
+        inv = bytearray()
         for gate in reversed(self.gates):
-            if gate[0] == "S":
-                # S^-1 = Z S
-                inv.extend([("S", gate[1]), ("Z", gate[1])])
-            else:
-                inv.append(gate)  # H, Z, CNOT are involutions
-        return CliffordCircuit(self.n, tuple(inv))
+            inv.append(codes[gate])
+            if gate[0] == "S":  # S^-1 = Z S; H, Z, CNOT are involutions
+                inv.append(codes[("Z", gate[1])])
+        return CliffordCircuit._from_word(self.n, bytes(inv))
 
 
 def apply_clifford(circuit: CliffordCircuit, state: StateVector) -> StateVector:
@@ -126,14 +169,12 @@ def random_real_clifford(
         raise GateError("need at least one qubit")
     if depth is None:
         depth = 40 * n * n
-    rng = np.random.default_rng(seed)
-    pool: list[tuple] = [("H", i) for i in range(n)] + [("Z", i) for i in range(n)]
-    pool += [("CNOT", i, j) for i in range(n) for j in range(n) if i != j]
-    picks = rng.integers(0, len(pool), size=depth)
-    return CliffordCircuit(n, tuple(pool[k] for k in picks))
+    real = _gate_codes(n)[2]
+    picks = np.random.default_rng(seed).integers(0, len(real), size=depth)
+    return CliffordCircuit._from_word(n, real[picks].tobytes())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilizerState:
     """Canonical form over affine support offset + span(basis).
 

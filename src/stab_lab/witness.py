@@ -15,7 +15,8 @@ optimum is at least as good as any covered map, so downstream bounds apply
 unchanged. The search scores all 2^(n^2 + n) maps in one recursion over
 sub-cubes of y (about 1.2M array adds at n = 4), then breaks ties by the
 sequential float sum over y = 0..N-1, so that rounding, not the recursion's
-tree order, decides between near-equal maps.
+tree order, decides between near-equal maps. At n = 5, 6 a seeded hill climb
+takes its place, each sweep of single-bit flips scored as one gather.
 """
 
 from __future__ import annotations
@@ -161,7 +162,17 @@ def best_affine_map(t: CharTable) -> tuple[AffineMap, float]:
     orders differ by about N^2 * eps * max, far less); each nominee is
     rescored by the sequential sum, and the first exact maximum wins. The
     rescoring takes RESCORE_CHUNK nominees at a time, so even a flat table,
-    which nominates every map, peaks at about 18 MB at n = 4."""
+    which nominates every map, peaks at about 18 MB at n = 4.
+
+    The hill climb starts from the zero map and HILL_CLIMB_RESTARTS - 1
+    seeded random maps. A sweep tries the n^2 + n single-bit flips in order
+    (column j, bit b ascending, then the shift bits) and keeps each flip that
+    beats the current value by more than 1e-12; sweeps repeat until one keeps
+    nothing, and a later restart must beat the best by as much. A sweep
+    scores all its remaining flips in one gather and row sum, takes the first
+    improvement, and rescores only the flips after it, from the new map. That
+    replays the one-flip-at-a-time loop bit for bit, since a row sum rounds
+    like the sum over one gathered graph (tested)."""
     n, N = t.n, t.N
     if n > EXHAUSTIVE_MAX_N:
         return _hill_climb_affine(t)
@@ -192,39 +203,51 @@ def best_affine_map(t: CharTable) -> tuple[AffineMap, float]:
 
 
 def _hill_climb_affine(t: CharTable) -> tuple[AffineMap, float]:
+    """First-improvement hill climb over single-bit flips, with seeded
+    restarts; see best_affine_map for the sweep and its replay rule.
+
+    A map is held as the flat positions pos[y] = y * N + l(y) + c of its
+    graph in t.f. Flipping bit b of column j XORs deltas[j * n + b][y] =
+    y_j << b into pos, and flipping shift bit b XORs deltas[n * n + b] =
+    1 << b; neither reaches the y * N part."""
     n, N = t.n, t.N
     rng = np.random.default_rng(0)
-    yidx = np.arange(N)
+    flat = t.f.ravel()
+    rows = np.arange(N) * N
+    unit = 1 << np.arange(n)
+    y_bits = (np.arange(N) >> np.arange(n)[:, None]) & 1  # [j, y]
+    deltas = np.concatenate([
+        (y_bits[:, None, :] * unit[:, None]).reshape(n * n, N),
+        np.broadcast_to(unit[:, None], (n, N)),
+    ])
 
-    def value(cols: list[int], shift: int) -> float:
-        return float(t.f[yidx, span_points(cols) ^ shift].sum())
-
-    best_cols, best_shift = [0] * n, 0
-    best_val = value(best_cols, best_shift)
+    best_pos = rows
+    best_val = float(flat[best_pos].sum())
     for restart in range(HILL_CLIMB_RESTARTS):
         if restart == 0:
-            cols, shift = [0] * n, 0
+            pos = rows
         else:
-            cols = [int(c) for c in rng.integers(0, N, size=n)]
-            shift = int(rng.integers(0, N))
-        val = value(cols, shift)
+            cols = rng.integers(0, N, size=n)
+            pos = rows + (span_points(cols) ^ int(rng.integers(0, N)))
+        val = float(flat[pos].sum())
         improved = True
         while improved:
-            improved = False
-            for j in range(n):
-                for b in range(n):
-                    cand = list(cols)
-                    cand[j] ^= 1 << b
-                    v = value(cand, shift)
-                    if v > val + 1e-12:
-                        cols, val, improved = cand, v, True
-            for b in range(n):
-                v = value(cols, shift ^ (1 << b))
-                if v > val + 1e-12:
-                    shift, val, improved = shift ^ (1 << b), v, True
+            improved, k = False, 0
+            while k < len(deltas):
+                cand = pos ^ deltas[k:]
+                vals = flat[cand].sum(axis=1)
+                better = np.flatnonzero(vals > val + 1e-12)
+                if not len(better):
+                    break
+                h = int(better[0])
+                pos, val, improved = cand[h], float(vals[h]), True
+                k += h + 1
         if val > best_val + 1e-12:
-            best_cols, best_shift, best_val = cols, shift, val
-    return AffineMap(LinMap(n, tuple(best_cols)), best_shift), best_val
+            best_pos, best_val = pos, val
+    img = best_pos - rows
+    shift = int(img[0])
+    cols = tuple(int(img[1 << j]) ^ shift for j in range(n))
+    return AffineMap(LinMap(n, cols), shift), best_val
 
 
 def drop_shift(amap: AffineMap, t: CharTable) -> tuple[LinMap, float]:
@@ -322,7 +345,7 @@ def zero_diagonal_map(l: LinMap, t: CharTable) -> tuple[LinMap, float]:
 # Quadratic phase extraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuadraticPoly:
     """q(x) = sum_{i<j} M_ij x_i x_j + <alpha, x> over F2, M strict upper."""
 
@@ -394,7 +417,7 @@ def extract_quadratic(
 # Full pipeline
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PipelineTrace:
     n: int
     gamma: float  # gowers3 of the input

@@ -396,6 +396,8 @@ def test_artifacts_follow_umask(tmp_path):
         ["measures", "--family", "t_tensor", "--n", "1", "--seed", "3"],
         ["rank", "--state", "F", "--family", "haar", "--n", "2"],
         ["fidelity", "--state", "F", "--n", "2"],
+        ["rank", "--state", "F", "--x0", "5"],
+        ["rank", "--state", "F", "--family-seed", "7"],
     ],
 )
 def test_bad_arguments_exit_2(argv, t_state_file):

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import random_states
 from stab_lab.clifford import (
+    MAX_CIRCUIT_QUBITS,
     BalanceError,
     CliffordCircuit,
     GateError,
@@ -79,6 +80,10 @@ def test_circuit_validation():
         CliffordCircuit(1, (("H", 1),))
     with pytest.raises(GateError):
         CliffordCircuit(2, (("CNOT", 1, 1),))
+    with pytest.raises(GateError, match="malformed"):
+        CliffordCircuit(2, (("H",),))
+    with pytest.raises(GateError, match="capped"):
+        CliffordCircuit(MAX_CIRCUIT_QUBITS + 1, ())
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -97,6 +102,34 @@ def test_real_circuits_stay_real():
     out = apply_clifford(circuit, state)
     assert np.abs(out.g.imag).max() < 1e-12
     assert out.is_normalized(1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_circuit_word_round_trip(n):
+    rng = random.Random(n)
+    names = ["H", "Z", "S"] + (["CNOT"] if n > 1 else [])
+    gates = []
+    for _ in range(200):
+        name = rng.choice(names)
+        qubits = rng.sample(range(n), 2) if name == "CNOT" else [rng.randrange(n)]
+        gates.append((name, *qubits))
+    circuit = CliffordCircuit(n, gates)
+    assert circuit.gates == tuple(gates)
+    assert len(circuit.word) == len(gates)
+    assert circuit == CliffordCircuit(n, tuple(gates))
+    assert hash(circuit) == hash(CliffordCircuit(n, tuple(gates)))
+    assert circuit.is_real() == ("S" not in {g[0] for g in gates})
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_random_real_clifford_draws_from_the_real_pool(n):
+    # The pool order H_i, Z_i, CNOT_ij fixes every seeded word.
+    pool = [("H", i) for i in range(n)] + [("Z", i) for i in range(n)]
+    pool += [("CNOT", i, j) for i in range(n) for j in range(n) if i != j]
+    for seed in range(3):
+        picks = np.random.default_rng(seed).integers(0, len(pool), size=40 * n * n)
+        want = tuple(pool[k] for k in picks)
+        assert random_real_clifford(n, seed=seed).gates == want
 
 
 def test_random_real_clifford_deterministic():

@@ -17,6 +17,7 @@ from stab_lab.states import FamilySpec, StateVector, make_state
 from stab_lab.witness import (
     CONTRACT_TOL,
     EXHAUSTIVE_MAX_N,
+    HILL_CLIMB_RESTARTS,
     PipelineError,
     _heaviest_completion,
     QuadraticPoly,
@@ -192,11 +193,11 @@ def _assert_same_search(t):
 
 
 @st.composite
-def random_tables(draw, n_max):
+def random_tables(draw, n_max, n_min=1):
     """Nonnegative tables. Half are quantized to quarters, which forces exact
     ties; a quarter sit within a few ulps of 1, where sums in different
     orders round differently."""
-    n = draw(st.integers(1, n_max))
+    n = draw(st.integers(n_min, n_max))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (1 << n, 1 << n)
     kind = draw(st.sampled_from(["plain", "quarters", "quarters", "ulps"]))
@@ -246,6 +247,89 @@ def test_best_affine_map_constant_table_n4_stays_small():
     assert amap == AffineMap(LinMap.zero(4), 0)
     assert val == _enumerate_affine_maps(t)[1]
     assert peak < 64 * 2**20
+
+
+def _hill_climb_oracle(t):
+    """The one-map hill climb: each flip of a sweep is scored by its own
+    gather and sum, in order, from the map as the sweep left it."""
+    n, N = t.n, t.N
+    rng = np.random.default_rng(0)
+    yidx = np.arange(N)
+
+    def value(cols, shift):
+        return float(t.f[yidx, span_points(cols) ^ shift].sum())
+
+    best_cols, best_shift = [0] * n, 0
+    best_val = value(best_cols, best_shift)
+    for restart in range(HILL_CLIMB_RESTARTS):
+        if restart == 0:
+            cols, shift = [0] * n, 0
+        else:
+            cols = [int(c) for c in rng.integers(0, N, size=n)]
+            shift = int(rng.integers(0, N))
+        val = value(cols, shift)
+        improved = True
+        while improved:
+            improved = False
+            for j in range(n):
+                for b in range(n):
+                    cand = list(cols)
+                    cand[j] ^= 1 << b
+                    v = value(cand, shift)
+                    if v > val + 1e-12:
+                        cols, val, improved = cand, v, True
+            for b in range(n):
+                v = value(cols, shift ^ (1 << b))
+                if v > val + 1e-12:
+                    shift, val, improved = shift ^ (1 << b), v, True
+        if val > best_val + 1e-12:
+            best_cols, best_shift, best_val = cols, shift, val
+    return AffineMap(LinMap(n, tuple(best_cols)), best_shift), best_val
+
+
+def _assert_same_climb(t):
+    amap, val = best_affine_map(t)
+    want_map, want_val = _hill_climb_oracle(t)
+    assert amap == want_map
+    assert val.hex() == want_val.hex()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(t=random_tables(6, n_min=EXHAUSTIVE_MAX_N + 1))
+def test_hill_climb_matches_one_map_oracle(t):
+    _assert_same_climb(t)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize(
+    "state",
+    [
+        lambda n: random_states(n, 1, seed=n)[0],
+        lambda n: make_state(FamilySpec("t_tensor", n)),
+        lambda n: counterexample_state(n, 0),
+    ],
+    ids=["haar", "t_tensor", "counterexample"],
+)
+def test_hill_climb_matches_one_map_oracle_balanced(n, state):
+    _assert_same_climb(_balanced_table(state(n)))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_row_sums_round_like_one_map_sums(n):
+    # The batched sweep compares row sums of a gather with the one-map
+    # loop's sums of one gathered graph, so the two must round alike.
+    # Magnitudes spread over 16 decades make the summation order show.
+    N = 1 << n
+    rng = np.random.default_rng(n)
+    f = rng.random((N, N)) * 10.0 ** rng.uniform(-8, 8, (N, N))
+    yidx = np.arange(N)
+    for count in (1, 7, n * n + n):
+        cand = rng.integers(0, N, size=(count, N))
+        rows = f[yidx, cand].sum(axis=1)
+        for row, img in zip(rows, cand):
+            assert row.hex() == f[yidx, img].sum().hex()
+    exact = [math.fsum(f[yidx, img]) for img in cand]
+    assert list(rows) != exact
 
 
 # ---------------------------------------------------------------------------
