@@ -19,10 +19,12 @@ from stab_lab.witness import extract_stabilizer
 
 def run(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=3)
+    parser.add_argument("--n", type=int, default=3, help="qubits, 1..4")
     parser.add_argument("--seeds", type=int, default=8)
     parser.add_argument("--steps", type=int, default=6)
     args = parser.parse_args(argv)
+    if not 1 <= args.n <= 4:
+        parser.error("--n must be in 1..4 (the exhaustive fidelity's cap)")
 
     # a real anchor, so the pipeline can reach overlap 1 at eps = 0
     anchor = next(

@@ -20,7 +20,6 @@ import numpy as np
 from .gf2 import Subspace, span_points, symp_unpack
 from .states import StateVector, dot_parity, quadratic_parity, sign_table
 
-_BUILD_ROWS = 1024
 BALANCE_TRIES = 1000  # random real Cliffords balance draws before giving up
 SUPPORT_TOL = 1e-9  # amplitudes at most this large lie off the support
 
@@ -225,33 +224,37 @@ class StabilizerState:
         )
 
 
+def _amplitudes(N: int, m: int, ells, rows) -> np.ndarray:
+    """sqrt(N / 2^m) * i^<ell, y> * (-1)^Q(y) for y in range(2^m), on the
+    last axis. ells (an integer array) and the q_upper rows (m integer
+    arrays, see quadratic_parity) broadcast over the leading axes."""
+    y = np.arange(1 << m)
+    phase = np.where(dot_parity(y, ells), 1j, 1) * (1 - 2 * quadratic_parity(y, rows))
+    phase *= math.sqrt(N / (1 << m))
+    return phase
+
+
 def stabilizer_vectors(states) -> np.ndarray:
     """Row k = g-convention amplitudes of states[k] (all on the same n).
 
     Runs of consecutive states that share a support direction are built
     together: point y of state k is offset_k + span(basis)[y], with amplitude
-    sqrt(N / 2^m) * i^<ell_k, y> * (-1)^Q_k(y). Runs are cut at multiples of
-    _BUILD_ROWS states, which bounds the temporaries of the n = 4 table."""
+    sqrt(N / 2^m) * i^<ell_k, y> * (-1)^Q_k(y)."""
     N = 1 << states[0].n
     out = np.zeros((len(states), N), dtype=complex)
-    runs = itertools.groupby(
-        enumerate(states), key=lambda ks: (ks[1].basis, ks[0] // _BUILD_ROWS)
-    )
-    for (basis, _), run in runs:
-        ks, run = zip(*run)
-        m = len(basis)
-        y = np.arange(1 << m)
+    start = 0
+    for basis, run in itertools.groupby(states, key=lambda s: s.basis):
+        run = list(run)
         offsets = np.array([s.offset for s in run])[:, None]
         ells = np.array([s.ell for s in run])[:, None]
         rows = np.array([s.q_upper for s in run], dtype=np.int64).T
-        signs = 1 - 2 * quadratic_parity(y, rows)
-        phase = np.where(dot_parity(y, ells), 1j, 1) * signs
         np.put_along_axis(
-            out[ks[0] : ks[-1] + 1],
+            out[start : start + len(run)],
             offsets ^ span_points(basis),
-            math.sqrt(N / (1 << m)) * phase,
+            _amplitudes(N, len(basis), ells, rows),
             axis=1,
         )
+        start += len(run)
     return out
 
 
@@ -306,26 +309,64 @@ def stabilizer_from_statevector(state: StateVector) -> StabilizerState:
     return cand
 
 
+def _form_bits(m: int) -> int:
+    """log2 of the number of upper-triangular m x m sign forms."""
+    return m * (m + 1) // 2
+
+
+def _sign_rows(m: int, q):
+    """The q_upper rows of sign form number q (an int, or an integer array
+    for many forms). Row i ranges over the 2^(m-i) values with no bit below
+    i, in increasing order, and row m-1 varies fastest."""
+    rows = [0] * m
+    for i in reversed(range(m)):
+        q, digit = divmod(q, 1 << (m - i))
+        rows[i] = digit << i
+    return rows
+
+
 @functools.lru_cache(maxsize=None)
-def enumerate_stabilizers(n: int) -> tuple[StabilizerState, ...]:
-    """All physical n-qubit stabilizer states, each exactly once; count is
-    2^n * prod_{k=1..n}(2^k + 1)."""
+def _layout(n: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """The enumeration order: for each subspace of F2^n, in all_subspaces
+    order, the first index of its block of states, its RREF basis and its
+    sorted coset offsets. State k of a dim-m block has the mixed-radix
+    digits (offset, ell, sign form), radices (2^(n-m), 2^m, 2^(m(m+1)/2))."""
     if n > 4:
         raise ValueError("stabilizer enumeration capped at n = 4")
     from .gf2 import all_subspaces
 
-    out = []
+    out, start = [], 0
     for sub in all_subspaces(n):
-        m = sub.dim
-        offsets = sorted({sub.reduce(x) for x in range(1 << n)})
-        rowmasks = [((1 << m) - 1) & ~((1 << i) - 1) for i in range(m)]
-        for offset in offsets:
-            for ell in range(1 << m):
-                for rows in itertools.product(
-                    *[[r for r in range(1 << m) if r & ~mask == 0] for mask in rowmasks]
-                ):
-                    out.append(StabilizerState(n, offset, sub.basis, ell, rows))
+        offsets = tuple(sorted({sub.reduce(x) for x in range(1 << n)}))
+        out.append((start, sub.basis, offsets))
+        start += len(offsets) << (sub.dim + _form_bits(sub.dim))
     return tuple(out)
+
+
+def stabilizer_at(n: int, k: int) -> StabilizerState:
+    """The k-th enumerated n-qubit stabilizer state, unranked inside its
+    subspace's block of the layout."""
+    layout = _layout(n)
+    if not 0 <= k < expected_stabilizer_count(n):
+        raise IndexError(f"stabilizer index {k} out of range at n = {n}")
+    start, basis, offsets = next(b for b in reversed(layout) if b[0] <= k)
+    m = len(basis)
+    o, rest = divmod(k - start, 1 << (m + _form_bits(m)))
+    ell, q = divmod(rest, 1 << _form_bits(m))
+    return StabilizerState(n, offsets[o], basis, ell, tuple(_sign_rows(m, q)))
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_stabilizers(n: int) -> tuple[StabilizerState, ...]:
+    """All physical n-qubit stabilizer states, each exactly once, in layout
+    order; count is 2^n * prod_{k=1..n}(2^k + 1)."""
+    return tuple(
+        StabilizerState(n, offset, basis, ell, tuple(_sign_rows(len(basis), q)))
+        for _, basis, offsets in _layout(n)
+        for offset in offsets
+        for ell in range(1 << len(basis))
+        for q in range(1 << _form_bits(len(basis)))
+    )
 
 
 def expected_stabilizer_count(n: int) -> int:
@@ -337,8 +378,26 @@ def expected_stabilizer_count(n: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def stabilizer_unit_matrix(n: int) -> np.ndarray:
-    """Row k = unit-convention amplitudes of the k-th enumerated stabilizer."""
-    return stabilizer_vectors(enumerate_stabilizers(n)) / math.sqrt(1 << n)
+    """Row k = unit-convention amplitudes of the k-th enumerated stabilizer.
+
+    Built block by block from the layout, with no StabilizerState made: a
+    subspace's amplitudes over every (ell, sign form) are computed once and
+    written at each of its cosets."""
+    layout = _layout(n)
+    N = 1 << n
+    out = np.zeros((expected_stabilizer_count(n), N), dtype=complex)
+    for start, basis, offsets in layout:
+        m = len(basis)
+        rows = np.array(_sign_rows(m, np.arange(1 << _form_bits(m))), dtype=np.int64)
+        # (ell, form, y); not C-ordered, so it is written without a reshape
+        block = _amplitudes(N, m, np.arange(1 << m)[:, None, None], rows)
+        size = block.shape[0] * block.shape[1]
+        span = span_points(basis)
+        for o, offset in enumerate(offsets):
+            coset = out[start + o * size : start + (o + 1) * size]
+            coset.reshape(block.shape[:2] + (N,))[..., offset ^ span] = block
+    out /= math.sqrt(N)
+    return out
 
 
 def fourth_moment(state: StateVector) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from .charfn import char_function
 from .clifford import (
     StabilizerState,
-    enumerate_stabilizers,
+    stabilizer_at,
     stabilizer_unit_matrix,
     stabilizer_vectors,
 )
@@ -29,6 +29,7 @@ STABILIZER_FIDELITY_TOL = 1e-9
 RANK_RESIDUAL_TOL = 1e-9
 _CHUNK = 4096
 MAX_TRIALS = 100_000  # sampled subsets per (k, n) in lambda_star_scan
+MAX_GRAM_STATES = 8  # states per Gram matrix
 _PAIR_ROWS = 64  # rows of i per block of the rank search's pair sweep
 
 
@@ -113,7 +114,7 @@ def stabilizer_fidelity(state: StateVector) -> tuple[float, StabilizerState]:
     """Exact max_{s} |<s|phi>|^2 with an argmax witness, exhaustively over the
     full stabilizer enumeration (ties broken by enumeration order)."""
     fid, best = _fidelity_scan(state)
-    return fid, enumerate_stabilizers(state.n)[best]
+    return fid, stabilizer_at(state.n, best)
 
 
 def _first_hit(
@@ -254,8 +255,10 @@ def gram_lambda_min(
     """Exact Gram matrix of the given stabilizer states and its minimum
     eigenvalue; lambda_min below 1e-9 flags a singular (dependent) family."""
     k = len(states)
-    if not 1 <= k <= 8:
-        raise MeasureError("Gram machinery supports 1 <= k <= 8 states")
+    if not 1 <= k <= MAX_GRAM_STATES:
+        raise MeasureError(
+            f"Gram machinery supports 1 <= k <= {MAX_GRAM_STATES} states"
+        )
     n = states[0].n
     vecs = stabilizer_vectors(states) / math.sqrt(1 << n)
     entries = vecs.conj() @ vecs.T
@@ -287,13 +290,22 @@ def lambda_star_scan(
     seed: int = 0,
 ) -> list[ScanRow]:
     """Minimum lambda_min over nonsingular Gram matrices of k distinct
-    enumerated stabilizers, per (k, n). Exhaustive mode is budget-limited to
-    (k <= 3, n <= 2) and (k = 2, n <= 3); sampled mode draws seeded random
-    subsets, 1 <= trials <= MAX_TRIALS of them per (k, n)."""
+    enumerated stabilizers, per (k, n), for k <= MAX_GRAM_STATES and n <= 4.
+    Exhaustive mode is budget-limited to (k <= 3, n <= 2) and (k = 2,
+    n <= 3); sampled mode draws seeded random subsets, 1 <= trials <=
+    MAX_TRIALS of them per (k, n). A row with no nonsingular subset has
+    min_lambda inf and no witness; in sampled mode a k above the number of
+    states at n draws no subset (samples 0)."""
     if mode not in ("exhaustive", "sampled"):
         raise MeasureError(f"unknown scan mode {mode!r}")
     if k_max < 1 or n_max < 1:
         raise MeasureError("k_max and n_max must be at least 1")
+    if k_max > MAX_GRAM_STATES:
+        raise MeasureError(
+            f"k_max must be at most {MAX_GRAM_STATES} (the Gram machinery's cap)"
+        )
+    if n_max > 4:
+        raise MeasureError("n_max must be at most 4 (the stabilizer table's cap)")
     if mode == "sampled" and not 1 <= trials <= MAX_TRIALS:
         raise MeasureError(f"trials must be in [1, {MAX_TRIALS}]")
     rows = []
@@ -312,6 +324,8 @@ def lambda_star_scan(
                     )
                 combos_iter = itertools.combinations(range(len(S)), k)
                 samples = 0
+            elif k > len(S):
+                combos_iter, samples = iter(()), 0
             else:
                 picks = [
                     tuple(sorted(rng.choice(len(S), size=k, replace=False)))

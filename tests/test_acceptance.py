@@ -25,6 +25,7 @@ from stab_lab.clifford import (
     random_real_clifford,
     stabilizer_to_statevector,
     stabilizer_unit_matrix,
+    stabilizer_vectors,
 )
 from stab_lab.gf2 import Subspace, dot, symplectic_form
 from stab_lab.measures import (
@@ -125,8 +126,8 @@ def test_criterion_01_identity_suite():
     for state in _mixed_corpus(per_n=25, seed=0):
         _check_identities(state, xor_cache, rng)
     for n in range(1, 5):
-        for s in enumerate_stabilizers(n):
-            t = char_function(stabilizer_to_statevector(s))
+        for g in stabilizer_vectors(enumerate_stabilizers(n)):
+            t = char_function(StateVector(n, g))
             flat = t.flat()
             M = len(flat)
             assert abs(flat.sum() / t.N - 1.0) < TOL

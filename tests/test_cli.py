@@ -103,6 +103,18 @@ def test_gram_scan_csv(tmp_path):
     assert np.isclose(float(row21.split(",")[2]), 1 - 1 / math.sqrt(2))
 
 
+def test_gram_scan_sampled_k_above_state_count(tmp_path):
+    # n = 1 has 6 stabilizer states, so k = 7 draws no subset; k = 3..6
+    # exceed 2^n and draw subsets that are all singular
+    out = tmp_path / "scan.csv"
+    assert run(
+        ["gram-scan", "--k", "7", "--nmax", "1", "--mode", "sampled",
+         "--trials", "5", "--out", str(out)]
+    ) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert lines[-2:] == ["6,1,,,0,5", "7,1,,,0,0"]
+
+
 def test_extract_stabilizer_trace(t_state_file, tmp_path):
     out = tmp_path / "x.json"
     assert run(
@@ -398,6 +410,8 @@ def test_artifacts_follow_umask(tmp_path):
         ["fidelity", "--state", "F", "--n", "2"],
         ["rank", "--state", "F", "--x0", "5"],
         ["rank", "--state", "F", "--family-seed", "7"],
+        ["gram-scan", "--k", "2", "--nmax", "5", "--mode", "sampled"],
+        ["gram-scan", "--k", "9", "--nmax", "2", "--mode", "sampled"],
     ],
 )
 def test_bad_arguments_exit_2(argv, t_state_file):

@@ -1,13 +1,17 @@
 """Clifford circuits, Weyl operators, and the stabilizer canonical form."""
 
+import functools
+import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_states
+from stab_lab import clifford
 from stab_lab.clifford import (
     MAX_CIRCUIT_QUBITS,
     BalanceError,
@@ -21,12 +25,14 @@ from stab_lab.clifford import (
     expected_stabilizer_count,
     fourth_moment,
     random_real_clifford,
+    stabilizer_at,
     stabilizer_from_statevector,
     stabilizer_to_statevector,
     stabilizer_unit_matrix,
+    stabilizer_vectors,
     weyl_expectation,
 )
-from stab_lab.gf2 import dot
+from stab_lab.gf2 import all_subspaces, dot
 from stab_lab.states import FamilySpec, StateVector, make_state
 
 
@@ -178,6 +184,73 @@ def test_stabilizer_counts():
     assert len(enumerate_stabilizers(1)) == 6
     assert len(enumerate_stabilizers(2)) == 60
     assert len(enumerate_stabilizers(3)) == 1080
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_enumeration(n):
+    """The nested-loop enumerator: subspaces in all_subspaces order, then the
+    sorted coset offsets, ell, and the q_upper rows in itertools.product
+    order (row i over the values with no bit below i)."""
+    out = []
+    for sub in all_subspaces(n):
+        m = sub.dim
+        offsets = sorted({sub.reduce(x) for x in range(1 << n)})
+        rowmasks = [((1 << m) - 1) & ~((1 << i) - 1) for i in range(m)]
+        for offset in offsets:
+            for ell in range(1 << m):
+                for rows in itertools.product(
+                    *[[r for r in range(1 << m) if r & ~mask == 0] for mask in rowmasks]
+                ):
+                    out.append(StabilizerState(n, offset, sub.basis, ell, rows))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unit_matrix_bytes_equal_oracle(n):
+    oracle = stabilizer_vectors(oracle_enumeration(n)) / math.sqrt(1 << n)
+    assert stabilizer_unit_matrix(n).tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stabilizer_at_matches_enumeration(n):
+    states = enumerate_stabilizers(n)
+    assert states == oracle_enumeration(n)
+    assert tuple(stabilizer_at(n, k) for k in range(len(states))) == states
+    for k in (-1, len(states)):
+        with pytest.raises(IndexError):
+            stabilizer_at(n, k)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (enumerate_stabilizers, "stabilizer enumeration capped at n = 4"),
+        (stabilizer_unit_matrix, "stabilizer enumeration capped at n = 4"),
+        (lambda n: stabilizer_at(n, 0), "stabilizer enumeration capped at n = 4"),
+        (all_subspaces, "subspace enumeration capped at n = 4"),
+    ],
+)
+def test_enumeration_capped_at_n4(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(5)
+
+
+def test_cold_unit_matrix_memory():
+    # the table is filled block by block from the layout: no StabilizerState
+    # is made, and the largest block (m = 4, 4 MiB) is the build's one big
+    # temporary
+    MiB = 1 << 20
+    for cached in (stabilizer_unit_matrix, enumerate_stabilizers, clifford._layout):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        table = stabilizer_unit_matrix(4)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained <= table.nbytes + MiB
+    assert peak < 14 * MiB
+    assert enumerate_stabilizers.cache_info().currsize == 0
 
 
 def test_stabilizer_enumeration_is_duplicate_free():

@@ -321,6 +321,10 @@ def test_lambda_star_scan_budget_and_sampled():
     for k_max, n_max in ((0, 1), (2, 0)):
         with pytest.raises(MeasureError):
             lambda_star_scan(k_max, n_max)
+    # the caps are checked before any table is built (n = 5 has none)
+    for k_max, n_max in ((9, 1), (2, 5)):
+        with pytest.raises(MeasureError):
+            lambda_star_scan(k_max, n_max, "sampled")
     for trials in (-5, 0, MAX_TRIALS + 1):
         with pytest.raises(MeasureError):
             lambda_star_scan(2, 1, "sampled", trials=trials)
@@ -392,6 +396,7 @@ def test_measure_report_witness_index(n):
         report = measure_report(state)
         assert report.fidelity == fid
         assert report.fidelity_witness == table.index(wit)
+        assert wit == table[report.fidelity_witness]
         overlap = stabilizer_to_statevector(wit).overlap_sq(state)
         assert np.isclose(overlap, fid, atol=1e-12)
 
