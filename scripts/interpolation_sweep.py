@@ -25,6 +25,10 @@ def run(argv=None):
     args = parser.parse_args(argv)
     if not 1 <= args.n <= 4:
         parser.error("--n must be in 1..4 (the exhaustive fidelity's cap)")
+    if args.seeds < 1:
+        parser.error("--seeds must be >= 1")
+    if args.steps < 1:
+        parser.error("--steps must be >= 1")
 
     # a real anchor, so the pipeline can reach overlap 1 at eps = 0
     anchor = next(

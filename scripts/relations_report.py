@@ -19,6 +19,8 @@ def run(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", help="JSON output file (stdout if omitted)")
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
 
     report = relations_experiment(relations_corpus(args.seed), seed=args.seed)
 

@@ -56,6 +56,33 @@ def _gate_codes(n: int) -> tuple[tuple[tuple, ...], dict, np.ndarray]:
     return tuple(table), {g: k for k, g in enumerate(table)}, np.array(real, np.uint8)
 
 
+@functools.lru_cache(maxsize=None)
+def _gate_kernels(n: int) -> tuple:
+    """Per gate code, the index arrays its gate acts through: for H_i the
+    pair (lo, hi) of the indices with bit i clear and set, for Z_i and S_i
+    that same hi, and for CNOT_ij the gather x -> x ^ (x_i << j)."""
+    idx = np.arange(1 << n)
+    kernels = []
+    for gate in _gate_codes(n)[0]:
+        if gate[0] == "CNOT":
+            c, t = gate[1:]
+            kernels.append(idx ^ (((idx >> c) & 1) << t))
+        else:
+            high = (idx >> gate[1]) & 1 == 1
+            kernels.append((idx[~high], idx[high]) if gate[0] == "H" else idx[high])
+    return tuple(kernels)
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_codes(n: int) -> tuple[bytes, ...]:
+    """Per gate code, the word of its inverse gate: S_i^-1 = Z_i S_i is S_i
+    then Z_i; H, Z and CNOT are involutions."""
+    return tuple(
+        bytes([k, k - n]) if 2 * n <= k < 3 * n else bytes([k])
+        for k in range(len(_gate_codes(n)[0]))
+    )
+
+
 @dataclass(frozen=True, init=False, slots=True)
 class CliffordCircuit:
     """A gate word on n qubits; gates are ("H", i) | ("S", i) | ("Z", i) |
@@ -100,42 +127,43 @@ class CliffordCircuit:
         return f"CliffordCircuit(n={self.n}, gates={self.gates!r})"
 
     def is_real(self) -> bool:
-        return all(g[0] != "S" for g in self.gates)
+        return not any(k in self.word for k in range(2 * self.n, 3 * self.n))
 
     def inverse(self) -> "CliffordCircuit":
-        _, codes, _ = _gate_codes(self.n)
-        inv = bytearray()
-        for gate in reversed(self.gates):
-            inv.append(codes[gate])
-            if gate[0] == "S":  # S^-1 = Z S; H, Z, CNOT are involutions
-                inv.append(codes[("Z", gate[1])])
-        return CliffordCircuit._from_word(self.n, bytes(inv))
+        if self.is_real():
+            return CliffordCircuit._from_word(self.n, self.word[::-1])
+        inv = _inverse_codes(self.n)
+        word = b"".join([inv[k] for k in reversed(self.word)])
+        return CliffordCircuit._from_word(self.n, word)
 
 
 def apply_clifford(circuit: CliffordCircuit, state: StateVector) -> StateVector:
-    if circuit.n != state.n:
+    """circuit |state>, one gate code of the word at a time through the
+    n-qubit kernel table (_gate_kernels): H_i rewrites its (lo, hi) halves
+    as ((a + b) / sqrt 2, (a - b) / sqrt 2), Z_i and S_i scale the hi half by
+    -1 and i, and CNOT gathers through its permutation. The arithmetic is
+    that of applying each decoded gate with freshly built index arrays, so
+    the amplitudes equal that loop's bit for bit
+    (test_apply_clifford_equals_gate_loop_oracle)."""
+    n = circuit.n
+    if n != state.n:
         raise GateError("circuit and state sizes differ")
+    kernels = _gate_kernels(n)
     g = np.array(state.g, dtype=complex)
-    N = state.N
-    idx = np.arange(N)
-    for gate in circuit.gates:
-        if gate[0] == "H":
-            q = 1 << gate[1]
-            lo = (idx & q) == 0
-            a, b = g[idx[lo]], g[idx[lo] | q]
-            g[idx[lo]] = (a + b) / math.sqrt(2)
-            g[idx[lo] | q] = (a - b) / math.sqrt(2)
-        elif gate[0] == "Z":
-            q = 1 << gate[1]
-            g[(idx & q) != 0] *= -1
-        elif gate[0] == "S":
-            q = 1 << gate[1]
-            g[(idx & q) != 0] *= 1j
-        else:  # CNOT control -> target, |x> -> |x ^ (x_c << t)>
-            c, t = gate[1], gate[2]
-            perm = idx ^ (((idx >> c) & 1) << t)
-            g = g[perm]
-    return StateVector(state.n, g)
+    for k in circuit.word:
+        kernel = kernels[k]
+        if k >= 3 * n:  # CNOT
+            g = g[kernel]
+        elif k < n:  # H
+            lo, hi = kernel
+            a, b = g[lo], g[hi]
+            g[lo] = (a + b) / math.sqrt(2)
+            g[hi] = (a - b) / math.sqrt(2)
+        elif k < 2 * n:  # Z
+            g[kernel] *= -1
+        else:  # S
+            g[kernel] *= 1j
+    return StateVector(n, g)
 
 
 def apply_weyl(state: StateVector, z: int) -> StateVector:
@@ -168,6 +196,8 @@ def random_real_clifford(
         raise GateError("need at least one qubit")
     if depth is None:
         depth = 40 * n * n
+    if depth < 0:
+        raise GateError(f"circuit depth must be >= 0, got {depth}")
     real = _gate_codes(n)[2]
     picks = np.random.default_rng(seed).integers(0, len(real), size=depth)
     return CliffordCircuit._from_word(n, real[picks].tobytes())

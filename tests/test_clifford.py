@@ -79,6 +79,105 @@ def test_apply_clifford_matches_dense_oracle(seed):
     assert np.allclose(out.unit(), vec)
 
 
+def _apply_clifford_oracle(circuit, state):
+    """The gate-at-a-time loop apply_clifford's kernel table replaced, kept
+    verbatim: fresh index arrays and masks per decoded gate."""
+    if circuit.n != state.n:
+        raise GateError("circuit and state sizes differ")
+    g = np.array(state.g, dtype=complex)
+    N = state.N
+    idx = np.arange(N)
+    for gate in circuit.gates:
+        if gate[0] == "H":
+            q = 1 << gate[1]
+            lo = (idx & q) == 0
+            a, b = g[idx[lo]], g[idx[lo] | q]
+            g[idx[lo]] = (a + b) / math.sqrt(2)
+            g[idx[lo] | q] = (a - b) / math.sqrt(2)
+        elif gate[0] == "Z":
+            q = 1 << gate[1]
+            g[(idx & q) != 0] *= -1
+        elif gate[0] == "S":
+            q = 1 << gate[1]
+            g[(idx & q) != 0] *= 1j
+        else:  # CNOT control -> target, |x> -> |x ^ (x_c << t)>
+            c, t = gate[1], gate[2]
+            perm = idx ^ (((idx >> c) & 1) << t)
+            g = g[perm]
+    return StateVector(state.n, g)
+
+
+def _inverse_oracle(circuit):
+    """The decode-based inverse: gates reversed, S_i followed by Z_i."""
+    gates = []
+    for gate in reversed(circuit.gates):
+        gates.append(gate)
+        if gate[0] == "S":
+            gates.append(("Z", gate[1]))
+    return CliffordCircuit(circuit.n, gates)
+
+
+def _is_real_oracle(circuit):
+    return all(g[0] != "S" for g in circuit.gates)
+
+
+def _full_table_word(n, seed, depth=120):
+    """A seeded word over every gate code of the n-qubit table, S included."""
+    picks = np.random.default_rng(seed).integers(0, n * n + 2 * n, size=depth)
+    return CliffordCircuit._from_word(n, picks.astype(np.uint8).tobytes())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_apply_clifford_equals_gate_loop_oracle(n):
+    for seed in range(8):
+        circuit = _full_table_word(n, seed)
+        state = random_states(n, 1, seed=seed)[0]
+        out = apply_clifford(circuit, state)
+        assert np.array_equal(out.g, _apply_clifford_oracle(circuit, state).g)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_apply_clifford_equals_oracle_on_default_real_words(n):
+    for seed in range(3):
+        circuit = random_real_clifford(n, seed=seed)
+        state = random_states(n, 1, seed=seed)[0]
+        out = apply_clifford(circuit, state)
+        assert np.array_equal(out.g, _apply_clifford_oracle(circuit, state).g)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_balance_equals_balance_through_oracle(n, monkeypatch):
+    # Haar states mostly pass as they are; a Haar state leaning on one basis
+    # vector needs drawn circuits and keeps generic amplitudes.
+    states = random_states(n, 3, seed=n)
+    lean = states[0].unit() + 2.0 * np.eye(1 << n)[1]
+    states.append(StateVector.from_unit(lean / np.linalg.norm(lean)))
+    results = [balance(state, seed=n) for state in states]
+    assert any(circuit.word for circuit, _ in results)
+    monkeypatch.setattr(clifford, "apply_clifford", _apply_clifford_oracle)
+    for state, (circuit, out) in zip(states, results):
+        want_circuit, want = balance(state, seed=n)
+        assert circuit == want_circuit
+        assert np.array_equal(out.g, want.g)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inverse_and_is_real_match_decode_oracles(n):
+    real = random_real_clifford(n, depth=60, seed=n)
+    words = [real, CliffordCircuit(n, ()), CliffordCircuit(n, (("S", n - 1),))]
+    words += [_full_table_word(n, seed, depth=60) for seed in range(6)]
+    assert any(not _is_real_oracle(c) for c in words)
+    for circuit in words:
+        assert circuit.is_real() == _is_real_oracle(circuit)
+        assert circuit.inverse() == _inverse_oracle(circuit)
+
+
+def test_random_real_clifford_rejects_negative_depth():
+    with pytest.raises(GateError, match="depth"):
+        random_real_clifford(3, depth=-1)
+    assert random_real_clifford(3, depth=0).word == b""
+
+
 def test_circuit_validation():
     with pytest.raises(GateError):
         CliffordCircuit(1, (("X", 0),))

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).parent.parent
 
 
@@ -34,3 +36,20 @@ def test_interpolation_sweep_rejects_n_above_cap():
     proc = _run_script("interpolation_sweep.py", "--n", "5")
     assert proc.returncode == 2
     assert "--n must be in 1..4" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--seeds", "0", "--seeds must be >= 1"), ("--steps", "-1", "--steps must be >= 1")],
+)
+def test_interpolation_sweep_rejects_empty_sweeps(flag, value, message):
+    proc = _run_script("interpolation_sweep.py", "--n", "2", flag, value)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_relations_report_rejects_negative_seed():
+    proc = _run_script("relations_report.py", "--seed", "-1")
+    assert proc.returncode == 2
+    assert "--seed must be >= 0" in proc.stderr
