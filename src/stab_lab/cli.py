@@ -340,16 +340,30 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed and --family-seed: a negative seed is a usage
+    error for every state family, not only for those that hand it to numpy."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 _STATE_FLAGS = {
     "--state": dict(help="state JSON file"),
     # interpolate needs a stabilizer anchor, which no flag gives
     "--family": dict(choices=("basis", "uniform", "haar", "t_tensor")),
     "--n": dict(type=int, help="qubit count for --family"),
     "--x0": dict(type=int, help="basis index for --family basis (default 0)"),
-    "--family-seed": dict(type=int, help="seed for --family haar (default 0)"),
+    "--family-seed": dict(type=_seed, help="seed for --family haar (default 0)"),
 }
 # build_parser gives --seed its default, STABLAB_SEED.
-_SEED = {"--seed": dict(type=int)}
+_SEED = {"--seed": dict(type=_seed)}
 _SAMPLED = {**_SEED, "--shots": dict(type=int, default=10_000)}
 
 # name -> (body, reads a state, {flag: add_argument keywords}), in --help order;
@@ -403,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stab-lab",
         description="Desk-scale stabilizer complexity experiments",
     )
-    # a string default goes through type=int, so a bad value is a usage error
+    # a string default goes through type=_seed, so a bad value is a usage error
     default_seed = os.environ.get("STABLAB_SEED", "0")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, reads_state, flags) in _COMMANDS.items():

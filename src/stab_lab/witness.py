@@ -8,15 +8,15 @@ zero-diagonal linear map, and lift that map to a full-support quadratic-phase
 stabilizer. Each rounding stage carries a runtime-checked inequality, so a
 successful run certifies its own overlap bound.
 
-The approximately-linear structure is found by direct exhaustive search over
-affine maps (feasible at n <= 4) rather than by additive-combinatorics
-covering arguments, whose constants are vacuous at this scale; the exhaustive
-optimum is at least as good as any covered map, so downstream bounds apply
-unchanged. The search scores all 2^(n^2 + n) maps in one recursion over
-sub-cubes of y (about 1.2M array adds at n = 4), then breaks ties by the
-sequential float sum over y = 0..N-1, so that rounding, not the recursion's
-tree order, decides between near-equal maps. At n = 5, 6 a seeded hill climb
-takes its place, each sweep of single-bit flips scored as one gather.
+The approximately-linear structure is found by direct exhaustive search
+rather than by additive-combinatorics covering arguments, whose constants are
+vacuous at this scale. At n <= 4 the search scores all 2^(n^2 + n) affine
+maps in one recursion over sub-cubes of y, ties going by the sequential float
+sum over y = 0..N-1; the optimum is at least as good as any covered map, so
+downstream bounds apply unchanged. At n = 5, 6 it scores every symmetric
+zero-diagonal map (1,024 and 32,768), the class the last rounding stage lands
+in: no covered map ends that stage heavier, and each later stage maps its
+input to itself.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .states import (
 
 CONTRACT_TOL = 1e-9
 EXHAUSTIVE_MAX_N = 4
-HILL_CLIMB_RESTARTS = 64
 RESCORE_CHUNK = 1 << 12  # nominees rescored per gather in best_affine_map
 
 
@@ -141,15 +140,13 @@ def graph_sum(t: CharTable, mapping) -> float:
 
 
 def best_affine_map(t: CharTable) -> tuple[AffineMap, float]:
-    """Maximize sum_{y} t(y, l(y) + c) over all affine maps (l, c).
+    """Maximize sum_{y} t(y, l(y) + c) over affine maps (l, c).
 
-    Exhaustive over all 2^(n^2 + n) candidates for n <= 4; seeded hill climb
-    with restarts for n in {5, 6} (a local optimum, flagged by the caller via
-    map_search_exhaustive). First optimum in lexicographic (columns, shift)
-    order wins ties, column 0 most significant and the shift least.
-
-    The exhaustive search scores every candidate at once by recursion over
-    sub-cubes of y. After peeling bits 0..k-1 of y,
+    For n <= EXHAUSTIVE_MAX_N the search is exact over all 2^(n^2 + n)
+    candidates; first optimum in lexicographic (columns, shift) order wins
+    ties, column 0 most significant and the shift least. It scores every
+    candidate at once by recursion over sub-cubes of y. After peeling bits
+    0..k-1 of y,
 
         T_k[p, c_0..c_{k-1}, s] = sum_b t((p << k) | b, s + sum_i b_i c_i)
 
@@ -164,18 +161,22 @@ def best_affine_map(t: CharTable) -> tuple[AffineMap, float]:
     rescoring takes RESCORE_CHUNK nominees at a time, so even a flat table,
     which nominates every map, peaks at about 18 MB at n = 4.
 
-    The hill climb starts from the zero map and HILL_CLIMB_RESTARTS - 1
-    seeded random maps. A sweep tries the n^2 + n single-bit flips in order
-    (column j, bit b ascending, then the shift bits) and keeps each flip that
-    beats the current value by more than 1e-12; sweeps repeat until one keeps
-    nothing, and a later restart must beat the best by as much. A sweep
-    scores all its remaining flips in one gather and row sum, takes the first
-    improvement, and rescores only the flips after it, from the new map. That
-    replays the one-flip-at-a-time loop bit for bit, since a row sum rounds
-    like the sum over one gathered graph (tested)."""
+    For n > EXHAUSTIVE_MAX_N it scans the 2^(n(n-1)/2) symmetric
+    zero-diagonal maps instead and returns the first maximum with shift 0,
+    valued by graph_sum. The last rounding stage lands in that class, so no
+    wider search (a local climb after the scan, say) could end the pipeline
+    on a heavier map; the affine optimum is certified only at n <= 4.
+    Peeling the top qubit of a k-qubit table f, with v the upper part of
+    column k-1 and H = 2^(k-1), gives score_k(f, M) = score_{k-1}(g_v, M')
+    for the table g_v[y', a'] = f[y', a' + <v,y'>H] + f[y' + H, (a' + v) +
+    <v,y'>H]: two gathers per level for every v at once, each v of the
+    2^(n-1) at the top in turn (under 1 MB at n = 6). Mask bit j(j-1)/2 + i
+    holds entry (i, j), i < j; the smallest mask wins an exact tie, and the
+    recursion's tree-order rounding decides near-ties."""
     n, N = t.n, t.N
     if n > EXHAUSTIVE_MAX_N:
-        return _hill_climb_affine(t)
+        amap = AffineMap(_zero_diagonal_scan(t), 0)
+        return amap, graph_sum(t, amap)
     yidx = np.arange(N)
     xor = yidx[:, None] ^ yidx[None, :]
     T = t.f[:, None, :]
@@ -202,52 +203,32 @@ def best_affine_map(t: CharTable) -> tuple[AffineMap, float]:
     return AffineMap(LinMap(n, cols), shift), best_val
 
 
-def _hill_climb_affine(t: CharTable) -> tuple[AffineMap, float]:
-    """First-improvement hill climb over single-bit flips, with seeded
-    restarts; see best_affine_map for the sweep and its replay rule.
+def _zero_diagonal_scan(t: CharTable) -> LinMap:
+    """The heaviest symmetric zero-diagonal map; see best_affine_map."""
+    n = t.n
 
-    A map is held as the flat positions pos[y] = y * N + l(y) + c of its
-    graph in t.f. Flipping bit b of column j XORs deltas[j * n + b][y] =
-    y_j << b into pos, and flipping shift bit b XORs deltas[n * n + b] =
-    1 << b; neither reaches the y * N part."""
-    n, N = t.n, t.N
-    rng = np.random.default_rng(0)
-    flat = t.f.ravel()
-    rows = np.arange(N) * N
-    unit = 1 << np.arange(n)
-    y_bits = (np.arange(N) >> np.arange(n)[:, None]) & 1  # [j, y]
-    deltas = np.concatenate([
-        (y_bits[:, None, :] * unit[:, None]).reshape(n * n, N),
-        np.broadcast_to(unit[:, None], (n, N)),
-    ])
+    def peel(k, v):  # flat positions in f of g_v's two terms, [.., y', a']
+        H = 1 << (k - 1)
+        y, a = np.arange(H)[:, None], np.arange(H)
+        row = (2 * y + dot_parity(y, v)) * H
+        return row + a, row + 2 * H * H + (a ^ v)
 
-    best_pos = rows
-    best_val = float(flat[best_pos].sum())
-    for restart in range(HILL_CLIMB_RESTARTS):
-        if restart == 0:
-            pos = rows
-        else:
-            cols = rng.integers(0, N, size=n)
-            pos = rows + (span_points(cols) ^ int(rng.integers(0, N)))
-        val = float(flat[pos].sum())
-        improved = True
-        while improved:
-            improved, k = False, 0
-            while k < len(deltas):
-                cand = pos ^ deltas[k:]
-                vals = flat[cand].sum(axis=1)
-                better = np.flatnonzero(vals > val + 1e-12)
-                if not len(better):
-                    break
-                h = int(better[0])
-                pos, val, improved = cand[h], float(vals[h]), True
-                k += h + 1
-        if val > best_val + 1e-12:
-            best_pos, best_val = pos, val
-    img = best_pos - rows
-    shift = int(img[0])
-    cols = tuple(int(img[1 << j]) ^ shift for j in range(n))
-    return AffineMap(LinMap(n, cols), shift), best_val
+    inner = [peel(k, np.arange(1 << (k - 1))[:, None, None])
+             for k in range(n - 1, 0, -1)]
+    flat, best_val, best = t.flat(), -math.inf, 0
+    for v in range(1 << (n - 1)):
+        lo, hi = peel(n, v)
+        T = (flat[lo] + flat[hi]).reshape(1, -1)
+        for lo, hi in inner:
+            T = np.take(T, lo, axis=1) + np.take(T, hi, axis=1)
+            T = T.reshape(-1, T.shape[-1] ** 2)
+        local = int(np.argmax(T[:, 0]))
+        if T[local, 0] > best_val:
+            best_val = float(T[local, 0])
+            best = (v << ((n - 1) * (n - 2) // 2)) | local
+    upper = [(best >> (j * (j - 1) // 2)) & ((1 << j) - 1) for j in range(n)]
+    upper = LinMap(n, tuple(upper))
+    return upper.add(upper.transpose())
 
 
 def drop_shift(amap: AffineMap, t: CharTable) -> tuple[LinMap, float]:
@@ -368,10 +349,8 @@ class QuadraticPoly:
 
 
 def _strict_upper_rows(l: LinMap) -> tuple[int, ...]:
-    mask = [~((1 << (i + 1)) - 1) for i in range(l.n)]
-    return tuple(
-        int(l.transpose().cols[i] & mask[i]) for i in range(l.n)
-    )
+    """Rows of the strict upper triangle of a symmetric l (row i = col i)."""
+    return tuple(int(c & ~((1 << (i + 1)) - 1)) for i, c in enumerate(l.cols))
 
 
 def extract_quadratic(
@@ -425,6 +404,9 @@ class PipelineTrace:
     which_part: str
     balance_circuit: CliffordCircuit
     stage_values: dict  # affine -> linear -> symmetric -> zero_diagonal
+    # True when the affine stage is the certified optimum over all affine
+    # maps (n <= EXHAUSTIVE_MAX_N); above that, best_affine_map scans only
+    # the symmetric zero-diagonal maps, exactly.
     map_search_exhaustive: bool
     q_poly: QuadraticPoly
     correlation: float

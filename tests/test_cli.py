@@ -242,6 +242,8 @@ def test_seed_env_default(monkeypatch, tmp_path, t_state_file):
 def test_bad_seed_env_exits_2(monkeypatch):
     monkeypatch.setenv("STABLAB_SEED", "abc")
     assert run(["relations"]) == EXIT_USAGE
+    monkeypatch.setenv("STABLAB_SEED", "-1")
+    assert run(["extract-stabilizer", "--family", "uniform", "--n", "4"]) == EXIT_USAGE
     # a command without --seed never reads it
     assert run(["rank", "--family", "t_tensor", "--n", "1"]) == EXIT_OK
 
@@ -412,6 +414,11 @@ def test_artifacts_follow_umask(tmp_path):
         ["rank", "--state", "F", "--family-seed", "7"],
         ["gram-scan", "--k", "2", "--nmax", "5", "--mode", "sampled"],
         ["gram-scan", "--k", "9", "--nmax", "2", "--mode", "sampled"],
+        ["extract-stabilizer", "--family", "uniform", "--n", "4", "--seed", "-1"],
+        ["extract-stabilizer", "--family", "haar", "--n", "4", "--family-seed", "0",
+         "--seed", "-1"],
+        ["extract-stabilizer", "--family", "uniform", "--n", "2",
+         "--family-seed", "-1"],
     ],
 )
 def test_bad_arguments_exit_2(argv, t_state_file):
