@@ -206,8 +206,6 @@ def stabilizer_rank(
 class GramMatrix:
     k: int
     entries: np.ndarray  # (k, k) complex, Hermitian, unit diagonal
-    n: int
-    indices: tuple[int, ...]  # enumeration indices of the source states
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex)
@@ -249,9 +247,7 @@ def quantize_overlap_eighth(
     return _quantize_overlap(value, 8, tol)
 
 
-def gram_lambda_min(
-    states: Sequence[StabilizerState], indices: Optional[Sequence[int]] = None
-) -> tuple[GramMatrix, float]:
+def gram_lambda_min(states: Sequence[StabilizerState]) -> tuple[GramMatrix, float]:
     """Exact Gram matrix of the given stabilizer states and its minimum
     eigenvalue; lambda_min below 1e-9 flags a singular (dependent) family."""
     k = len(states)
@@ -262,9 +258,7 @@ def gram_lambda_min(
     n = states[0].n
     vecs = stabilizer_vectors(states) / math.sqrt(1 << n)
     entries = vecs.conj() @ vecs.T
-    gram = GramMatrix(
-        k, entries, n, tuple(indices) if indices is not None else tuple(range(k))
-    )
+    gram = GramMatrix(k, entries)
     lam = float(np.linalg.eigvalsh(entries)[0])
     return gram, lam
 

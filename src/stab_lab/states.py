@@ -220,10 +220,12 @@ def dump_state_json(state: StateVector) -> str:
 def load_state_json(text: str) -> StateVector:
     try:
         data = json.loads(text)
-        n = int(data["n"])
+        n = data["n"]
         vec = np.array([complex(re, im) for re, im in data["amplitudes"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StateFormatError(f"malformed state file: {exc}") from exc
+    if type(n) is not int:  # bool is an int subclass, and JSON true is not a count
+        raise StateFormatError(f"qubit count must be a JSON integer, got {n!r}")
     _check_qubits(n)
     if len(vec) != 1 << n:
         raise StateFormatError(f"expected {1 << n} amplitudes, got {len(vec)}")

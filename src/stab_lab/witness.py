@@ -11,12 +11,12 @@ successful run certifies its own overlap bound.
 The approximately-linear structure is found by direct exhaustive search
 rather than by additive-combinatorics covering arguments, whose constants are
 vacuous at this scale. At n <= 4 the search scores all 2^(n^2 + n) affine
-maps in one recursion over sub-cubes of y, ties going by the sequential float
-sum over y = 0..N-1; the optimum is at least as good as any covered map, so
-downstream bounds apply unchanged. At n = 5, 6 it scores every symmetric
-zero-diagonal map (1,024 and 32,768), the class the last rounding stage lands
-in: no covered map ends that stage heavier, and each later stage maps its
-input to itself.
+maps in one recursion over sub-cubes of y; the optimum is at least as good as
+any covered map, so downstream bounds apply unchanged. At n = 5, 6 it scores
+every symmetric zero-diagonal map (1,024 and 32,768), the class the last
+rounding stage lands in: no covered map ends that stage heavier, and each
+later stage maps its input to itself. Either search keeps the first maximum
+of its own sums, and every stage values its map by graph_sum.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .states import (
 
 CONTRACT_TOL = 1e-9
 EXHAUSTIVE_MAX_N = 4
-RESCORE_CHUNK = 1 << 12  # nominees rescored per gather in best_affine_map
 
 
 class PipelineError(RuntimeError):
@@ -152,14 +151,9 @@ def best_affine_map(t: CharTable) -> tuple[AffineMap, float]:
 
     over the k-bit b, so T_0 = t and T_{k+1}[p, .., c_k, s] =
     T_k[2p, .., s] + T_k[2p + 1, .., c_k + s]; T_n is the score of every
-    (columns, shift) in lexicographic order. These sums run in tree order,
-    which rounds differently from the sequential sum over y = 0..N-1 that
-    defines the value, and exact ties are common. So the recursion only
-    nominates the candidates within CONTRACT_TOL of its maximum (the two
-    orders differ by about N^2 * eps * max, far less); each nominee is
-    rescored by the sequential sum, and the first exact maximum wins. The
-    rescoring takes RESCORE_CHUNK nominees at a time, so even a flat table,
-    which nominates every map, peaks at about 18 MB at n = 4.
+    (columns, shift) in lexicographic order, summed in tree order over y.
+    The first maximum of T_n wins and is valued by graph_sum, as every
+    later stage values its map.
 
     For n > EXHAUSTIVE_MAX_N it scans the 2^(n(n-1)/2) symmetric
     zero-diagonal maps instead and returns the first maximum with shift 0,
@@ -176,31 +170,19 @@ def best_affine_map(t: CharTable) -> tuple[AffineMap, float]:
     n, N = t.n, t.N
     if n > EXHAUSTIVE_MAX_N:
         amap = AffineMap(_zero_diagonal_scan(t), 0)
-        return amap, graph_sum(t, amap)
-    yidx = np.arange(N)
-    xor = yidx[:, None] ^ yidx[None, :]
-    T = t.f[:, None, :]
-    for _ in range(n):
-        nxt = np.take(T[1::2], xor, axis=-1)
-        nxt += T[0::2][:, :, None, :]
-        T = nxt.reshape(len(nxt), -1, N)
-    vals = T.reshape(-1)
-    nominees = np.flatnonzero(vals >= vals.max() - CONTRACT_TOL)
-    best_val, best = -math.inf, 0
-    for start in range(0, len(nominees), RESCORE_CHUNK):
-        idx = nominees[start:start + RESCORE_CHUNK]
-        ms, shifts = idx >> n, idx & (N - 1)
-        cols = [(ms >> ((n - 1 - j) * n)) & (N - 1) for j in range(n)]
-        gathered = t.f[yidx, span_points(cols) ^ shifts[:, None]]
-        acc = gathered[:, 0]
-        for y in range(1, N):
-            acc = acc + gathered[:, y]
-        local = int(np.argmax(acc))
-        if acc[local] > best_val:
-            best_val, best = float(acc[local]), int(idx[local])
-    m, shift = best >> n, best & (N - 1)
-    cols = tuple((m >> ((n - 1 - j) * n)) & (N - 1) for j in range(n))
-    return AffineMap(LinMap(n, cols), shift), best_val
+    else:
+        yidx = np.arange(N)
+        xor = yidx[:, None] ^ yidx[None, :]
+        T = t.f[:, None, :]
+        for _ in range(n):
+            nxt = np.take(T[1::2], xor, axis=-1)
+            nxt += T[0::2][:, :, None, :]
+            T = nxt.reshape(len(nxt), -1, N)
+        best = int(np.argmax(T))
+        m, shift = best >> n, best & (N - 1)
+        cols = tuple((m >> ((n - 1 - j) * n)) & (N - 1) for j in range(n))
+        amap = AffineMap(LinMap(n, cols), shift)
+    return amap, graph_sum(t, amap)
 
 
 def _zero_diagonal_scan(t: CharTable) -> LinMap:

@@ -395,7 +395,7 @@ def test_criterion_10_gram_machinery():
         if k > len(stabs):
             continue
         idx = rng.choice(len(stabs), size=k, replace=False)
-        _, lam = gram_lambda_min([stabs[i] for i in idx], indices=idx)
+        _, lam = gram_lambda_min([stabs[i] for i in idx])
         if lam < 1e-9:
             continue
         vecs = np.array([stabilizer_to_statevector(stabs[i]).unit() for i in idx])

@@ -433,6 +433,16 @@ def test_non_finite_state_file_exits_2(tmp_path, bad):
     assert run(["gowers", "--state", str(path)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("bad", ["1.5", "true", '"2"'])
+def test_non_integer_qubit_count_exits_2(tmp_path, capsys, bad):
+    # four amplitudes, so only the type of n is wrong
+    amps = [[0.5, 0.0]] * 4
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"n": {bad}, "amplitudes": {json.dumps(amps)}}}')
+    assert run(["measures", "--state", str(path)]) == EXIT_USAGE
+    assert "qubit count must be a JSON integer" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # The exit-code contract on generated input
 

@@ -341,7 +341,7 @@ def test_gram_eigenvalue_fidelity_floor():
     for _ in range(40):
         k = int(rng.integers(2, 4))
         idx = rng.choice(len(enum2), size=k, replace=False)
-        gram, lam = gram_lambda_min([enum2[i] for i in idx], indices=idx)
+        gram, lam = gram_lambda_min([enum2[i] for i in idx])
         if lam < 1e-9:
             continue
         state = random_low_rank_state(2, k, np.random.default_rng(int(idx[0])))

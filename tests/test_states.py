@@ -198,6 +198,9 @@ def test_json_rejects_malformed():
         '{"n": 1, "amplitudes": [["a", "b"], [0.0, 0.0]]}',
         json.dumps({"n": 0, "amplitudes": [[1.0, 0.0]]}),
         json.dumps({"n": 10**12, "amplitudes": [[1.0, 0.0]]}),
+        json.dumps({"n": 1.5, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}),
+        json.dumps({"n": True, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}),
+        json.dumps({"n": "1", "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}),
     ):
         with pytest.raises(StateFormatError):
             load_state_json(text)
