@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from stab_lab.clifford import enumerate_stabilizers
+from stab_lab.clifford import TABLE_MAX_N, enumerate_stabilizers
 from stab_lab.measures import stabilizer_fidelity
 from stab_lab.states import FamilySpec, make_state
 from stab_lab.witness import extract_stabilizer
@@ -19,12 +19,12 @@ from stab_lab.witness import extract_stabilizer
 
 def run(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=3, help="qubits, 1..4")
+    parser.add_argument("--n", type=int, default=3, help=f"qubits, 1..{TABLE_MAX_N}")
     parser.add_argument("--seeds", type=int, default=8)
     parser.add_argument("--steps", type=int, default=6)
     args = parser.parse_args(argv)
-    if not 1 <= args.n <= 4:
-        parser.error("--n must be in 1..4 (the exhaustive fidelity's cap)")
+    if not 1 <= args.n <= TABLE_MAX_N:
+        parser.error(f"--n must be in 1..{TABLE_MAX_N} (the exhaustive fidelity's cap)")
     if args.seeds < 1:
         parser.error("--seeds must be >= 1")
     if args.steps < 1:

@@ -22,6 +22,7 @@ from .states import StateVector, dot_parity, quadratic_parity, sign_table
 
 BALANCE_TRIES = 1000  # random real Cliffords balance draws before giving up
 SUPPORT_TOL = 1e-9  # amplitudes at most this large lie off the support
+TABLE_MAX_N = 4  # the stabilizer enumeration and its tables stop here
 
 
 class GateError(ValueError):
@@ -361,8 +362,8 @@ def _layout(n: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
     order, the first index of its block of states, its RREF basis and its
     sorted coset offsets. State k of a dim-m block has the mixed-radix
     digits (offset, ell, sign form), radices (2^(n-m), 2^m, 2^(m(m+1)/2))."""
-    if n > 4:
-        raise ValueError("stabilizer enumeration capped at n = 4")
+    if n > TABLE_MAX_N:
+        raise ValueError(f"stabilizer enumeration capped at n = {TABLE_MAX_N}")
     from .gf2 import all_subspaces
 
     out, start = [], 0

@@ -17,6 +17,7 @@ import numpy as np
 
 from .charfn import char_function
 from .clifford import (
+    TABLE_MAX_N,
     StabilizerState,
     stabilizer_at,
     stabilizer_unit_matrix,
@@ -102,8 +103,8 @@ def gowers3(state: StateVector) -> float:
 
 def _fidelity_scan(state: StateVector) -> tuple[float, int]:
     """max_{s} |<s|phi>|^2 and the enumeration index of its first argmax."""
-    if state.n > 4:
-        raise MeasureError("exhaustive fidelity capped at n = 4")
+    if state.n > TABLE_MAX_N:
+        raise MeasureError(f"exhaustive fidelity capped at n = {TABLE_MAX_N}")
     # |<s|phi>| = |S conj(phi)|: conjugating phi, not S, spares a table copy
     overlaps = np.abs(stabilizer_unit_matrix(state.n) @ state.unit().conj()) ** 2
     best = int(np.argmax(overlaps))
@@ -186,11 +187,12 @@ def stabilizer_rank(
     if n > 3:
         raise MeasureError("rank search capped at n = 3")
     tol = max(delta, RANK_RESIDUAL_TOL)
+    thr = tol * tol + RANK_RESIDUAL_TOL  # inf, not OverflowError, for huge delta
     S = stabilizer_unit_matrix(n)
     v = state.unit()
     r_cap = state.N if n <= 2 else 2
     for r in range(1, r_cap + 1):
-        hit = _first_hit(S, v, r, tol**2 + RANK_RESIDUAL_TOL)
+        hit = _first_hit(S, v, r, thr)
         if hit is not None:
             return r, hit
     if n <= 2:
@@ -298,8 +300,10 @@ def lambda_star_scan(
         raise MeasureError(
             f"k_max must be at most {MAX_GRAM_STATES} (the Gram machinery's cap)"
         )
-    if n_max > 4:
-        raise MeasureError("n_max must be at most 4 (the stabilizer table's cap)")
+    if n_max > TABLE_MAX_N:
+        raise MeasureError(
+            f"n_max must be at most {TABLE_MAX_N} (the stabilizer table's cap)"
+        )
     if mode == "sampled" and not 1 <= trials <= MAX_TRIALS:
         raise MeasureError(f"trials must be in [1, {MAX_TRIALS}]")
     rows = []

@@ -39,10 +39,8 @@ from .gf2 import (
     COVER_EXPONENT,
     AffineMap,
     LinMap,
-    Subspace,
     linmap_from_images,
     nullspace,
-    span_points,
 )
 from .measures import gowers3
 from .states import (
@@ -227,9 +225,8 @@ def drop_shift(amap: AffineMap, t: CharTable) -> tuple[LinMap, float]:
 
 
 def symmetrize_map(l: LinMap, t: CharTable) -> tuple[LinMap, float]:
-    """Symmetric map agreeing with l on Y = ker(l + l^T); off the kernel the
-    completion is free, so for small n we pick the symmetric completion with
-    the heaviest graph (zero completion otherwise).
+    """Symmetric map agreeing with l on Y = ker(l + l^T), by the zero
+    completion at every n.
 
     With P the projection onto Y that sends the complement basis of Y to 0,
     the zero completion is l' = lP + P^T(l^T + lP): on Y, l equals l^T, so
@@ -246,8 +243,6 @@ def symmetrize_map(l: LinMap, t: CharTable) -> tuple[LinMap, float]:
     for y in Y:
         if lp(y) != l(y):
             raise PipelineError("symmetrization moved the kernel graph")
-    if n <= EXHAUSTIVE_MAX_N:
-        lp = _heaviest_completion(l, Y, lp, t)
     before = graph_sum(t, l)
     after = graph_sum(t, lp)
     if after < before**2 / t.N - CONTRACT_TOL:
@@ -255,35 +250,6 @@ def symmetrize_map(l: LinMap, t: CharTable) -> tuple[LinMap, float]:
             f"quadratic law failed: {after:.12g} < {before:.12g}^2/{t.N}"
         )
     return lp, after
-
-
-def _heaviest_completion(
-    l: LinMap, Y: Subspace, start: LinMap, t: CharTable
-) -> LinMap:
-    """The completion off Y = ker(l + l^T) is a free choice: score every
-    symmetric map (one per mask of upper-triangle bits) that agrees with l
-    on Y, and keep the heaviest graph, a near-tie going to the smaller
-    columns. The rule is replayed from start in mask order, so the choice
-    is deterministic."""
-    n = l.n
-    best, best_val = start, graph_sum(t, start)
-    pairs = [(i, j) for j in range(n) for i in range(j + 1)]
-    masks = np.arange(1 << len(pairs))
-    cols = np.zeros((len(masks), n), dtype=np.int64)
-    for bit, (i, j) in enumerate(pairs):
-        on = (masks >> bit) & 1
-        cols[:, j] |= on << i
-        cols[:, i] |= on << j
-    images = span_points(cols.T)  # [mask, y]
-    basis = list(Y.basis)
-    agree = (images[:, basis] == [l(y) for y in basis]).all(axis=1)
-    vals = t.f[np.arange(t.N), images[agree]].sum(axis=1)
-    for val, cand in zip(vals.tolist(), cols[agree].tolist()):
-        if val > best_val + CONTRACT_TOL or (
-            abs(val - best_val) <= CONTRACT_TOL and tuple(cand) < best.cols
-        ):
-            best, best_val = LinMap(n, tuple(cand)), val
-    return best
 
 
 def zero_diagonal_map(l: LinMap, t: CharTable) -> tuple[LinMap, float]:

@@ -15,7 +15,7 @@ from stab_lab.charfn import (
     symplectic_fourier,
 )
 from stab_lab.clifford import enumerate_stabilizers, stabilizer_to_statevector
-from stab_lab.gf2 import Subspace, dot, perp, symp_unpack
+from stab_lab.gf2 import Subspace, dot, perp
 from stab_lab.states import FamilySpec, StateVector, make_state
 
 

@@ -426,6 +426,17 @@ def test_bad_arguments_exit_2(argv, t_state_file):
     assert run([t_state_file if a == "F" else a for a in argv]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("delta", ["10", "1e200", "1.7976931348623157e308"])
+def test_rank_huge_delta_exits_0(tmp_path, delta):
+    # delta^2 overflows a float above about 1.3e154; any delta >= 1 covers
+    # the unit state with the first stabilizer alone
+    out = tmp_path / "rank.json"
+    argv = ["rank", "--family", "haar", "--n", "2", "--delta", delta]
+    assert run(argv + ["--out", str(out)]) == EXIT_OK
+    doc = _read_json(out)
+    assert (doc["rank"], doc["witness"]) == (1, [0])
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_state_file_exits_2(tmp_path, bad):
     path = tmp_path / "bad.json"

@@ -1,7 +1,5 @@
 """Bitset linear algebra over F2: subspaces, symplectic structure, maps."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

@@ -1,6 +1,7 @@
-"""Source checks that stand in for a linter: every name a module imports is
-used somewhere in that module, and every name a package module defines at
-top level is used somewhere in the repository's code."""
+"""Source checks that stand in for a linter: every name a package, script
+or test module imports is used somewhere in that module, and every name a
+package module defines at top level is used somewhere in the repository's
+code."""
 
 import ast
 import pathlib
@@ -11,6 +12,9 @@ import pytest
 ROOT = pathlib.Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "stab_lab"
 SOURCES = sorted(PACKAGE.glob("*.py"))
+IMPORTERS = SOURCES + sorted(
+    p for d in ("scripts", "tests") for p in (ROOT / d).glob("*.py")
+)
 CODE_DIRS = ("src", "scripts", "tests", "perfbench")
 
 
@@ -27,7 +31,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {n})" for name, n in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 

@@ -11,7 +11,6 @@ import pytest
 from conftest import random_real_states, random_states
 from stab_lab.charfn import bell_diff_distribution, char_function, exact_R
 from stab_lab.clifford import enumerate_stabilizers, stabilizer_to_statevector
-from stab_lab.measures import random_low_rank_state
 from stab_lab.states import (
     MAX_QUBITS,
     FamilySpec,
