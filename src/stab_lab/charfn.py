@@ -14,8 +14,6 @@ import numpy as np
 
 from .states import MAX_QUBITS, StateVector, fwht
 
-NEGATIVE_TOL = 1e-12
-
 
 class TableError(ValueError):
     pass
@@ -60,10 +58,7 @@ def char_function(state: StateVector) -> CharTable:
     idx = np.arange(N)
     deriv = g[None, :] * np.conj(g[idx[:, None] ^ idx[None, :]])  # [y, x]
     hat = fwht(deriv, axis=1) / N
-    f = np.abs(hat) ** 2
-    if f.min() < -NEGATIVE_TOL:
-        raise TableError("internal consistency: negative characteristic value")
-    return CharTable(state.n, np.maximum(f, 0.0))
+    return CharTable(state.n, np.abs(hat) ** 2)
 
 
 def symplectic_fourier(t: CharTable) -> CharTable:

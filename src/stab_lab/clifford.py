@@ -21,7 +21,7 @@ from .gf2 import Subspace, span_points, symp_unpack
 from .states import StateVector, dot_parity, quadratic_parity, sign_table
 
 BALANCE_TRIES = 1000  # random real Cliffords balance draws before giving up
-SUPPORT_TOL = 1e-9  # amplitudes at most this large lie off the support
+SUPPORT_TOL = 1e-9  # the decoder's one tolerance: support and amplitude match
 TABLE_MAX_N = 4  # the stabilizer enumeration and its tables stop here
 
 
@@ -74,16 +74,6 @@ def _gate_kernels(n: int) -> tuple:
     return tuple(kernels)
 
 
-@functools.lru_cache(maxsize=None)
-def _inverse_codes(n: int) -> tuple[bytes, ...]:
-    """Per gate code, the word of its inverse gate: S_i^-1 = Z_i S_i is S_i
-    then Z_i; H, Z and CNOT are involutions."""
-    return tuple(
-        bytes([k, k - n]) if 2 * n <= k < 3 * n else bytes([k])
-        for k in range(len(_gate_codes(n)[0]))
-    )
-
-
 @dataclass(frozen=True, init=False, slots=True)
 class CliffordCircuit:
     """A gate word on n qubits; gates are ("H", i) | ("S", i) | ("Z", i) |
@@ -131,10 +121,11 @@ class CliffordCircuit:
         return not any(k in self.word for k in range(2 * self.n, 3 * self.n))
 
     def inverse(self) -> "CliffordCircuit":
-        if self.is_real():
-            return CliffordCircuit._from_word(self.n, self.word[::-1])
-        inv = _inverse_codes(self.n)
-        word = b"".join([inv[k] for k in reversed(self.word)])
+        """The reversed word with each S_i expanded to S_i then Z_i, since
+        S_i^-1 = Z_i S_i; H, Z and CNOT are involutions."""
+        word = self.word[::-1]
+        for k in range(2 * self.n, 3 * self.n):
+            word = word.replace(bytes([k]), bytes([k, k - self.n]))
         return CliffordCircuit._from_word(self.n, word)
 
 
@@ -294,49 +285,35 @@ def stabilizer_to_statevector(s: StabilizerState) -> StateVector:
 
 
 def stabilizer_from_statevector(state: StateVector) -> StabilizerState:
-    """Recover the canonical form of a statevector known to be a stabilizer
-    state (up to global phase). Raises ValueError if the vector is not one."""
-    n, N = state.n, state.N
-    g = state.g
-    mags = np.abs(g)
-    support = [x for x in range(N) if mags[x] > SUPPORT_TOL]
-    if not support:
+    """Recover the canonical form of a normalized statevector that is a
+    stabilizer state up to global phase; raise ValueError if it is not one.
+
+    The support is every x with |g(x)| > SUPPORT_TOL. Each support point y
+    gets its quarter-turn index k(y) = <ell, y> + 2Q(y) mod 4 from the phase
+    of its amplitude relative to y = 0, all at once; ell and the diagonal of
+    Q come from k at the unit vectors, the rest of Q from k at their pairs.
+    SUPPORT_TOL is the one tolerance: the rebuilt state, times the phase of
+    the amplitude at y = 0, must equal the input within it at every x."""
+    n, g = state.n, state.g
+    support = np.flatnonzero(np.abs(g) > SUPPORT_TOL)
+    if not support.size:
         raise ValueError("zero vector")
-    expected = math.sqrt(N / len(support))
-    if not np.allclose(mags[support], expected, atol=1e-8):
-        raise ValueError("support is not flat")
-    direction = Subspace.from_vectors(n, (x ^ support[0] for x in support))
-    aff_offset = direction.reduce(support[0])
-    if len(direction) != len(support):
+    first = int(support[0])
+    direction = Subspace.from_vectors(n, (x ^ first for x in support.tolist()))
+    if len(direction) != support.size:
         raise ValueError("support is not an affine subspace")
-    basis = direction.basis
-    m = direction.dim
-    points = aff_offset ^ span_points(basis)
-    base = g[points[0]]
-
-    def phase_bits(y: int) -> tuple[int, int]:
-        # amp(y)/amp(0) = i^l * (-1)^d with l, d in {0, 1}
-        ratio = g[points[y]] / base
-        for l in (0, 1):
-            for d in (0, 1):
-                if abs(ratio - (1j**l) * (1 - 2 * d)) < 1e-6:
-                    return l, d
-        raise ValueError("relative phase is not a fourth root of unity")
-
-    single = [phase_bits(1 << i) for i in range(m)]
-    ell = sum(l << i for i, (l, _) in enumerate(single))
-    rows = [d << i for i, (_, d) in enumerate(single)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            l, d = phase_bits((1 << i) | (1 << j))
-            if l != single[i][0] ^ single[j][0]:
-                raise ValueError("i-phase part is not linear")
-            rows[i] |= (d ^ single[i][1] ^ single[j][1]) << j
-    cand = StabilizerState(n, aff_offset, basis, ell, tuple(rows))
-    vec = stabilizer_to_statevector(cand)
-    ref = vec.inner(state)
-    if abs(abs(ref) - math.sqrt(state.norm_sq())) > 1e-7:
-        raise ValueError("phases are not quadratic")
+    aff_offset, basis, m = direction.reduce(first), direction.basis, direction.dim
+    amps = g[aff_offset ^ span_points(basis)]
+    k = np.rint(np.angle(amps * np.conj(amps[0])) / (np.pi / 2)).astype(np.int64) & 3
+    unit = 1 << np.arange(m)
+    ell = int(np.sum((k[unit] & 1) << np.arange(m)))
+    d = k[unit] >> 1
+    # Q(e_i + e_j) = d_i + d_j + M_ij, and the diagonal of the pair table is d
+    M = np.triu((k[unit[:, None] | unit] >> 1) ^ d[:, None] ^ d)
+    cand = StabilizerState(n, aff_offset, basis, ell, tuple((M @ unit).tolist()))
+    phase = amps[0] / abs(amps[0])
+    if not np.all(np.abs(stabilizer_to_statevector(cand).g * phase - g) <= SUPPORT_TOL):
+        raise ValueError("amplitudes are not those of a stabilizer state")
     return cand
 
 

@@ -151,12 +151,12 @@ def convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 class FamilySpec:
     """Recipe for a named test state; deterministic given (spec, seed)."""
 
-    kind: str  # basis | uniform | haar | t_tensor | stabilizer | interpolate
+    kind: str  # basis | uniform | haar | t_tensor | interpolate
     n: int
     x0: int = 0
     seed: int = 0
     eps: float = 0.0
-    stab: Optional[object] = None  # StabilizerState for stabilizer/interpolate
+    stab: Optional[object] = None  # StabilizerState anchor for interpolate
 
 
 def haar_unit(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -173,8 +173,8 @@ def _check_qubits(n: int) -> None:
 def make_state(spec: FamilySpec) -> StateVector:
     _check_qubits(spec.n)
     n, N = spec.n, 1 << spec.n
-    if spec.kind in ("stabilizer", "interpolate") and spec.stab is None:
-        raise StateFormatError(f"family {spec.kind!r} needs a stabilizer anchor")
+    if spec.kind == "interpolate" and spec.stab is None:
+        raise StateFormatError("family 'interpolate' needs a stabilizer anchor")
     if spec.kind == "basis":
         if not 0 <= spec.x0 < N:
             raise StateFormatError(f"basis index must be in [0, {N}), got {spec.x0}")
@@ -190,10 +190,6 @@ def make_state(spec: FamilySpec) -> StateVector:
         phase = np.exp(1j * math.pi / 4)
         g = phase ** np.array([x.bit_count() for x in range(N)])
         return StateVector(n, g.astype(complex))
-    if spec.kind == "stabilizer":
-        from . import clifford
-
-        return clifford.stabilizer_to_statevector(spec.stab)
     if spec.kind == "interpolate":
         if not 0.0 <= spec.eps <= 1.0:
             raise StateFormatError("interpolation weight must be in [0, 1]")

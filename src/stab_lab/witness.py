@@ -5,8 +5,12 @@ stabilizer state with provable overlap. The pipeline: take the dominant real
 part, flatten amplitudes with a real Clifford, read off an approximately
 linear structure in the characteristic table, round it to a symmetric
 zero-diagonal linear map, and lift that map to a full-support quadratic-phase
-stabilizer. Each rounding stage carries a runtime-checked inequality, so a
-successful run certifies its own overlap bound.
+stabilizer. A successful run has passed five stage laws, each checked by
+_at_least, and the two-sided fourth-moment identity of extract_quadratic, so
+it certifies its own overlap bound. With S(m) = sum_y t(y, m(y)), the laws
+are shift removal S(l) >= S(l + c), the quadratic law S(l') >= S(l)^2 / N,
+zero-diagonal monotonicity S(l'') >= S(l'), the correlation floor
+corr^2 >= S(l'') / (N E[g^2]) and the overlap floor overlap >= nu corr^2.
 
 The approximately-linear structure is found by direct exhaustive search
 rather than by additive-combinatorics covering arguments, whose constants are
@@ -59,6 +63,14 @@ class PipelineError(RuntimeError):
     """An inequality the construction guarantees failed at runtime."""
 
 
+def _at_least(value: float, bound: float, law: str) -> float:
+    """value, once the stage law value >= bound holds up to CONTRACT_TOL;
+    raises PipelineError naming the law otherwise."""
+    if value < bound - CONTRACT_TOL:
+        raise PipelineError(f"{law} failed: {value:.12g} < {bound:.12g}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Real-part split
 
@@ -66,20 +78,17 @@ class PipelineError(RuntimeError):
 def split_real(state: StateVector) -> tuple[StateVector, float, str]:
     """Pick whichever of Re(g), Im(g) has the larger uniformity norm; return
     it renormalized together with its mass nu = E|part|^2 and a tag."""
-    g = state.g
-    parts = {"real": np.real(g), "imaginary": np.imag(g)}
-    scored = {}
-    for which, part in parts.items():
+    best = None
+    for which, part in (("real", state.g.real), ("imaginary", state.g.imag)):
         nu = float(np.mean(part**2))
         if nu == 0.0:
-            scored[which] = (-1.0, nu, part)
             continue
-        cand = StateVector(state.n, part / math.sqrt(nu))
-        scored[which] = (gowers3(cand) * nu**4, nu, part)
-    which = max(scored, key=lambda k: scored[k][0])
-    score, nu, part = scored[which]
-    if score < 0:
+        score = gowers3(StateVector(state.n, part / math.sqrt(nu))) * nu**4
+        if best is None or score > best[0]:
+            best = score, nu, part, which
+    if best is None:
         raise PipelineError("state has no real or imaginary mass")
+    _, nu, part, which = best
     return StateVector(state.n, part.astype(complex) / math.sqrt(nu)), nu, which
 
 
@@ -215,13 +224,7 @@ def drop_shift(amap: AffineMap, t: CharTable) -> tuple[LinMap, float]:
     """Discard the affine shift; the purely linear graph always collects at
     least as much mass (checked)."""
     l0 = amap.linear
-    before = graph_sum(t, amap)
-    after = graph_sum(t, l0)
-    if after < before - CONTRACT_TOL:
-        raise PipelineError(
-            f"shift removal lost mass: {after:.12g} < {before:.12g}"
-        )
-    return l0, after
+    return l0, _at_least(graph_sum(t, l0), graph_sum(t, amap), "shift removal")
 
 
 def symmetrize_map(l: LinMap, t: CharTable) -> tuple[LinMap, float]:
@@ -243,13 +246,8 @@ def symmetrize_map(l: LinMap, t: CharTable) -> tuple[LinMap, float]:
     for y in Y:
         if lp(y) != l(y):
             raise PipelineError("symmetrization moved the kernel graph")
-    before = graph_sum(t, l)
-    after = graph_sum(t, lp)
-    if after < before**2 / t.N - CONTRACT_TOL:
-        raise PipelineError(
-            f"quadratic law failed: {after:.12g} < {before:.12g}^2/{t.N}"
-        )
-    return lp, after
+    bound = graph_sum(t, l) ** 2 / t.N
+    return lp, _at_least(graph_sum(t, lp), bound, "quadratic law")
 
 
 def zero_diagonal_map(l: LinMap, t: CharTable) -> tuple[LinMap, float]:
@@ -261,13 +259,8 @@ def zero_diagonal_map(l: LinMap, t: CharTable) -> tuple[LinMap, float]:
     lz = l.add(LinMap.rank_one(l.n, v, v))
     if lz.diagonal() != 0:
         raise PipelineError("diagonal did not cancel")
-    before = graph_sum(t, l)
-    after = graph_sum(t, lz)
-    if after < before - CONTRACT_TOL:
-        raise PipelineError(
-            f"zero-diagonal step lost mass: {after:.12g} < {before:.12g}"
-        )
-    return lz, after
+    bound = graph_sum(t, l)
+    return lz, _at_least(graph_sum(t, lz), bound, "zero-diagonal monotonicity")
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +296,11 @@ def _strict_upper_rows(l: LinMap) -> tuple[int, ...]:
 
 def extract_quadratic(
     g: np.ndarray, l: LinMap, t: CharTable
-) -> tuple[QuadraticPoly, float, int]:
+) -> tuple[QuadraticPoly, float]:
     """Best linear correction to the quadratic phase of a symmetric
     zero-diagonal map: with H(x) = (-1)^{sum_{i<j} l_ij x_i x_j}, pick alpha
-    maximizing |E[g H (-1)^{<alpha, x>}]|. Returns the full polynomial, the
-    achieved correlation, and alpha.
+    maximizing |E[g H (-1)^{<alpha, x>}]|. Returns the full polynomial, alpha
+    included, and the achieved correlation.
 
     The choice is certified by the exact fourth-moment identity
     sum_alpha (Hg-hat)(alpha)^4 = (1/N) sum_y t(y, l(y)), where t is the
@@ -335,9 +328,8 @@ def extract_quadratic(
             f"fourth-moment identity failed: {fourth:.12g} != {graph_mass:.12g}"
         )
     energy = float(np.mean(g**2))
-    if corr**2 < graph_mass / energy - CONTRACT_TOL:
-        raise PipelineError("correlation floor failed")
-    return QuadraticPoly(l.n, rows, alpha), corr, alpha
+    _at_least(corr**2, graph_mass / energy, "correlation floor")
+    return QuadraticPoly(l.n, rows, alpha), corr
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +357,6 @@ class PipelineTrace:
 
 
 def _theoretical_floor_log10(gamma: float) -> float:
-    if gamma <= 0:
-        return -math.inf
     c2 = 4 * COVER_EXPONENT + 6
     log_c1 = (
         math.log10(6)
@@ -394,17 +384,12 @@ def extract_stabilizer(
     l0, val_linear = drop_shift(amap, t)
     ls, val_sym = symmetrize_map(l0, t)
     lz, val_zd = zero_diagonal_map(ls, t)
-    qpoly, corr, _alpha = extract_quadratic(balanced.g, lz, t)
+    qpoly, corr = extract_quadratic(balanced.g, lz, t)
 
     s_prime = StateVector(state.n, qpoly.signs().astype(complex))
     s_vec = apply_clifford(circuit.inverse(), s_prime)
     witness = stabilizer_from_statevector(s_vec)
-    overlap = s_vec.overlap_sq(state)
-    floor = nu * corr**2
-    if overlap < floor - 1e-9:
-        raise PipelineError(
-            f"overlap {overlap:.12g} fell below its floor {floor:.12g}"
-        )
+    overlap = _at_least(s_vec.overlap_sq(state), nu * corr**2, "overlap floor")
     trace = PipelineTrace(
         n=state.n,
         gamma=gamma,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stab_lab import cli
+from stab_lab import cli, witness
 from stab_lab.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from stab_lab.states import FamilySpec, dump_state_json, haar_unit, make_state
 
@@ -126,6 +126,18 @@ def test_extract_stabilizer_trace(t_state_file, tmp_path):
     assert trace["map_search_exhaustive"] is True
     assert trace["final_overlap"] == doc["overlap"]
     assert trace["theoretical_floor_log10"] < -1000
+
+
+def test_stage_law_failure_exits_3_and_writes_nothing(monkeypatch, capsys, tmp_path):
+    def broken(l, t):
+        raise witness.PipelineError("zero-diagonal monotonicity failed: 0 < 1")
+
+    monkeypatch.setattr(witness, "zero_diagonal_map", broken)
+    out = tmp_path / "x.json"
+    argv = ["extract-stabilizer", "--family", "t_tensor", "--n", "2", "--out", str(out)]
+    assert run(argv) == EXIT_INVARIANT
+    assert "internal-consistency failure" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bell_sim_csv(t_state_file, tmp_path):

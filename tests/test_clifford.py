@@ -396,11 +396,10 @@ def test_unit_matrix_bit_identical_to_canonical_form(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_canonical_form_roundtrip(n):
     states = enumerate_stabilizers(n)
-    rng = random.Random(n)
-    for s in rng.sample(states, min(40, len(states))):
+    phases = np.exp(2j * np.pi * np.random.default_rng(n).random(len(states)))
+    for s, phase in zip(states, phases):
         vec = stabilizer_to_statevector(s)
-        back = stabilizer_from_statevector(vec)
-        assert back == s
+        assert stabilizer_from_statevector(StateVector(n, vec.g * phase)) == s
 
 
 def test_canonical_form_roundtrip_with_global_phase():
@@ -416,6 +415,22 @@ def test_canonical_form_roundtrip_with_global_phase():
 def test_from_statevector_rejects_non_stabilizer(t_state):
     with pytest.raises(ValueError):
         stabilizer_from_statevector(t_state)
+    with pytest.raises(ValueError, match="zero vector"):
+        stabilizer_from_statevector(StateVector(2, np.zeros(4)))
+    with pytest.raises(ValueError, match="not an affine subspace"):
+        stabilizer_from_statevector(StateVector(2, [2 / 3**0.5] * 3 + [0]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_from_statevector_rejects_one_amplitude_off(n):
+    """A stabilizer vector with one support amplitude scaled by 1 + 1e-6 is
+    not a stabilizer state: the one amplitude-wise check rejects it."""
+    rng = np.random.default_rng(n)
+    for s in enumerate_stabilizers(n):
+        g = stabilizer_to_statevector(s).g.copy()
+        g[rng.choice(np.flatnonzero(g))] *= 1 + 1e-6
+        with pytest.raises(ValueError, match="not those of a stabilizer"):
+            stabilizer_from_statevector(StateVector(n, g))
 
 
 def test_stabilizer_json_roundtrip():

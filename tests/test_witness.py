@@ -453,6 +453,33 @@ def test_zero_diagonal_rejects_asymmetric():
         zero_diagonal_map(LinMap(2, (0, 0b01)), t)
 
 
+def _on_graph(l):
+    """The table that is 1 on each graph point of l and 0 elsewhere."""
+    f = np.zeros((1 << l.n, 1 << l.n))
+    f[np.arange(1 << l.n), l.images()] = 1
+    return CharTable(l.n, f)
+
+
+# Hand-made tables that no state has, each breaking one stage's law: the
+# shift holds the only mass, the diagonal holds the only mass, and the
+# zero completion of [[0,1],[0,0]] holds 2 of the 4^2 / 4 the law needs.
+@pytest.mark.parametrize(
+    "stage, args, law",
+    [
+        (drop_shift, (AffineMap(LinMap.zero(1), 1), CharTable(1, [[0, 1], [0, 0]])),
+         "shift removal"),
+        (zero_diagonal_map, (LinMap(1, (1,)), CharTable(1, [[0, 0], [0, 1]])),
+         "zero-diagonal monotonicity"),
+        (symmetrize_map, (LinMap(2, (0, 0b01)), _on_graph(LinMap(2, (0, 0b01)))),
+         "quadratic law"),
+    ],
+    ids=["shift", "zero_diagonal", "quadratic"],
+)
+def test_stage_law_failure_names_the_law(stage, args, law):
+    with pytest.raises(PipelineError, match=f"^{law} failed"):
+        stage(*args)
+
+
 # ---------------------------------------------------------------------------
 # quadratic extraction
 
@@ -460,28 +487,28 @@ def test_zero_diagonal_rejects_asymmetric():
 def test_extract_quadratic_exact_phase():
     l = LinMap(2, (0b10, 0b01))
     t = char_function(XOR_STATE)
-    qpoly, corr, alpha = extract_quadratic(XOR_STATE.g, l, t)
+    qpoly, corr = extract_quadratic(XOR_STATE.g, l, t)
     assert np.isclose(corr, 1.0)
-    assert alpha == 0
+    assert qpoly.alpha == 0
     assert np.allclose(qpoly.signs(), XOR_STATE.g.real)
 
 
 def test_extract_quadratic_trivial():
     g = np.ones(4)
     t = char_function(_quad_state(2, g))
-    qpoly, corr, alpha = extract_quadratic(g, LinMap.zero(2), t)
+    qpoly, corr = extract_quadratic(g, LinMap.zero(2), t)
     assert np.isclose(corr, 1.0)
-    assert alpha == 0
+    assert qpoly.alpha == 0
     assert qpoly.values().sum() == 0
 
 
 def test_extract_quadratic_t_real_part(t_state):
     tilde, _, _ = split_real(t_state)
     t = char_function(tilde)
-    qpoly, corr, alpha = extract_quadratic(tilde.g, LinMap.zero(1), t)
+    qpoly, corr = extract_quadratic(tilde.g, LinMap.zero(1), t)
     expected = (2 / math.sqrt(3) + math.sqrt(2 / 3)) / 2
     assert np.isclose(corr, expected, atol=1e-9)
-    assert alpha == 0
+    assert qpoly.alpha == 0
 
 
 def test_extract_quadratic_validation():
