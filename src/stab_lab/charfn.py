@@ -65,7 +65,7 @@ def symplectic_fourier(t: CharTable) -> CharTable:
     """z -> (1/N) sum_z' (-1)^[z,z'] t(z'); the identity on valid tables."""
     # [(y,a),(y',a')] = <y,a'> + <a,y'>, so the symplectic transform is the
     # plain 2-axis Walsh transform with the output halves swapped.
-    out = fwht(fwht(t.f, axis=0), axis=1).real.T / t.N
+    out = fwht(fwht(t.f, axis=0), axis=1).T / t.N
     return CharTable(t.n, out)
 
 
@@ -75,7 +75,7 @@ def bell_diff_distribution(t: CharTable) -> np.ndarray:
     flat = t.flat()
     M = len(flat)
     hat = fwht(flat)
-    q = fwht(hat * hat).real / M**2
+    q = fwht(hat * hat) / M**2
     return np.maximum(q, 0.0)
 
 

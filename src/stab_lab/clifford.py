@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import Subspace, span_points, symp_unpack
+from .gf2 import span_points, symp_unpack
 from .states import StateVector, dot_parity, quadratic_parity, sign_table
 
 BALANCE_TRIES = 1000  # random real Cliffords balance draws before giving up
@@ -298,11 +298,19 @@ def stabilizer_from_statevector(state: StateVector) -> StabilizerState:
     support = np.flatnonzero(np.abs(g) > SUPPORT_TOL)
     if not support.size:
         raise ValueError("zero vector")
-    first = int(support[0])
-    direction = Subspace.from_vectors(n, (x ^ first for x in support.tolist()))
-    if len(direction) != support.size:
+    # Sorted, a coset a + V (a its least point, b_0 > ... > b_(m-1) the RREF
+    # rows of V) lists a + sum_i c_i b_i in the order of the bits c read as
+    # a binary number, c_0 highest: a row's pivot is set in that row alone
+    # and clear in a. So the points at positions 2^(m-1), ..., 2, 1 are
+    # a + b_0, ..., a + b_(m-1), and the support is a coset exactly when
+    # those rows span it back point for point.
+    m = support.size.bit_length() - 1
+    aff_offset = int(support[0])
+    basis = tuple(int(x) ^ aff_offset for x in support[(1 << np.arange(m))[::-1]])
+    if support.size != 1 << m or not np.array_equal(
+        aff_offset ^ span_points(basis[::-1]), support
+    ):
         raise ValueError("support is not an affine subspace")
-    aff_offset, basis, m = direction.reduce(first), direction.basis, direction.dim
     amps = g[aff_offset ^ span_points(basis)]
     k = np.rint(np.angle(amps * np.conj(amps[0])) / (np.pi / 2)).astype(np.int64) & 3
     unit = 1 << np.arange(m)

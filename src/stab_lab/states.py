@@ -104,9 +104,15 @@ class StateVector:
 
 
 def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform along one axis."""
-    a = np.array(a, dtype=complex)
-    a = np.moveaxis(a, axis, -1)
+    """Unnormalized fast Walsh-Hadamard transform along one axis.
+
+    The output dtype is np.result_type(a, float): real (or integer) input
+    gives float64 and complex input gives complex128. The transform only
+    adds and subtracts, so a real input's float64 output equals, bit for
+    bit, the real part of the transform of the same input cast to complex
+    (whose imaginary parts stay exact zeros)."""
+    a = np.asarray(a)
+    a = np.moveaxis(np.array(a, dtype=np.result_type(a, float)), axis, -1)
     N = a.shape[-1]
     if N & (N - 1):
         raise StateFormatError("length must be a power of 2")

@@ -10,6 +10,22 @@ is that of the physical 4-copy Bell measurement for every state, complex
 amplitudes included (Gross-Nezami-Walter, arXiv:1712.08628). A full 4-copy
 simulator (n <= 6) cross-checks it: the two laws agree to rounding (total
 variation below 1e-15 on Haar states at n = 1..6).
+
+The outcomes are exactly those of Generator.choice(len(q), shots, p=q/sum q)
+on the same seed, drawn faster. choice builds cdf = p.cumsum() / its last
+entry, draws u = rng.random(shots) and returns searchsorted(cdf, u,
+side="right"), one binary search over all of cdf per shot. _draw keeps cdf
+and u and finds the same index through a guide table. The first entry above
+u is always an index where cdf strictly rises (the entry before it is at most
+u), so the search runs over the rising entries only. Their values c are
+bucketed into K equal cells of [0, 1), K a power of two at least twice the
+number of rises: u*K and the cell edges b/K are then exact, and cell b's
+bounds, the counts of c at most b/K and (b+1)/K, hold the answer. A shot in
+a cell that no c splits is settled by that lookup; a vectorized binary search
+inside the bounds settles the rest. The lookup rounds nothing, and every
+comparison after it is one of u with an entry of cdf, as in choice's search,
+so z is the same array bit for bit (tests/test_tester.py checks it against
+choice itself).
 """
 
 from __future__ import annotations
@@ -24,13 +40,14 @@ from .states import MAX_QUBITS, StateVector, convolve, fwht, haar_unit
 
 
 MAX_SHOTS = 10_000_000
+_CHUNK = 1 << 16  # shots per guide lookup in _draw
 
 
 class TesterError(ValueError):
     __test__ = False  # keep pytest from collecting the Test* name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestDecision:
     statistic: float  # R-hat
     threshold: float
@@ -48,12 +65,50 @@ def bell_difference_sample(
         raise TesterError(f"shots must be in [1, {MAX_SHOTS}]")
     t = char_function(state.normalized())
     q = bell_diff_distribution(t)
-    probs = q / q.sum()
     rng = np.random.default_rng(seed)
-    zs = rng.choice(len(probs), size=shots, p=probs)
+    zs = _draw(rng, q / q.sum(), shots)
     f_at = t.flat()[zs]
-    same = rng.random(shots) < 0.5 * (1.0 + f_at)
+    f_at += 1.0  # in place: the same two roundings as 0.5 * (1.0 + f_at)
+    f_at *= 0.5
+    same = rng.random(shots) < f_at
     return zs, same
+
+
+def _draw(rng: np.random.Generator, probs: np.ndarray, shots: int) -> np.ndarray:
+    """rng.choice(len(probs), size=shots, p=probs), bit for bit, by a guide
+    table over the rises of the cdf (see the module docstring). Like choice
+    it holds two arrays of shot length, u and the result; the lookup's own
+    arrays are per chunk of _CHUNK shots."""
+    cdf = probs.cumsum()
+    if not np.isfinite(cdf[-1]):
+        raise TesterError("the difference distribution is not finite")
+    cdf /= cdf[-1]
+    rise = np.flatnonzero(np.concatenate(([cdf[0] > 0], cdf[1:] > cdf[:-1])))
+    c = cdf[rise]
+    K = 1 << (2 * len(c) - 1).bit_length()
+    # guide[b] = #{j : c[j] <= b/K}; the answer for u in cell b = floor(u*K)
+    # lies in [guide[b], guide[b + 1]], capped at the last rise (c[-1] = 1 > u)
+    guide = np.minimum(c.searchsorted(np.arange(K + 1) / K, side="right"), len(c) - 1)
+    split = guide[1:] > guide[:-1]  # the cells that some c splits
+    u = rng.random(shots)
+    z = np.empty(shots, dtype=np.int64)
+    for at in range(0, shots, _CHUNK):
+        uc = u[at : at + _CHUNK]
+        # floor(u*K), each shot's cell, cast straight into an index array
+        lo = np.multiply(uc, K, out=np.empty(len(uc), dtype=np.intp), casting="unsafe")
+        todo = np.flatnonzero(split[lo])
+        hi = guide[1:][lo[todo]]
+        lo = guide[lo]
+        # A binary search inside the cell's bounds settles the shots left open.
+        while todo.size:
+            mid = (lo[todo] + hi) >> 1
+            above = c[mid] > uc[todo]
+            hi = np.where(above, mid, hi)
+            lo[todo] = np.where(above, lo[todo], mid + 1)
+            keep = lo[todo] < hi
+            todo, hi = todo[keep], hi[keep]
+        z[at : at + _CHUNK] = rise[lo]
+    return z
 
 
 def estimate_R(state: StateVector, shots: int, seed: int = 0) -> float:
@@ -166,7 +221,7 @@ def four_copy_difference_law(state: StateVector) -> np.ndarray:
     """Law of z1 + z2 over two independent Bell measurements on 4 copies:
     the XOR self-convolution of the single-measurement law."""
     p = bell_pair_distribution(state)
-    return len(p) * convolve(p, p).real
+    return len(p) * convolve(p, p)
 
 
 def sampler_vs_four_copy_tv(state: StateVector) -> float:

@@ -121,12 +121,17 @@ def sample_zeta(t: CharTable, delta: float, seed: int = 0) -> ZetaSample:
             f"table is unbalanced (max row sum {rows.max():.6g} > 3); "
             "apply a balancing Clifford first"
         )
-    rng = np.random.default_rng(seed)
     N = t.N
     zeta = np.zeros(N, dtype=int)
-    for y in range(N):
-        if rows[y] > 0:
-            zeta[y] = rng.choice(N, p=t.f[y] / rows[y])
+    # Row by row this is rng.choice(N, p=t.f[y] / rows[y]): one uniform per
+    # row with mass, in row order, against that row's cdf, normalized by its
+    # last entry as choice normalizes it; searchsorted(side="right") on a
+    # sorted row is the count of its entries at most u.
+    live = np.flatnonzero(rows > 0)
+    cdf = (t.f[live] / rows[live, None]).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    u = np.random.default_rng(seed).random(len(live))
+    zeta[live] = (cdf <= u[:, None]).sum(axis=1)
     good = t.f[np.arange(N), zeta] >= delta
     y1 = np.arange(N)[:, None]
     y2 = np.arange(N)[None, :]

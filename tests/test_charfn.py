@@ -16,7 +16,7 @@ from stab_lab.charfn import (
 )
 from stab_lab.clifford import enumerate_stabilizers, stabilizer_to_statevector
 from stab_lab.gf2 import Subspace, dot, perp
-from stab_lab.states import FamilySpec, StateVector, make_state
+from stab_lab.states import FamilySpec, StateVector, fwht, make_state
 
 
 def _brute_char(state):
@@ -115,6 +115,21 @@ def test_graph_shift_inequality():
         for zp in range(16):
             shifted = sum(flat[z ^ zp] for z in sub)
             assert shifted <= base + 1e-10
+
+
+def test_real_tables_take_the_real_transform_path():
+    # A table is real, so q and its symplectic transform are computed in
+    # real arithmetic; they equal the real part of the complex path bit for bit.
+    states = random_states(3, 2, seed=4) + [make_state(FamilySpec("t_tensor", 4))]
+    for state in states:
+        t = char_function(state)
+        hat = fwht(t.flat().astype(complex))
+        q_complex = np.maximum(fwht(hat * hat).real / len(hat) ** 2, 0.0)
+        q = bell_diff_distribution(t)
+        assert q.dtype == np.float64 and np.array_equal(q, q_complex)
+        f_complex = fwht(fwht(t.f.astype(complex), axis=0), axis=1).real.T / t.N
+        f = symplectic_fourier(t).f
+        assert f.dtype == np.float64 and np.array_equal(f, f_complex)
 
 
 def test_bell_distribution_brute_force(t_state):

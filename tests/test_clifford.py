@@ -419,6 +419,11 @@ def test_from_statevector_rejects_non_stabilizer(t_state):
         stabilizer_from_statevector(StateVector(2, np.zeros(4)))
     with pytest.raises(ValueError, match="not an affine subspace"):
         stabilizer_from_statevector(StateVector(2, [2 / 3**0.5] * 3 + [0]))
+    # four points, a power of two, but {0, 1, 2, 4} is no coset of a plane
+    g = np.zeros(8, dtype=complex)
+    g[[0, 1, 2, 4]] = 2**0.5
+    with pytest.raises(ValueError, match="not an affine subspace"):
+        stabilizer_from_statevector(StateVector(3, g))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,7 +1,7 @@
 """Source checks that stand in for a linter: every name a package, script
-or test module imports is used somewhere in that module, and every name a
+or test module imports is used somewhere in that module, every name a
 package module defines at top level is used somewhere in the repository's
-code."""
+code, and no package module draws through Generator.choice with weights."""
 
 import ast
 import pathlib
@@ -99,3 +99,27 @@ def test_dead_name_is_reported():
     )
     caller = ast.parse("used()\n")
     assert _dead_names(module, [module, caller]) == ["dead (line 5)"]
+
+
+def _weighted_choices(tree: ast.Module) -> list[int]:
+    """Lines of every .choice(...) call given a p= keyword."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "choice"
+        and any(kw.arg == "p" for kw in node.keywords)
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_weighted_choice(path):
+    # Weighted draws go through tester._draw and sample_zeta's row-wise cdf,
+    # which equal choice bit for bit and are tested against it.
+    assert _weighted_choices(ast.parse(path.read_text())) == []
+
+
+def test_weighted_choice_is_reported():
+    tree = ast.parse("rng.choice(4, size=2)\nrng.choice(4, p=w)\n")
+    assert _weighted_choices(tree) == [2]

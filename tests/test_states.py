@@ -76,6 +76,23 @@ def test_fwht_axis_handling():
         assert np.allclose(col[:, j], fwht(a[:, j]))
 
 
+def test_fwht_dtype_contract():
+    # Real input stays real and equals the real part of the complex
+    # transform bit for bit; complex input stays complex.
+    rng = np.random.default_rng(11)
+    for shape, axis in (((64,), -1), ((8, 4), 0), ((8, 4), 1)):
+        a = rng.standard_normal(shape)
+        real, cplx = fwht(a, axis=axis), fwht(a.astype(complex), axis=axis)
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert np.array_equal(real, cplx.real) and not cplx.imag.any()
+    assert fwht(np.arange(8)).dtype == np.float64
+    f, g = rng.standard_normal(32), rng.standard_normal(32)
+    conv = convolve(f, g)
+    assert conv.dtype == np.float64
+    assert np.array_equal(conv, convolve(f.astype(complex), g.astype(complex)).real)
+    assert convolve(f, g + 1j).dtype == np.complex128
+
+
 def test_fwht_rejects_non_power_of_two():
     with pytest.raises(StateFormatError):
         fwht(np.ones(3))

@@ -10,7 +10,8 @@ import pytest
 
 from conftest import random_real_states, random_states
 from stab_lab.charfn import bell_diff_distribution, char_function, exact_R
-from stab_lab.clifford import enumerate_stabilizers, stabilizer_to_statevector
+from stab_lab.clifford import enumerate_stabilizers, stabilizer_at, stabilizer_to_statevector
+from stab_lab.measures import counterexample_state, random_low_rank_state
 from stab_lab.states import (
     MAX_QUBITS,
     FamilySpec,
@@ -20,8 +21,10 @@ from stab_lab.states import (
     sign_table,
 )
 from stab_lab.tester import (
+    _CHUNK,
     MAX_SHOTS,
     TesterError,
+    _draw,
     bell_difference_sample,
     bell_pair_distribution,
     calibrate,
@@ -39,6 +42,86 @@ def test_shots_are_deterministic_under_seed(t_state):
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     c = bell_difference_sample(t_state, 200, seed=8)
     assert not all(np.array_equal(x, y) for x, y in zip(a, c))
+
+
+def _draw_corpus():
+    """Haar, t_tensor, uniform, basis and counterexample states at n = 1..6,
+    random rank-1/2/3 combinations at n <= 4 (rank 1 is a stabilizer state,
+    whose q vanishes off a subspace), and stabilizer states blended with
+    weight 1e-12 of a Haar state, whose q has entries from 1e-16 to 1e-12."""
+    out = {}
+    for n in range(1, MAX_QUBITS + 1):
+        out[f"haar.n{n}"] = random_states(n, 1, seed=n)[0]
+        for kind in ("t_tensor", "uniform", "basis"):
+            out[f"{kind}.n{n}"] = make_state(FamilySpec(kind, n, x0=(1 << n) - 1))
+        out[f"counterexample.n{n}"] = counterexample_state(n, seed=n)
+    for n in range(1, 5):
+        for k in (1, 2, 3):
+            rng = np.random.default_rng(10 * n + k)
+            out[f"rank{k}.n{n}"] = random_low_rank_state(n, k, rng)
+        spec = FamilySpec("interpolate", n, seed=n, eps=1e-12, stab=stabilizer_at(n, 5))
+        out[f"blend.n{n}"] = make_state(spec)
+    return out
+
+
+DRAW_CORPUS = _draw_corpus()
+
+
+@pytest.mark.parametrize("name", DRAW_CORPUS)
+def test_draw_equals_generator_choice(name):
+    # The oracle is numpy's own weighted draw; a numpy release that changes
+    # Generator.choice shows up here.
+    state = DRAW_CORPUS[name]
+    t = char_function(state.normalized())
+    q = bell_diff_distribution(t)
+    cases = [(seed, shots) for seed in range(20) for shots in (1, 7, 10_000)]
+    for seed, shots in cases + [(20, 2 * _CHUNK + 7)]:  # the last spans three chunks
+        rng = np.random.default_rng(seed)
+        z = rng.choice(len(q), size=shots, p=q / q.sum())
+        same = rng.random(shots) < 0.5 * (1.0 + t.flat()[z])
+        zs, agree = bell_difference_sample(state, shots, seed)
+        assert zs.dtype == np.int64 and np.array_equal(zs, z)
+        assert np.array_equal(agree, same)
+
+
+class _GivenUniforms:
+    """Stands in for a Generator whose next uniforms are given."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shots):
+        assert shots == len(self.u)
+        return self.u.copy()
+
+
+def test_draw_breaks_ties_like_searchsorted_right():
+    # A uniform equal to a cdf entry has probability ~0 under a real
+    # generator, so the seeded oracle never meets one: feed them directly.
+    rng = np.random.default_rng(3)
+    tiny = np.concatenate([[0.5], np.full(40, 1e-13), [0.5]])
+    for probs in (
+        np.full(8, 1 / 8),
+        np.array([0.0, 0.25, 0.0, 0.25, 0.5, 0.0]),
+        tiny,
+        rng.random(64) * (rng.random(64) < 0.5),
+    ):
+        probs = probs / probs.sum()
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        below = cdf[cdf < 1]
+        u = np.concatenate(
+            [below, np.nextafter(below, 0), [0.0, np.nextafter(1.0, 0)], rng.random(50)]
+        )
+        want = np.searchsorted(cdf, u, side="right")
+        assert np.array_equal(_draw(_GivenUniforms(u), probs, len(u)), want)
+
+
+def test_draw_corpus_has_zeros_and_tiny_masses():
+    qs = {name: bell_diff_distribution(char_function(s)) for name, s in DRAW_CORPUS.items()}
+    assert (qs["basis.n6"] == 0).sum() == 4096 - 64
+    assert (qs["rank1.n4"] == 0).any()
+    assert ((qs["blend.n4"] > 0) & (qs["blend.n4"] < 1e-9)).sum() >= 200
 
 
 def test_shot_support_matches_distribution(t_state):
@@ -109,6 +192,8 @@ def test_tolerant_test_validation(t_state):
         bell_difference_sample(t_state, shots=0)
     with pytest.raises(TesterError):
         bell_difference_sample(t_state, shots=MAX_SHOTS + 1)
+    with pytest.raises(TesterError, match="not finite"), np.errstate(invalid="ignore"):
+        bell_difference_sample(StateVector(1, [np.nan, 1.0]), shots=10)
 
 
 def test_rank_vs_haar_requires_calibration(t_state):

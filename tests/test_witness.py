@@ -112,6 +112,27 @@ def test_zeta_deterministic_and_valid():
     assert 0.0 <= a.L_value <= 1.0
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_zeta_equals_per_row_choice(n):
+    # The oracle draws each row with mass through Generator.choice, in row
+    # order from one generator; sample_zeta draws them all at once. The
+    # sparse tables have empty rows and zero entries inside the others.
+    N = 1 << n
+    rng = np.random.default_rng(n)
+    sparse = rng.random((10, N, N)) * (rng.random((10, N, N)) < 0.4) * (2 / N)
+    sparse[:, rng.random(N) < 0.3] = 0.0
+    tables = [_balanced_table(random_states(n, 1, seed=s)[0]) for s in range(10)]
+    tables += [CharTable(n, f) for f in sparse]
+    for seed, t in enumerate(tables):
+        rows = t.row_sums()
+        rng = np.random.default_rng(seed)
+        zeta = [
+            int(rng.choice(t.N, p=t.f[y] / rows[y])) if rows[y] > 0 else 0
+            for y in range(t.N)
+        ]
+        assert sample_zeta(t, delta=0.05, seed=seed).zeta == tuple(zeta)
+
+
 # ---------------------------------------------------------------------------
 # affine map search
 
