@@ -288,10 +288,19 @@ def lambda_star_scan(
     """Minimum lambda_min over nonsingular Gram matrices of k distinct
     enumerated stabilizers, per (k, n), for k <= MAX_GRAM_STATES and n <= 4.
     Exhaustive mode is budget-limited to (k <= 3, n <= 2) and (k = 2,
-    n <= 3); sampled mode draws seeded random subsets, 1 <= trials <=
-    MAX_TRIALS of them per (k, n). A row with no nonsingular subset has
-    min_lambda inf and no witness; in sampled mode a k above the number of
-    states at n draws no subset (samples 0)."""
+    n <= 3), and every (k, n) it would visit is checked against that budget
+    before any stabilizer table is built; sampled mode draws seeded random
+    subsets, 1 <= trials <= MAX_TRIALS of them per (k, n). A row with no
+    nonsingular subset has min_lambda inf and no witness; in sampled mode a
+    k above the number of states at n draws no subset (samples 0).
+
+    The row reports the smallest computed lambda_min at or above
+    SINGULAR_TOL and the first subset, in enumeration (or draw) order, that
+    reaches it, whatever the chunk size. Stabilizer overlaps take only a few
+    values, i^ell 2^(-m/2), so few Gram matrices differ: each chunk is
+    grouped by the exact bytes of G and eigvalsh runs once per group. Equal
+    input bits give equal eigenvalues, so every subset's lambda_min is the
+    one its own eigensolve would give, bit for bit."""
     if mode not in ("exhaustive", "sampled"):
         raise MeasureError(f"unknown scan mode {mode!r}")
     if k_max < 1 or n_max < 1:
@@ -306,6 +315,14 @@ def lambda_star_scan(
         )
     if mode == "sampled" and not 1 <= trials <= MAX_TRIALS:
         raise MeasureError(f"trials must be in [1, {MAX_TRIALS}]")
+    if mode == "exhaustive":
+        for n in range(1, n_max + 1):
+            for k in range(2, k_max + 1):
+                if (k, n) not in _EXHAUSTIVE_BUDGET:
+                    raise MeasureError(
+                        f"exhaustive scan budget exceeded at (k={k}, n={n}); "
+                        "use sampled mode"
+                    )
     rows = []
     rng = np.random.default_rng(seed)
     for n in range(1, n_max + 1):
@@ -315,35 +332,36 @@ def lambda_star_scan(
                 rows.append(ScanRow(1, n, 1.0, (0,), True))
                 continue
             if mode == "exhaustive":
-                if (k, n) not in _EXHAUSTIVE_BUDGET:
-                    raise MeasureError(
-                        f"exhaustive scan budget exceeded at (k={k}, n={n}); "
-                        "use sampled mode"
-                    )
-                combos_iter = itertools.combinations(range(len(S)), k)
+                subsets = itertools.combinations(range(len(S)), k)
                 samples = 0
             elif k > len(S):
-                combos_iter, samples = iter(()), 0
+                subsets, samples = iter(()), 0
             else:
-                picks = [
-                    tuple(sorted(rng.choice(len(S), size=k, replace=False)))
+                subsets = (
+                    np.sort(rng.choice(len(S), size=k, replace=False)).tolist()
                     for _ in range(trials)
-                ]
-                combos_iter = iter(picks)
+                )
                 samples = trials
+            flat = itertools.chain.from_iterable(subsets)
             best_val, best_wit = math.inf, None
             while True:
-                chunk = np.array(list(itertools.islice(combos_iter, _CHUNK)), dtype=int)
-                if chunk.size == 0:
+                chunk = np.fromiter(itertools.islice(flat, _CHUNK * k), int)
+                chunk = chunk.reshape(-1, k)
+                if not len(chunk):
                     break
-                G = np.einsum("kin,kjn->kij", S[chunk].conj(), S[chunk])
-                lams = np.linalg.eigvalsh(G)[:, 0]
-                ok = lams >= SINGULAR_TOL
-                if ok.any():
-                    i = int(np.flatnonzero(ok)[np.argmin(lams[ok])])
-                    if lams[i] < best_val - 1e-15:
-                        best_val = float(lams[i])
-                        best_wit = tuple(int(x) for x in chunk[i])
+                V = S[chunk]
+                G = np.einsum("kin,kjn->kij", V.conj(), V)
+                # one eigensolve per distinct G, keyed by its exact bytes
+                keys = G.reshape(len(G), -1).view(np.dtype((np.void, G[0].nbytes)))
+                _, first, group = np.unique(
+                    keys.ravel(), return_index=True, return_inverse=True
+                )
+                lam = np.linalg.eigvalsh(G[first])[:, 0]
+                lams = np.where(lam >= SINGULAR_TOL, lam, math.inf)[group]
+                i = int(np.argmin(lams))
+                if lams[i] < best_val:
+                    best_val = float(lams[i])
+                    best_wit = tuple(int(x) for x in chunk[i])
             rows.append(
                 ScanRow(k, n, best_val, best_wit, mode == "exhaustive", samples)
             )

@@ -63,6 +63,8 @@ class StateVector:
         object.__setattr__(self, "g", g)
         if len(g) != 1 << self.n:
             raise StateFormatError(f"expected {1 << self.n} amplitudes, got {len(g)}")
+        if not np.isfinite(g).all():
+            raise StateFormatError("amplitudes must be finite")
 
     @property
     def N(self) -> int:
@@ -128,8 +130,8 @@ def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def walsh_hadamard(g: np.ndarray) -> np.ndarray:
-    """ghat(alpha) = E_x[(-1)^<alpha,x> g(x)] (expectation normalization)."""
-    g = np.asarray(g, dtype=complex)
+    """ghat(alpha) = E_x[(-1)^<alpha,x> g(x)] (expectation normalization).
+    The dtype follows fwht: real input gives a real result."""
     return fwht(g) / len(g)
 
 

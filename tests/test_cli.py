@@ -103,6 +103,20 @@ def test_gram_scan_csv(tmp_path):
     assert np.isclose(float(row21.split(",")[2]), 1 - 1 / math.sqrt(2))
 
 
+def test_gram_scan_csv_body_k3_nmax2(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert run(["gram-scan", "--k", "3", "--nmax", "2", "--out", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines()[2:] == [
+        "k,n,min_lambda,witness,exhaustive,samples",
+        "1,1,1.0,0,1,0",
+        "2,1,0.2928932188134524,0 2,1,0",
+        "3,1,,,1,0",
+        "1,2,1.0,0,1,0",
+        "2,2,0.2928932188134522,28 36,1,0",
+        "3,2,0.13397459621556088,1 44 53,1,0",
+    ]
+
+
 def test_gram_scan_sampled_k_above_state_count(tmp_path):
     # n = 1 has 6 stabilizer states, so k = 7 draws no subset; k = 3..6
     # exceed 2^n and draw subsets that are all singular

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_states
+from stab_lab import measures
 from stab_lab.clifford import (
     StabilizerState,
     enumerate_stabilizers,
@@ -20,6 +21,7 @@ from stab_lab.clifford import (
 from stab_lab.measures import (
     MAX_TRIALS,
     RANK_RESIDUAL_TOL,
+    SINGULAR_TOL,
     MeasureError,
     _first_hit,
     counterexample_state,
@@ -315,9 +317,19 @@ def test_lambda_star_scan_values():
     assert np.isclose(by_kn[(2, 2)].min_lambda, 1 - 1 / math.sqrt(2), atol=1e-12)
 
 
-def test_lambda_star_scan_budget_and_sampled():
-    with pytest.raises(MeasureError):
+def test_lambda_star_scan_budget_and_sampled(monkeypatch):
+    # the budget is checked before any table is built: (3, 3) is refused
+    # without scanning n = 1..3 first
+    requested = []
+
+    def recording_table(n):
+        requested.append(n)
+        return stabilizer_unit_matrix(n)
+
+    monkeypatch.setattr(measures, "stabilizer_unit_matrix", recording_table)
+    with pytest.raises(MeasureError, match=r"\(k=3, n=3\)"):
         lambda_star_scan(3, 3, "exhaustive")
+    assert requested == []
     for k_max, n_max in ((0, 1), (2, 0)):
         with pytest.raises(MeasureError):
             lambda_star_scan(k_max, n_max)
@@ -332,6 +344,76 @@ def test_lambda_star_scan_budget_and_sampled():
     sampled = [r for r in rows if r.k == 2]
     assert all(r.samples == 50 and not r.exhaustive for r in sampled)
     assert all(r.min_lambda >= 1 - 1 / math.sqrt(2) - 1e-9 for r in sampled)
+
+
+def _scan_oracle(S, subsets):
+    """One eigvalsh per subset, as the scan ran before it grouped equal Gram
+    matrices: the smallest lambda_min at or above SINGULAR_TOL and the first
+    subset reaching it, or (inf, None). Whole-array, in blocks of 65,536."""
+    subsets = np.asarray(subsets, dtype=int)
+    best, wit = math.inf, None
+    for lo in range(0, len(subsets), 1 << 16):
+        block = subsets[lo:lo + (1 << 16)]
+        V = S[block]
+        lams = np.linalg.eigvalsh(np.einsum("kin,kjn->kij", V.conj(), V))[:, 0]
+        lams[lams < SINGULAR_TOL] = math.inf
+        i = int(np.argmin(lams))
+        if lams[i] < best:
+            best, wit = float(lams[i]), tuple(int(x) for x in block[i])
+    return best, wit
+
+
+def test_batched_eigvalsh_matches_per_subset_loop():
+    # equal input bits give equal eigenvalues: a batch's lambda_min is the
+    # one each subset's own eigvalsh gives, bit for bit
+    S = stabilizer_unit_matrix(2)
+    subsets = np.array(list(itertools.combinations(range(len(S)), 3))[::10])
+    V = S[subsets]
+    batched = np.linalg.eigvalsh(np.einsum("kin,kjn->kij", V.conj(), V))[:, 0]
+    for c, lam in zip(subsets, batched):
+        W = S[c]
+        assert np.linalg.eigvalsh(np.einsum("in,jn->ij", W.conj(), W))[0] == lam
+
+
+@pytest.mark.parametrize("k,n", sorted(measures._EXHAUSTIVE_BUDGET))
+def test_lambda_star_scan_exhaustive_matches_oracle(k, n):
+    S = stabilizer_unit_matrix(n)
+    row = lambda_star_scan(k, n)[-1]
+    assert (row.k, row.n, row.exhaustive, row.samples) == (k, n, True, 0)
+    best, wit = _scan_oracle(S, list(itertools.combinations(range(len(S)), k)))
+    assert (row.min_lambda, row.witness) == (best, wit)
+
+
+def test_lambda_star_scan_rows_do_not_depend_on_chunk(monkeypatch):
+    runs = []
+    for chunk in (7, 4096):
+        monkeypatch.setattr(measures, "_CHUNK", chunk)
+        runs.append(
+            lambda_star_scan(3, 2)
+            + lambda_star_scan(8, 3, "sampled", trials=300, seed=3)
+        )
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("k_max,n_max,trials,seed", [(8, 3, 500, 2), (4, 4, 300, 3)])
+def test_lambda_star_scan_sampled_matches_oracle(k_max, n_max, trials, seed):
+    # replay the scan's draws: per n, per k >= 2 with k <= #states, trials
+    # sorted draws without replacement from one generator
+    rows = lambda_star_scan(k_max, n_max, "sampled", trials=trials, seed=seed)
+    rng = np.random.default_rng(seed)
+    by_kn = {(r.k, r.n): r for r in rows}
+    for n in range(1, n_max + 1):
+        S = stabilizer_unit_matrix(n)
+        for k in range(2, k_max + 1):
+            if k > len(S):
+                draws = []
+            else:
+                draws = [np.sort(rng.choice(len(S), size=k, replace=False))
+                         for _ in range(trials)]
+            row = by_kn[(k, n)]
+            assert row.samples == len(draws) and not row.exhaustive
+            best, wit = _scan_oracle(S, np.reshape(draws, (-1, k)))
+            assert (row.min_lambda, row.witness) == (best, wit)
 
 
 def test_gram_eigenvalue_fidelity_floor():

@@ -1,5 +1,6 @@
 """Statevector container, Walsh-Hadamard analysis, families, and JSON I/O."""
 
+import functools
 import json
 import math
 
@@ -80,9 +81,13 @@ def test_fwht_dtype_contract():
     # Real input stays real and equals the real part of the complex
     # transform bit for bit; complex input stays complex.
     rng = np.random.default_rng(11)
-    for shape, axis in (((64,), -1), ((8, 4), 0), ((8, 4), 1)):
-        a = rng.standard_normal(shape)
-        real, cplx = fwht(a, axis=axis), fwht(a.astype(complex), axis=axis)
+    cases = [
+        (functools.partial(fwht, axis=axis), rng.standard_normal(shape))
+        for shape, axis in (((64,), -1), ((8, 4), 0), ((8, 4), 1))
+    ]
+    cases.append((walsh_hadamard, rng.standard_normal(64)))
+    for transform, a in cases:
+        real, cplx = transform(a), transform(a.astype(complex))
         assert real.dtype == np.float64 and cplx.dtype == np.complex128
         assert np.array_equal(real, cplx.real) and not cplx.imag.any()
     assert fwht(np.arange(8)).dtype == np.float64
@@ -130,6 +135,12 @@ def test_inner_product_convention():
     assert np.isclose(a.inner(b), 1.0)
     assert np.isclose(a.inner(c), 0.0)
     assert np.isclose(a.overlap_sq(make_state(FamilySpec("uniform", 2))), 0.25)
+
+
+def test_state_vector_rejects_non_finite_amplitudes():
+    for bad in ([np.nan, 1.0], [np.inf, 1.0], [1.0, complex(0.0, -np.inf)]):
+        with pytest.raises(StateFormatError, match="finite"):
+            StateVector(1, bad)
 
 
 def test_normalized_and_zero_vector():
