@@ -57,8 +57,10 @@ def char_function(state: StateVector) -> CharTable:
     N = state.N
     idx = np.arange(N)
     deriv = g[None, :] * np.conj(g[idx[:, None] ^ idx[None, :]])  # [y, x]
-    hat = fwht(deriv, axis=1) / N
-    return CharTable(state.n, np.abs(hat) ** 2)
+    f = np.abs(fwht(deriv, axis=1) / N) ** 2
+    if not np.isfinite(f).all():
+        raise TableError("the table is not finite: the amplitudes overflow")
+    return CharTable(state.n, f)
 
 
 def symplectic_fourier(t: CharTable) -> CharTable:

@@ -23,6 +23,7 @@ from .states import StateVector, dot_parity, quadratic_parity, sign_table
 BALANCE_TRIES = 1000  # random real Cliffords balance draws before giving up
 SUPPORT_TOL = 1e-9  # the decoder's one tolerance: support and amplitude match
 TABLE_MAX_N = 4  # the stabilizer enumeration and its tables stop here
+PAIR_TABLE_MAX_N = 4  # real words run on _pair_table up to here
 
 
 class GateError(ValueError):
@@ -72,6 +73,20 @@ def _gate_kernels(n: int) -> tuple:
             high = (idx >> gate[1]) & 1 == 1
             kernels.append((idx[~high], idx[high]) if gate[0] == "H" else idx[high])
     return tuple(kernels)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_table(n: int) -> list:
+    """At index f * 2^n + w, for each functional f and direction w with
+    <f, w> = 1, the pairs (y, y ^ w) over the y with <f, y> = 0."""
+    N = 1 << n
+    table: list = [None] * (N * N)
+    for f in range(1, N):
+        half = [y for y in range(N) if not (y & f).bit_count() & 1]
+        for w in range(N):
+            if (w & f).bit_count() & 1:
+                table[f * N + w] = tuple((y, y ^ w) for y in half)
+    return table
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -136,10 +151,13 @@ def apply_clifford(circuit: CliffordCircuit, state: StateVector) -> StateVector:
     -1 and i, and CNOT gathers through its permutation. The arithmetic is
     that of applying each decoded gate with freshly built index arrays, so
     the amplitudes equal that loop's bit for bit
-    (test_apply_clifford_equals_gate_loop_oracle)."""
+    (test_apply_clifford_equals_gate_loop_oracle). Real words at n <=
+    PAIR_TABLE_MAX_N take _apply_real_word instead."""
     n = circuit.n
     if n != state.n:
         raise GateError("circuit and state sizes differ")
+    if n <= PAIR_TABLE_MAX_N and circuit.is_real():
+        return _apply_real_word(circuit, state)
     kernels = _gate_kernels(n)
     g = np.array(state.g, dtype=complex)
     for k in circuit.word:
@@ -156,6 +174,47 @@ def apply_clifford(circuit: CliffordCircuit, state: StateVector) -> StateVector:
         else:  # S
             g[kernel] *= 1j
     return StateVector(n, g)
+
+
+def _apply_real_word(circuit: CliffordCircuit, state: StateVector) -> StateVector:
+    """apply_clifford for a word over {H, Z, CNOT}, in Python numbers, moving
+    amplitudes only at H. The state is held as (-1)^<z, x> G[L x]: Z_i flips
+    bit i of z; CNOT_ct, x -> C x = x ^ (x_c << t), takes L to L C (column c
+    gains column t), row t of L^-1 gains row c, and z becomes C^T z. H_i, with
+    w = L e_i, f row i of L^-1 and b = (-1)^(z_i), takes each pair
+    (u, v) = (G[y], G[y ^ w]) with <f, y> = 0 to ((u + b v) k, (b u - v) k),
+    k = 1 / sqrt 2, the factor numpy's complex division by sqrt 2 scales by.
+    Up to the signs of both terms these are the loop's sum and difference,
+    and rounding commutes with negation, so every amplitude equals the
+    loop's, though a zero may come out with the other sign
+    (test_apply_clifford_equals_oracle_on_default_real_words)."""
+    n, N = circuit.n, state.N
+    gates, pairs = _gate_codes(n)[0], _pair_table(n)
+    G = state.g.tolist() if state.g.imag.any() else state.g.real.tolist()
+    k = 1 / math.sqrt(2)
+    cols = [1 << j for j in range(n)]
+    rows = cols.copy()
+    z = 0
+    for code in circuit.word:
+        if code >= 3 * n:  # CNOT
+            _, c, t = gates[code]
+            cols[c] ^= cols[t]
+            rows[t] ^= rows[c]
+            z ^= (z >> t & 1) << c
+        elif code >= n:  # Z
+            z ^= 1 << (code - n)
+        elif z >> code & 1:  # H, b = -1
+            for y, yw in pairs[rows[code] * N + cols[code]]:
+                u, v = G[y], G[yw]
+                G[y], G[yw] = (u - v) * k, (-u - v) * k
+        else:  # H, b = 1
+            for y, yw in pairs[rows[code] * N + cols[code]]:
+                u, v = G[y], G[yw]
+                G[y], G[yw] = (u + v) * k, (u - v) * k
+    L = [0]
+    for col in cols:
+        L += [y ^ col for y in L]
+    return StateVector(n, np.array(G)[L] * sign_table(N, z))
 
 
 def apply_weyl(state: StateVector, z: int) -> StateVector:

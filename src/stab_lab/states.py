@@ -91,8 +91,8 @@ class StateVector:
 
     def normalized(self) -> "StateVector":
         nrm = math.sqrt(self.norm_sq())
-        if nrm == 0:
-            raise StateFormatError("cannot normalize the zero vector")
+        if not 0 < nrm < math.inf:  # the zero vector, or squares that overflow
+            raise StateFormatError(f"cannot normalize: squared norm {nrm**2}")
         return StateVector(self.n, self.g / nrm)
 
     def inner(self, other: "StateVector") -> complex:

@@ -14,13 +14,15 @@ corr^2 >= S(l'') / (N E[g^2]) and the overlap floor overlap >= nu corr^2.
 
 The approximately-linear structure is found by direct exhaustive search
 rather than by additive-combinatorics covering arguments, whose constants are
-vacuous at this scale. At n <= 4 the search scores all 2^(n^2 + n) affine
-maps in one recursion over sub-cubes of y; the optimum is at least as good as
-any covered map, so downstream bounds apply unchanged. At n = 5, 6 it scores
-every symmetric zero-diagonal map (1,024 and 32,768), the class the last
-rounding stage lands in: no covered map ends that stage heavier, and each
-later stage maps its input to itself. Either search keeps the first maximum
-of its own sums, and every stage values its map by graph_sum.
+vacuous at this scale. At n <= 4 the search is exact over all 2^(n^2 + n)
+affine maps: a recursion over sub-cubes of y scores every prefix of columns,
+and two row maxima give each prefix's best last column and shift. The
+optimum is at least as good as any covered map, so downstream bounds apply
+unchanged. At n = 5, 6 it scores every symmetric zero-diagonal map (1,024
+and 32,768), the class the last rounding stage lands in: no covered map ends
+that stage heavier, and each later stage maps its input to itself. Either
+search keeps the first maximum of its own sums, and every stage values its
+map by graph_sum.
 """
 
 from __future__ import annotations
@@ -155,17 +157,24 @@ def best_affine_map(t: CharTable) -> tuple[AffineMap, float]:
 
     For n <= EXHAUSTIVE_MAX_N the search is exact over all 2^(n^2 + n)
     candidates; first optimum in lexicographic (columns, shift) order wins
-    ties, column 0 most significant and the shift least. It scores every
-    candidate at once by recursion over sub-cubes of y. After peeling bits
+    ties, column 0 most significant and the shift least. After peeling bits
     0..k-1 of y,
 
-        T_k[p, c_0..c_{k-1}, s] = sum_b t((p << k) | b, s + sum_i b_i c_i)
+        T_k[p, s, C] = sum_b t((p << k) | b, s + sum_i b_i c_i)
 
-    over the k-bit b, so T_0 = t and T_{k+1}[p, .., c_k, s] =
-    T_k[2p, .., s] + T_k[2p + 1, .., c_k + s]; T_n is the score of every
-    (columns, shift) in lexicographic order, summed in tree order over y.
-    The first maximum of T_n wins and is valued by graph_sum, as every
-    later stage values its map.
+    over the k-bit b, with C = (c_{k-1}, .., c_0), newest digit first, so
+    T_0 = t and T_{k+1}[p, s, (c_k, C)] = T_k[2p + 1, c_k + s, C] +
+    T_k[2p, s, C]: each level gathers whole contiguous rows. At k = n - 1,
+    A = T[0, :, C] and B = T[1, :, C] score each (c_{n-1}, s) of a prefix
+    C as A[s] + B[c_{n-1} + s], summed in tree order over y. As the last
+    column is free, (s, c_{n-1} + s) runs over every pair, and rounding is
+    monotone, so the prefix's best is fl(max A + max B), attained. So the
+    first maximum in lexicographic order lies in the lexicographically
+    first prefix (C's digits read in reverse) whose best is the overall
+    best, at the first maximum of its N x N scores: the map the first
+    maximum of all 2^(n^2 + n) scores picks, with no array above
+    2^(n^2 + 1) doubles (1 MB at n = 4). It is valued by graph_sum, as
+    every later stage values its map.
 
     For n > EXHAUSTIVE_MAX_N it scans the 2^(n(n-1)/2) symmetric
     zero-diagonal maps instead and returns the first maximum with shift 0,
@@ -185,15 +194,17 @@ def best_affine_map(t: CharTable) -> tuple[AffineMap, float]:
     else:
         yidx = np.arange(N)
         xor = yidx[:, None] ^ yidx[None, :]
-        T = t.f[:, None, :]
-        for _ in range(n):
-            nxt = np.take(T[1::2], xor, axis=-1)
-            nxt += T[0::2][:, :, None, :]
-            T = nxt.reshape(len(nxt), -1, N)
-        best = int(np.argmax(T))
-        m, shift = best >> n, best & (N - 1)
-        cols = tuple((m >> ((n - 1 - j) * n)) & (N - 1) for j in range(n))
-        amap = AffineMap(LinMap(n, cols), shift)
+        T = t.f[:, :, None]
+        for _ in range(n - 1):
+            nxt = T[1::2][:, xor]
+            nxt += T[0::2][:, :, None]
+            T = nxt.reshape(len(nxt), N, -1)
+        tops = (T[0].max(axis=0) + T[1].max(axis=0)).reshape((N,) * (n - 1))
+        prefix = np.unravel_index(int(np.argmax(tops.T)), tops.shape)
+        a, b = T[:, :, np.ravel_multi_index(prefix[::-1], tops.shape)]
+        last = int(np.argmax(b[xor] + a))
+        cols = (*map(int, prefix), last >> n)
+        amap = AffineMap(LinMap(n, cols), last & (N - 1))
     return amap, graph_sum(t, amap)
 
 

@@ -16,7 +16,8 @@ from stab_lab.charfn import (
 )
 from stab_lab.clifford import enumerate_stabilizers, stabilizer_to_statevector
 from stab_lab.gf2 import Subspace, dot, perp
-from stab_lab.states import FamilySpec, StateVector, fwht, make_state
+from stab_lab.measures import gowers3
+from stab_lab.states import FamilySpec, StateFormatError, StateVector, fwht, make_state
 
 
 def _brute_char(state):
@@ -169,6 +170,19 @@ def test_table_shape_validation():
         CharTable(2, np.zeros((2, 2)))
     with pytest.raises(TableError):
         char_function(StateVector(7, np.ones(128, dtype=complex)))
+
+
+def test_overflowing_amplitudes_raise():
+    # Finite amplitudes whose squares overflow: the norm is inf, so
+    # normalizing would return zeros, and the tables hold inf - inf = nan.
+    huge = StateVector(1, [1e200, 1e200])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StateFormatError, match="squared norm inf"):
+            huge.normalized()
+        with pytest.raises(TableError, match="not finite"):
+            gowers3(huge)
+        with pytest.raises(TableError, match="not finite"):
+            exact_R(huge)
 
 
 def test_csv_rendering():

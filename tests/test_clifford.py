@@ -136,13 +136,22 @@ def test_apply_clifford_equals_gate_loop_oracle(n):
         assert np.array_equal(out.g, _apply_clifford_oracle(circuit, state).g)
 
 
-@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_apply_clifford_equals_oracle_on_default_real_words(n):
+    # Haar states, and states like the pipeline's real ones (split_real
+    # parts, quadratic signs) with planted zeros, so that sums cancel to
+    # exact zeros.
+    rng = np.random.default_rng(n)
+    N = 1 << n
     for seed in range(3):
         circuit = random_real_clifford(n, seed=seed)
-        state = random_states(n, 1, seed=seed)[0]
-        out = apply_clifford(circuit, state)
-        assert np.array_equal(out.g, _apply_clifford_oracle(circuit, state).g)
+        g = rng.choice([-1.0, 1.0], size=N) if seed == 0 else rng.normal(size=N)
+        if seed == 2:
+            g = g + 1j * rng.choice([-1.0, 0.0, 1.0], size=N)
+        g[rng.integers(0, N, size=N // 2)] = 0
+        for state in (random_states(n, 1, seed=seed)[0], StateVector(n, g)):
+            out = apply_clifford(circuit, state)
+            assert np.array_equal(out.g, _apply_clifford_oracle(circuit, state).g)
 
 
 @pytest.mark.parametrize("n", range(3, 7))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import random_real_states, random_states
 from stab_lab.charfn import CharTable, char_function
-from stab_lab.clifford import balance
+from stab_lab.clifford import balance, stabilizer_at, stabilizer_to_statevector
 from stab_lab.gf2 import AffineMap, LinMap, linmap_from_images, nullspace, span_points
 from stab_lab.measures import counterexample_state, stabilizer_fidelity
 from stab_lab.states import FamilySpec, StateVector, make_state
@@ -214,21 +214,28 @@ def _assert_same_search(t):
     assert val.hex() == want_val.hex()
 
 
-@st.composite
-def random_tables(draw, n_max, n_min=1):
-    """Nonnegative tables. Half are quantized to quarters, which forces exact
-    ties; a quarter sit within a few ulps of 1, where sums in different
-    orders round differently."""
-    n = draw(st.integers(n_min, n_max))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _random_table(n, kind, seed, scale=1.0):
+    """A nonnegative table: "quarters" are quantized to quarters, which
+    forces exact ties; "ulps" sit within a few ulps of 1, where sums in
+    different orders round differently; "plain" are uniform."""
+    rng = np.random.default_rng(seed)
     shape = (1 << n, 1 << n)
-    kind = draw(st.sampled_from(["plain", "quarters", "quarters", "ulps"]))
     if kind == "ulps":
         return CharTable(n, 1 + rng.integers(0, 4, shape) * 2.0**-52)
-    f = rng.random(shape) * draw(st.sampled_from([1.0, 0.1, 3.0]))
+    f = rng.random(shape) * scale
     if kind == "quarters":
         f = np.round(f * 4) / 4
     return CharTable(n, f)
+
+
+@st.composite
+def random_tables(draw, n_max, n_min=1):
+    """Half quarters, a quarter ulps, a quarter plain; see _random_table."""
+    n = draw(st.integers(n_min, n_max))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["plain", "quarters", "quarters", "ulps"]))
+    scale = 1.0 if kind == "ulps" else draw(st.sampled_from([1.0, 0.1, 3.0]))
+    return _random_table(n, kind, seed, scale)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -249,12 +256,39 @@ N4_CORPUS = {
     ),
     "haar balanced": lambda: _balanced_table(random_states(4, 1, seed=3)[0]),
     "counterexample balanced": lambda: _balanced_table(counterexample_state(4, 0)),
+    # Exact ties: 0/1 Lagrangian indicators and quarter-quantized tables;
+    # near-ties: entries a few ulps apart
+    **{
+        f"stabilizer {k}": lambda k=k: char_function(
+            stabilizer_to_statevector(stabilizer_at(4, k))
+        )
+        for k in (0, 20_000, 36_719)
+    },
+    **{
+        f"{kind} {seed}": lambda kind=kind, seed=seed: _random_table(4, kind, seed)
+        for kind in ("quarters", "ulps")
+        for seed in (0, 1)
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(N4_CORPUS))
 def test_best_affine_map_matches_enumeration_n4(name):
     _assert_same_search(N4_CORPUS[name]())
+
+
+def test_best_affine_map_n4_tie_across_prefix_order():
+    # Exactly two maps collect a full row each: l(y) = y_1, columns
+    # (0, 1, 0, 0), and l(y) = y_0, columns (1, 0, 0, 0). The first is
+    # lexicographically first, but the search holds the prefix
+    # (c_0, c_1, c_2) at flat position c_0 + 16 c_1 + 256 c_2, where the
+    # second comes first (1 < 16).
+    y = np.arange(16)
+    f = np.zeros((16, 16))
+    f[y, y & 1] = f[y, (y >> 1) & 1] = 1.0
+    t = CharTable(4, f)
+    _assert_same_search(t)
+    assert best_affine_map(t) == (AffineMap(LinMap(4, (0, 1, 0, 0)), 0), 16.0)
 
 
 def test_best_affine_map_constant_table_n4_stays_small():
@@ -269,7 +303,7 @@ def test_best_affine_map_constant_table_n4_stays_small():
         tracemalloc.stop()
     assert amap == AffineMap(LinMap.zero(4), 0)
     assert val == _enumerate_affine_maps(t)[1]
-    assert peak < 64 * 2**20
+    assert peak < 4 * 2**20
 
 
 def _zero_diagonal_oracle(t):
