@@ -23,7 +23,6 @@ from .states import StateVector, dot_parity, quadratic_parity, sign_table
 BALANCE_TRIES = 1000  # random real Cliffords balance draws before giving up
 SUPPORT_TOL = 1e-9  # the decoder's one tolerance: support and amplitude match
 TABLE_MAX_N = 4  # the stabilizer enumeration and its tables stop here
-PAIR_TABLE_MAX_N = 4  # real words run on _pair_table up to here
 
 
 class GateError(ValueError):
@@ -59,34 +58,12 @@ def _gate_codes(n: int) -> tuple[tuple[tuple, ...], dict, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _gate_kernels(n: int) -> tuple:
-    """Per gate code, the index arrays its gate acts through: for H_i the
-    pair (lo, hi) of the indices with bit i clear and set, for Z_i and S_i
-    that same hi, and for CNOT_ij the gather x -> x ^ (x_i << j)."""
-    idx = np.arange(1 << n)
-    kernels = []
-    for gate in _gate_codes(n)[0]:
-        if gate[0] == "CNOT":
-            c, t = gate[1:]
-            kernels.append(idx ^ (((idx >> c) & 1) << t))
-        else:
-            high = (idx >> gate[1]) & 1 == 1
-            kernels.append((idx[~high], idx[high]) if gate[0] == "H" else idx[high])
-    return tuple(kernels)
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_table(n: int) -> list:
-    """At index f * 2^n + w, for each functional f and direction w with
-    <f, w> = 1, the pairs (y, y ^ w) over the y with <f, y> = 0."""
+def _halves(n: int) -> tuple[tuple[int, ...], ...]:
+    """At index f, the y in [0, 2^n) with <f, y> = 0."""
     N = 1 << n
-    table: list = [None] * (N * N)
-    for f in range(1, N):
-        half = [y for y in range(N) if not (y & f).bit_count() & 1]
-        for w in range(N):
-            if (w & f).bit_count() & 1:
-                table[f * N + w] = tuple((y, y ^ w) for y in half)
-    return table
+    return tuple(
+        tuple(y for y in range(N) if not (y & f).bit_count() & 1) for f in range(N)
+    )
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -132,9 +109,6 @@ class CliffordCircuit:
     def __repr__(self) -> str:
         return f"CliffordCircuit(n={self.n}, gates={self.gates!r})"
 
-    def is_real(self) -> bool:
-        return not any(k in self.word for k in range(2 * self.n, 3 * self.n))
-
     def inverse(self) -> "CliffordCircuit":
         """The reversed word with each S_i expanded to S_i then Z_i, since
         S_i^-1 = Z_i S_i; H, Z and CNOT are involutions."""
@@ -145,51 +119,24 @@ class CliffordCircuit:
 
 
 def apply_clifford(circuit: CliffordCircuit, state: StateVector) -> StateVector:
-    """circuit |state>, one gate code of the word at a time through the
-    n-qubit kernel table (_gate_kernels): H_i rewrites its (lo, hi) halves
-    as ((a + b) / sqrt 2, (a - b) / sqrt 2), Z_i and S_i scale the hi half by
-    -1 and i, and CNOT gathers through its permutation. The arithmetic is
-    that of applying each decoded gate with freshly built index arrays, so
-    the amplitudes equal that loop's bit for bit
-    (test_apply_clifford_equals_gate_loop_oracle). Real words at n <=
-    PAIR_TABLE_MAX_N take _apply_real_word instead."""
-    n = circuit.n
+    """circuit |state>, one gate code of the word at a time, in Python
+    numbers, touching amplitudes only at H and S. The state is held as
+    (-1)^<z, x> G[L x]: Z_i flips bit i of z; CNOT_ct, x -> C x =
+    x ^ (x_c << t), takes L to L C (column c gains column t), row t of L^-1
+    gains row c, and z becomes C^T z. With w = L e_i and f row i of L^-1,
+    the y with <f, y> = 0 are _halves(n)[f] and the y ^ w are the rest. H_i,
+    with b = (-1)^(z_i), takes each pair (u, v) = (G[y], G[y ^ w]) to
+    ((u + b v) k, (b u - v) k), k = 1 / sqrt 2, the factor numpy's complex
+    division by sqrt 2 scales by. S_i multiplies each G[y ^ w] by 1j; a
+    diagonal gate commutes with the sign frame, so z stays. Up to the signs
+    of both terms these are the gate-at-a-time loop's sum, difference and
+    product by i, and rounding commutes with negation, so every amplitude equals
+    the loop's, though a zero may come out with the other sign
+    (test_apply_clifford_equals_gate_loop_oracle)."""
+    n, N = circuit.n, state.N
     if n != state.n:
         raise GateError("circuit and state sizes differ")
-    if n <= PAIR_TABLE_MAX_N and circuit.is_real():
-        return _apply_real_word(circuit, state)
-    kernels = _gate_kernels(n)
-    g = np.array(state.g, dtype=complex)
-    for k in circuit.word:
-        kernel = kernels[k]
-        if k >= 3 * n:  # CNOT
-            g = g[kernel]
-        elif k < n:  # H
-            lo, hi = kernel
-            a, b = g[lo], g[hi]
-            g[lo] = (a + b) / math.sqrt(2)
-            g[hi] = (a - b) / math.sqrt(2)
-        elif k < 2 * n:  # Z
-            g[kernel] *= -1
-        else:  # S
-            g[kernel] *= 1j
-    return StateVector(n, g)
-
-
-def _apply_real_word(circuit: CliffordCircuit, state: StateVector) -> StateVector:
-    """apply_clifford for a word over {H, Z, CNOT}, in Python numbers, moving
-    amplitudes only at H. The state is held as (-1)^<z, x> G[L x]: Z_i flips
-    bit i of z; CNOT_ct, x -> C x = x ^ (x_c << t), takes L to L C (column c
-    gains column t), row t of L^-1 gains row c, and z becomes C^T z. H_i, with
-    w = L e_i, f row i of L^-1 and b = (-1)^(z_i), takes each pair
-    (u, v) = (G[y], G[y ^ w]) with <f, y> = 0 to ((u + b v) k, (b u - v) k),
-    k = 1 / sqrt 2, the factor numpy's complex division by sqrt 2 scales by.
-    Up to the signs of both terms these are the loop's sum and difference,
-    and rounding commutes with negation, so every amplitude equals the
-    loop's, though a zero may come out with the other sign
-    (test_apply_clifford_equals_oracle_on_default_real_words)."""
-    n, N = circuit.n, state.N
-    gates, pairs = _gate_codes(n)[0], _pair_table(n)
+    gates, halves = _gate_codes(n)[0], _halves(n)
     G = state.g.tolist() if state.g.imag.any() else state.g.real.tolist()
     k = 1 / math.sqrt(2)
     cols = [1 << j for j in range(n)]
@@ -201,14 +148,23 @@ def _apply_real_word(circuit: CliffordCircuit, state: StateVector) -> StateVecto
             cols[c] ^= cols[t]
             rows[t] ^= rows[c]
             z ^= (z >> t & 1) << c
+        elif code >= 2 * n:  # S
+            i = code - 2 * n
+            w = cols[i]
+            for y in halves[rows[i]]:
+                G[y ^ w] *= 1j
         elif code >= n:  # Z
             z ^= 1 << (code - n)
         elif z >> code & 1:  # H, b = -1
-            for y, yw in pairs[rows[code] * N + cols[code]]:
+            w = cols[code]
+            for y in halves[rows[code]]:
+                yw = y ^ w
                 u, v = G[y], G[yw]
                 G[y], G[yw] = (u - v) * k, (-u - v) * k
         else:  # H, b = 1
-            for y, yw in pairs[rows[code] * N + cols[code]]:
+            w = cols[code]
+            for y in halves[rows[code]]:
+                yw = y ^ w
                 u, v = G[y], G[yw]
                 G[y], G[yw] = (u + v) * k, (u - v) * k
     L = [0]
@@ -217,12 +173,17 @@ def _apply_real_word(circuit: CliffordCircuit, state: StateVector) -> StateVecto
     return StateVector(n, np.array(G)[L] * sign_table(N, z))
 
 
+def _weyl_label(n: int, z: int) -> tuple[int, int]:
+    """(y, alpha) of the n-qubit Weyl label z, which must lie in [0, 4^n)."""
+    if not 0 <= z < 1 << (2 * n):
+        raise GateError(f"Weyl label {z} does not fit n = {n}")
+    return symp_unpack(n, z)
+
+
 def apply_weyl(state: StateVector, z: int) -> StateVector:
     """W_z |phi> with W_(y,a) = i^(y.a) X^y Z^a."""
     n, N = state.n, state.N
-    if z >> (2 * n):
-        raise GateError("Weyl label does not fit the state")
-    y, alpha = symp_unpack(n, z)
+    y, alpha = _weyl_label(n, z)
     t = state.g * sign_table(N, alpha)
     out = t[np.arange(N) ^ y] * (1j ** ((y & alpha).bit_count()))
     return StateVector(n, out)
@@ -230,8 +191,7 @@ def apply_weyl(state: StateVector, z: int) -> StateVector:
 
 def weyl_expectation(state: StateVector, z: int) -> complex:
     """<phi| X^y Z^a |phi> (no quadrature prefactor)."""
-    n = state.n
-    y, alpha = symp_unpack(n, z)
+    y, alpha = _weyl_label(state.n, z)
     idx = np.arange(state.N)
     shifted = (state.g * sign_table(state.N, alpha))[idx ^ y]
     return complex(np.mean(np.conj(state.g) * shifted))

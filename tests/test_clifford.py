@@ -80,8 +80,8 @@ def test_apply_clifford_matches_dense_oracle(seed):
 
 
 def _apply_clifford_oracle(circuit, state):
-    """The gate-at-a-time loop apply_clifford's kernel table replaced, kept
-    verbatim: fresh index arrays and masks per decoded gate."""
+    """The reference apply_clifford is checked against: one decoded gate at
+    a time on a numpy array, with fresh index arrays and masks per gate."""
     if circuit.n != state.n:
         raise GateError("circuit and state sizes differ")
     g = np.array(state.g, dtype=complex)
@@ -121,6 +121,19 @@ def _is_real_oracle(circuit):
     return all(g[0] != "S" for g in circuit.gates)
 
 
+def _planted_zero_state(n, rng, seed):
+    """A state like the pipeline's real ones (split_real parts, quadratic
+    signs): +-1 at seed 0, Gaussian otherwise, with an imaginary part in
+    {-1, 0, 1} at seed 2, and zeros planted so that sums cancel to exact
+    zeros."""
+    N = 1 << n
+    g = rng.choice([-1.0, 1.0], size=N) if seed == 0 else rng.normal(size=N)
+    if seed == 2:
+        g = g + 1j * rng.choice([-1.0, 0.0, 1.0], size=N)
+    g[rng.integers(0, N, size=N // 2)] = 0
+    return StateVector(n, g)
+
+
 def _full_table_word(n, seed, depth=120):
     """A seeded word over every gate code of the n-qubit table, S included."""
     picks = np.random.default_rng(seed).integers(0, n * n + 2 * n, size=depth)
@@ -129,11 +142,14 @@ def _full_table_word(n, seed, depth=120):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_apply_clifford_equals_gate_loop_oracle(n):
+    # Haar states, and planted-zero states, so that S words meet exact zeros
+    rng = np.random.default_rng(n)
     for seed in range(8):
         circuit = _full_table_word(n, seed)
-        state = random_states(n, 1, seed=seed)[0]
-        out = apply_clifford(circuit, state)
-        assert np.array_equal(out.g, _apply_clifford_oracle(circuit, state).g)
+        haar = random_states(n, 1, seed=seed)[0]
+        for state in (haar, _planted_zero_state(n, rng, seed % 3)):
+            out = apply_clifford(circuit, state)
+            assert np.array_equal(out.g, _apply_clifford_oracle(circuit, state).g)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -142,14 +158,10 @@ def test_apply_clifford_equals_oracle_on_default_real_words(n):
     # parts, quadratic signs) with planted zeros, so that sums cancel to
     # exact zeros.
     rng = np.random.default_rng(n)
-    N = 1 << n
     for seed in range(3):
         circuit = random_real_clifford(n, seed=seed)
-        g = rng.choice([-1.0, 1.0], size=N) if seed == 0 else rng.normal(size=N)
-        if seed == 2:
-            g = g + 1j * rng.choice([-1.0, 0.0, 1.0], size=N)
-        g[rng.integers(0, N, size=N // 2)] = 0
-        for state in (random_states(n, 1, seed=seed)[0], StateVector(n, g)):
+        planted = _planted_zero_state(n, rng, seed)
+        for state in (random_states(n, 1, seed=seed)[0], planted):
             out = apply_clifford(circuit, state)
             assert np.array_equal(out.g, _apply_clifford_oracle(circuit, state).g)
 
@@ -170,6 +182,21 @@ def test_balance_equals_balance_through_oracle(n, monkeypatch):
         assert np.array_equal(out.g, want.g)
 
 
+def test_first_word_memory_at_n6():
+    # apply_clifford's one cache is _halves(n), about 19 KB of ints at
+    # n = 6; a table of the (y, y ^ w) pairs for each (f, w) would hold 5 MB
+    clifford._halves.cache_clear()
+    circuit = _full_table_word(6, 0)
+    state = random_states(6, 1, seed=0)[0]
+    tracemalloc.start()
+    try:
+        apply_clifford(circuit, state)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_inverse_and_is_real_match_decode_oracles(n):
     real = random_real_clifford(n, depth=60, seed=n)
@@ -177,7 +204,6 @@ def test_inverse_and_is_real_match_decode_oracles(n):
     words += [_full_table_word(n, seed, depth=60) for seed in range(6)]
     assert any(not _is_real_oracle(c) for c in words)
     for circuit in words:
-        assert circuit.is_real() == _is_real_oracle(circuit)
         assert circuit.inverse() == _inverse_oracle(circuit)
 
 
@@ -211,7 +237,7 @@ def test_circuit_inverse_roundtrip(seed):
 
 def test_real_circuits_stay_real():
     circuit = random_real_clifford(3, depth=50, seed=7)
-    assert circuit.is_real()
+    assert _is_real_oracle(circuit)
     state = StateVector.from_unit(np.ones(8) / math.sqrt(8))
     out = apply_clifford(circuit, state)
     assert np.abs(out.g.imag).max() < 1e-12
@@ -232,7 +258,7 @@ def test_circuit_word_round_trip(n):
     assert len(circuit.word) == len(gates)
     assert circuit == CliffordCircuit(n, tuple(gates))
     assert hash(circuit) == hash(CliffordCircuit(n, tuple(gates)))
-    assert circuit.is_real() == ("S" not in {g[0] for g in gates})
+    assert _is_real_oracle(circuit) == ("S" not in {g[0] for g in gates})
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -276,6 +302,14 @@ def test_weyl_matches_dense_oracle(n):
             [(-1) ** bin(alpha & x).count("1") for x in range(1 << n)]
         ) @ state.unit())
         assert abs(exp - dense) < 1e-10
+
+
+@pytest.mark.parametrize("z", [-1, -16, 16, 1 << 40])
+def test_weyl_label_out_of_range(z):
+    state = random_states(2, 1, seed=0)[0]
+    for weyl in (apply_weyl, weyl_expectation):
+        with pytest.raises(GateError, match="Weyl label"):
+            weyl(state, z)
 
 
 def test_weyl_t_state_values(t_state):
@@ -469,7 +503,7 @@ def test_balance_reaches_threshold():
         state = make_state(FamilySpec("basis", n, x0=1))
         circuit, out = balance(state, seed=3)
         assert fourth_moment(out) <= 3.0 / state.N + 1e-9
-        assert circuit.is_real()
+        assert _is_real_oracle(circuit)
         assert np.allclose(apply_clifford(circuit, state).g, out.g)
 
 

@@ -1,7 +1,8 @@
 """Source checks that stand in for a linter: every name a package, script
 or test module imports is used somewhere in that module, every name a
-package module defines at top level is used somewhere in the repository's
-code, and no package module draws through Generator.choice with weights."""
+package module defines at top level, and every method of its classes, is
+used somewhere in the repository's code, and no package module draws
+through Generator.choice with weights."""
 
 import ast
 import pathlib
@@ -68,11 +69,19 @@ def _defined(stmt: ast.stmt) -> list[str]:
 
 
 def _dead_names(module: ast.Module, corpus: list[ast.Module]) -> list[str]:
-    """Top-level functions, classes and constants of module that nothing in
-    corpus refers to outside their own definition; dunders are exempt."""
+    """Top-level functions, classes and constants of module, and the methods
+    of its classes, that nothing in corpus refers to outside their own
+    definition; dunders are exempt."""
     total = sum((_references(tree) for tree in corpus), Counter())
+    methods = [
+        stmt
+        for cls in module.body
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
     dead = []
-    for stmt in module.body:
+    for stmt in module.body + methods:
         own = _references(stmt)
         for name in _defined(stmt):
             dunder = name.startswith("__") and name.endswith("__")
@@ -96,9 +105,12 @@ def test_dead_name_is_reported():
     module = ast.parse(
         "LIMIT = 3\n__all__ = []\ndef used():\n    return LIMIT\n"
         "def dead(k):\n    return dead(k - 1) if k else 0\n"
+        "class Box:\n    def __init__(self):\n        self.open()\n"
+        "    def open(self):\n        pass\n"
+        "    def shut(self):\n        return self.shut()\n"
     )
-    caller = ast.parse("used()\n")
-    assert _dead_names(module, [module, caller]) == ["dead (line 5)"]
+    caller = ast.parse("used()\nBox()\n")
+    assert _dead_names(module, [module, caller]) == ["dead (line 5)", "shut (line 12)"]
 
 
 def _weighted_choices(tree: ast.Module) -> list[int]:
