@@ -88,10 +88,11 @@ def exact_R(state: StateVector) -> float:
 
 
 def char_table_csv(t: CharTable) -> str:
+    bits = [format(x, f"0{t.n}b") for x in range(t.N)]
     lines = ["y_bits,alpha_bits,f_value"]
-    for y in range(t.N):
-        for a in range(t.N):
-            lines.append(
-                f"{format(y, f'0{t.n}b')},{format(a, f'0{t.n}b')},{float(t.f[y, a])!r}"
-            )
+    lines += (
+        f"{bits[y]},{bits[a]},{value!r}"
+        for y, row in enumerate(t.f.tolist())
+        for a, value in enumerate(row)
+    )
     return "\n".join(lines) + "\n"

@@ -47,7 +47,7 @@ _VALIDATION_ERRORS = (
     ValueError,
     OSError,
 )
-_INVARIANT_ERRORS = (witness.PipelineError, charfn.TableError)
+_INVARIANT_ERRORS = (witness.PipelineError, charfn.TableError, clifford.BalanceError)
 
 
 @functools.lru_cache(maxsize=None)
@@ -222,11 +222,13 @@ def _cmd_extract_stabilizer(config: ExperimentConfig, state):
 
 def _cmd_bell_sim(config: ExperimentConfig, state):
     zs, same = tester.bell_difference_sample(state, config.shots, config.seed)
-    lines = ["y_bits,alpha_bits,same_bit"]
     n = state.n
-    for z, s in zip(zs.tolist(), same.tolist()):
-        y, alpha = z >> n, z & ((1 << n) - 1)
-        lines.append(f"{format(y, f'0{n}b')},{format(alpha, f'0{n}b')},{int(s)}")
+    bits = [format(x, f"0{n}b") for x in range(state.N)]
+    lines = ["y_bits,alpha_bits,same_bit"]
+    lines += (
+        f"{bits[z >> n]},{bits[z & (state.N - 1)]},{int(s)}"
+        for z, s in zip(zs.tolist(), same.tolist())
+    )
     _emit(config, {}, csv_body="\n".join(lines) + "\n")
 
 

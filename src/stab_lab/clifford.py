@@ -364,15 +364,17 @@ def _sign_rows(m: int, q):
 def _layout(n: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
     """The enumeration order: for each subspace of F2^n, in all_subspaces
     order, the first index of its block of states, its RREF basis and its
-    sorted coset offsets. State k of a dim-m block has the mixed-radix
-    digits (offset, ell, sign form), radices (2^(n-m), 2^m, 2^(m(m+1)/2))."""
+    sorted coset offsets, which are the x with no pivot bit (each coset's
+    least point). State k of a dim-m block has the mixed-radix digits
+    (offset, ell, sign form), radices (2^(n-m), 2^m, 2^(m(m+1)/2))."""
     if n > TABLE_MAX_N:
         raise ValueError(f"stabilizer enumeration capped at n = {TABLE_MAX_N}")
     from .gf2 import all_subspaces
 
     out, start = [], 0
     for sub in all_subspaces(n):
-        offsets = tuple(sorted({sub.reduce(x) for x in range(1 << n)}))
+        pivots = sum(1 << (b.bit_length() - 1) for b in sub.basis)
+        offsets = tuple(x for x in range(1 << n) if not x & pivots)
         out.append((start, sub.basis, offsets))
         start += len(offsets) << (sub.dim + _form_bits(sub.dim))
     return tuple(out)

@@ -360,17 +360,20 @@ def doubling_stats(n: int, S: Iterable[int]) -> tuple[float, float]:
 
 
 def all_subspaces(n: int) -> list[Subspace]:
-    """Every linear subspace of F2^n (desk scale: n <= 4)."""
+    """Every linear subspace of F2^n (desk scale: n <= 4), built as the RREF
+    basis of each pivot pattern: row i is its pivot bit plus any bits below
+    it that are not pivots. Sorted by dimension, then by the basis read in
+    increasing order. That is the greedy least basis (each vector the least
+    one of the subspace outside the span of those before), so a subspace
+    comes where its first spanning set in itertools.combinations order
+    would put it."""
     if n > 4:
         raise ValueError("subspace enumeration capped at n = 4")
-    seen: set[tuple[int, ...]] = set()
-    out = [Subspace(n, ())]
-    seen.add(())
-    nonzero = list(range(1, 1 << n))
-    for m in range(1, n + 1):
-        for combo in itertools.combinations(nonzero, m):
-            sub = Subspace.from_vectors(n, combo)
-            if sub.dim == m and sub.basis not in seen:
-                seen.add(sub.basis)
-                out.append(sub)
+    out = []
+    for m in range(n + 1):
+        for pivots in itertools.combinations(range(n - 1, -1, -1), m):
+            mask = sum(1 << p for p in pivots)
+            rows = [[1 << p | x for x in range(1 << p) if not x & mask] for p in pivots]
+            out += (Subspace(n, basis) for basis in itertools.product(*rows))
+    out.sort(key=lambda sub: (sub.dim, sub.basis[::-1]))
     return out

@@ -8,6 +8,7 @@ results at n <= 4 (fidelity) and n <= 2 (rank) are exact, not heuristic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ _CHUNK = 4096
 MAX_TRIALS = 100_000  # sampled subsets per (k, n) in lambda_star_scan
 MAX_GRAM_STATES = 8  # states per Gram matrix
 _PAIR_ROWS = 64  # rows of i per block of the rank search's pair sweep
+_PLANE_BLOCK = 256  # subsets per block of the hyperplane table's build
 
 
 class MeasureError(ValueError):
@@ -161,6 +163,83 @@ def _first_hit(
     return None
 
 
+def _wedge_steps(N: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Gathers that wedge N - 1 rows of C^N together one row at a time. The
+    wedge of rows 0..i-1 has one entry per sorted i-set K of columns, in
+    itertools.combinations order; step i takes it to rows 0..i by
+    (w ^ v)_K = sum_t (-1)^(i - t) w_(K minus k_t) v_(k_t) over K's columns
+    k_t, as (entries of w, columns of v, signs), i + 1 terms per new K."""
+    steps, sets = [], list(itertools.combinations(range(N), 1))
+    for i in range(1, N - 1):
+        new = list(itertools.combinations(range(N), i + 1))
+        place = {K: q for q, K in enumerate(sets)}
+        left = [place[K[:t] + K[t + 1:]] for K in new for t in range(i + 1)]
+        right = [k for K in new for k in K]
+        sign = [(-1) ** (i - t) for _ in new for t in range(i + 1)]
+        steps.append((np.array(left, int), np.array(right, int), np.array(sign, float)))
+        sets = new
+    return steps
+
+
+@functools.lru_cache(maxsize=None)
+def _hyperplanes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct hyperplanes of C^N that (N - 1)-subsets of the n-qubit
+    stabilizer table span, as (normals, subsets), in the lexicographic order
+    of the first subset that spans each; n <= 2. Row k of subsets is that
+    first subset, and row k of normals a unit c with sum_j c_j u_j = 0 for
+    every u in hyperplane k, so |c . v|^2 is v's squared residual against it.
+
+    Subsets go through in itertools.combinations order, _PLANE_BLOCK at a
+    time. c is the wedge of the subset's rows read by missing column (the
+    signed maximal minors); its norm^2 is the Gram determinant, and at most
+    SINGULAR_TOL marks a dependent subset, which spans less. A hyperplane is
+    keyed by the stabilizer rows it holds, those with |c . s|^2 <=
+    SINGULAR_TOL (one bit each; at n = 2 the others give at least 1/12), so
+    equal keys are the same hyperplane exactly. A key that no earlier block
+    held is new, and the block's first subset with it is its first subset."""
+    if n > 2:
+        raise MeasureError("hyperplane table capped at n = 2")
+    S = stabilizer_unit_matrix(n)
+    M, N = S.shape
+    steps = _wedge_steps(N)
+    bits = np.uint64(1) << np.arange(M, dtype=np.uint64)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(M), N - 1))
+    # sorted; a dependent subset gets key 0, which no hyperplane has, since
+    # a subset's own rows lie in its span
+    keys = np.zeros(1, np.uint64)
+    normals, subsets = [], []
+    while len(block := np.fromiter(itertools.islice(flat, _PLANE_BLOCK * (N - 1)), int)):
+        block = block.reshape(-1, N - 1)
+        A = S[block]
+        w = A[:, 0]
+        for i, (left, right, sign) in enumerate(steps, 1):
+            w = (w[:, left] * A[:, i, right] * sign).reshape(len(A), -1, i + 1).sum(axis=2)
+        c = w[:, ::-1] * (-1.0) ** np.arange(N)  # column l: the minor without l
+        norm = np.linalg.norm(c, axis=1)
+        spans = norm**2 > SINGULAR_TOL
+        c = np.divide(c, norm[:, None], out=np.zeros_like(c), where=spans[:, None])
+        key = np.where(spans, (np.abs(c @ S.T) <= math.sqrt(SINGULAR_TOL)) @ bits, 0)
+        _, first = np.unique(key, return_index=True)
+        known = keys[np.minimum(np.searchsorted(keys, key[first]), len(keys) - 1)]
+        first = np.sort(first[known != key[first]])
+        keys = np.sort(np.concatenate([keys, key[first]]))
+        normals.append(c[first])
+        subsets.append(block[first])
+    table = np.concatenate(normals), np.concatenate(subsets)
+    for part in table:  # every caller shares the cached arrays
+        part.setflags(write=False)
+    return table
+
+
+def _hyperplane_hit(n: int, v: np.ndarray, thr: float) -> Optional[tuple[int, ...]]:
+    """_first_hit(S, v, N - 1, thr) on the full stabilizer table S, read off
+    the hyperplane table: the least stored subset whose hyperplane leaves v
+    a squared residual <= thr, or None."""
+    normals, subsets = _hyperplanes(n)
+    hits = np.flatnonzero(np.abs(normals @ v) ** 2 <= thr)
+    return tuple(int(i) for i in subsets[hits[0]]) if len(hits) else None
+
+
 def stabilizer_rank(
     state: StateVector, delta: float = 0.0
 ) -> tuple[object, Optional[tuple[int, ...]]]:
@@ -172,8 +251,18 @@ def stabilizer_rank(
     lexicographically first r-subset (enumeration indices) whose squared
     residual is at most delta^2 + RANK_RESIDUAL_TOL.
 
-    The search is depth-first over lexicographic prefixes. It carries the
-    stabilizer rows and the state with the span of the chosen prefix
+    The step r = N - 1 (n = 1 and 2) asks whether the state lies within
+    delta of a hyperplane, and reads the answer off the cached table of the
+    hyperplanes that stabilizer subsets span (_hyperplanes): against an
+    independent subset the squared residual is |<h|v>|^2 for the
+    hyperplane's unit normal h, so the subsets that qualify are those of the
+    qualifying hyperplanes. A dependent subset spans no more than some
+    smaller subset inside it, which step r - 1 has already tried. So the
+    first qualifying subset is the least first subset of a qualifying
+    hyperplane, the same witness for every delta.
+
+    Every other step is depth-first over lexicographic prefixes. It carries
+    the stabilizer rows and the state with the span of the chosen prefix
     projected out, so adding u_j leaves ||w||^2 - |<u_j, w>|^2 / ||u_j||^2.
     The last two indices are scored for every pair at once in closed form,
     _PAIR_ROWS rows of i at a time, and the first hit in row-major order is
@@ -192,7 +281,10 @@ def stabilizer_rank(
     v = state.unit()
     r_cap = state.N if n <= 2 else 2
     for r in range(1, r_cap + 1):
-        hit = _first_hit(S, v, r, thr)
+        if r == state.N - 1:
+            hit = _hyperplane_hit(n, v, thr)
+        else:
+            hit = _first_hit(S, v, r, thr)
         if hit is not None:
             return r, hit
     if n <= 2:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stab_lab import cli, witness
+from stab_lab import cli, clifford, witness
 from stab_lab.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from stab_lab.states import FamilySpec, dump_state_json, haar_unit, make_state
 
@@ -146,12 +146,20 @@ def test_stage_law_failure_exits_3_and_writes_nothing(monkeypatch, capsys, tmp_p
     def broken(l, t):
         raise witness.PipelineError("zero-diagonal monotonicity failed: 0 < 1")
 
-    monkeypatch.setattr(witness, "zero_diagonal_map", broken)
+    cases = [
+        # a stage law fails
+        ((witness, "zero_diagonal_map", broken), ["--family", "t_tensor", "--n", "2"]),
+        # balance exhausts its tries: a basis state is far from balanced
+        ((clifford, "BALANCE_TRIES", 0), ["--family", "basis", "--n", "3"]),
+    ]
     out = tmp_path / "x.json"
-    argv = ["extract-stabilizer", "--family", "t_tensor", "--n", "2", "--out", str(out)]
-    assert run(argv) == EXIT_INVARIANT
-    assert "internal-consistency failure" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    for patch, state_flags in cases:
+        with monkeypatch.context() as m:
+            m.setattr(*patch)
+            argv = ["extract-stabilizer", *state_flags, "--out", str(out)]
+            assert run(argv) == EXIT_INVARIANT
+        assert "internal-consistency failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_bell_sim_csv(t_state_file, tmp_path):

@@ -1,5 +1,7 @@
 """Bitset linear algebra over F2: subspaces, symplectic structure, maps."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,21 @@ def test_nullspace_solves_constraints():
         assert dot(v, 0b0011) == 0 and dot(v, 0b1100) == 0
 
 
+def _combination_subspaces(n):
+    """Order oracle: for m = 1..n, each m-combination of nonzero vectors in
+    itertools.combinations order, kept when it is independent and spans a
+    subspace not seen before."""
+    seen = {()}
+    out = [Subspace(n, ())]
+    for m in range(1, n + 1):
+        for combo in itertools.combinations(range(1, 1 << n), m):
+            sub = Subspace.from_vectors(n, combo)
+            if sub.dim == m and sub.basis not in seen:
+                seen.add(sub.basis)
+                out.append(sub)
+    return out
+
+
 def test_all_subspaces_counts():
     # total number of subspaces of F2^n: sum of Gaussian binomials
     expected = {1: 2, 2: 5, 3: 16, 4: 67}
@@ -232,6 +249,7 @@ def test_all_subspaces_counts():
         subs = all_subspaces(n)
         assert len(subs) == count
         assert len({s.basis for s in subs}) == count
+        assert subs == _combination_subspaces(n)
 
 
 @given(st.integers(1, 3), st.data())

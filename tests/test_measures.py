@@ -139,6 +139,8 @@ def test_rank_validation():
         stabilizer_rank(random_states(4, 1)[0])
     with pytest.raises(MeasureError):
         stabilizer_rank(random_states(1, 1)[0], delta=-0.1)
+    with pytest.raises(MeasureError, match="hyperplane table capped at n = 2"):
+        measures._hyperplanes(3)
 
 
 def _subset_search(S, v, r, thr):
@@ -196,12 +198,13 @@ def _combination(n, picks, complex_coeffs, rng):
 @st.composite
 def rank_inputs(draw):
     """Haar states and real or complex combinations of 1-4 enumerated
-    stabilizers at n <= 2; some combinations start with the first dependent
-    triple (|0>, |1>, |+> at n = 1), so prefixes carry a dependent row."""
+    stabilizers at n <= 2, some of them with Haar noise of norm 0.1; some
+    combinations start with the first dependent triple (|0>, |1>, |+> at
+    n = 1), so prefixes carry a dependent row."""
     n = draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    delta = draw(st.sampled_from([0.0, 1e-6, 0.3, 0.6, 0.9]))
-    kind = draw(st.sampled_from(["haar", "combination", "dependent"]))
+    delta = draw(st.sampled_from([0.0, 1e-6, 0.05, 0.2, 0.3, 0.6, 0.9]))
+    kind = draw(st.sampled_from(["haar", "combination", "noisy", "dependent"]))
     if kind == "haar":
         return random_states(n, 1, seed=int(rng.integers(2**31)))[0], delta
     M = len(stabilizer_unit_matrix(n))
@@ -209,10 +212,14 @@ def rank_inputs(draw):
     if kind == "dependent":
         trio = list(_dependent_triples(n)[0])
         picks = trio + [p for p in picks if p not in trio][:1]
-    return _combination(n, picks, draw(st.booleans()), rng), delta
+    state = _combination(n, picks, draw(st.booleans()), rng)
+    if kind == "noisy":
+        vec = state.unit() + 0.1 * haar_unit(n, rng)
+        state = StateVector.from_unit(vec / np.linalg.norm(vec))
+    return state, delta
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(case=rank_inputs())
 def test_rank_matches_subset_oracle(case):
     state, delta = case
@@ -237,6 +244,37 @@ def test_first_hit_rounding_dependent_rows_add_nothing():
         thr = float(rng.choice([0.3, 0.6])) ** 2 + RANK_RESIDUAL_TOL
         for r in (3, 4):
             assert _first_hit(U, v, r, thr) == _subset_search(U, v, r, thr)
+
+
+@pytest.mark.parametrize("n, count", [(1, 6), (2, 1500)])
+def test_hyperplane_table(n, count):
+    # against an SVD of every (N - 1)-subset in itertools.combinations
+    # order: each independent subset's hyperplane, keyed by the stabilizer
+    # rows its normal annihilates, is held exactly once, under the first
+    # subset that spans it, and the build stays small
+    S = stabilizer_unit_matrix(n)
+    M, N = S.shape
+    measures._hyperplanes.cache_clear()
+    tracemalloc.start()
+    try:
+        normals, subsets = measures._hyperplanes(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len(normals) == len(subsets) == count
+    assert np.allclose(np.linalg.norm(normals, axis=1), 1, atol=1e-12)
+    combos = np.array(list(itertools.combinations(range(M), N - 1)))
+    _, sv, vh = np.linalg.svd(S[combos])
+    independent = sv[:, -1] > 1e-6
+    # sum_j c_j u_j = 0 on the span, for c the conjugated last row of vh
+    held = np.abs(vh[independent, -1].conj() @ S.T) < 1e-6
+    first = {}
+    for subset, rows in zip(combos[independent].tolist(), held):
+        first.setdefault(np.packbits(rows).tobytes(), tuple(subset))
+    keys = [np.packbits(np.abs(S @ c) < 1e-6).tobytes() for c in normals]
+    assert keys == list(first)
+    assert [tuple(row) for row in subsets.tolist()] == list(first.values())
 
 
 def test_rank_matches_subset_oracle_n3():

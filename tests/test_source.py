@@ -135,3 +135,22 @@ def test_no_weighted_choice(path):
 def test_weighted_choice_is_reported():
     tree = ast.parse("rng.choice(4, size=2)\nrng.choice(4, p=w)\n")
     assert _weighted_choices(tree) == [2]
+
+
+def test_benchmark_span_targets_are_package_functions():
+    # perfbench/spans.py wraps each target by name, so a rename would break
+    # only the traced benchmark
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    (targets,) = [
+        ast.literal_eval(stmt.value)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and [getattr(t, "id", None) for t in stmt.targets] == ["TARGETS"]
+    ]
+    assert targets
+    for modname, fname in targets:
+        package, module = modname.split(".")
+        assert package == "stab_lab"
+        body = ast.parse((PACKAGE / f"{module}.py").read_text()).body
+        functions = {stmt.name for stmt in body if isinstance(stmt, ast.FunctionDef)}
+        assert fname in functions, f"{modname}.{fname}"
