@@ -343,15 +343,17 @@ def quantize_overlap_eighth(
 
 def gram_lambda_min(states: Sequence[StabilizerState]) -> tuple[GramMatrix, float]:
     """Exact Gram matrix of the given stabilizer states and its minimum
-    eigenvalue; lambda_min below 1e-9 flags a singular (dependent) family."""
+    eigenvalue; lambda_min below 1e-9 flags a singular (dependent) family.
+    G is lambda_star_scan's einsum, so a scan row's witness states give back
+    its min_lambda bit for bit."""
     k = len(states)
     if not 1 <= k <= MAX_GRAM_STATES:
         raise MeasureError(
             f"Gram machinery supports 1 <= k <= {MAX_GRAM_STATES} states"
         )
     n = states[0].n
-    vecs = stabilizer_vectors(states) / math.sqrt(1 << n)
-    entries = vecs.conj() @ vecs.T
+    vecs = stabilizer_vectors(states)[None] / math.sqrt(1 << n)
+    entries = np.einsum("kin,kjn->kij", vecs.conj(), vecs)[0]
     gram = GramMatrix(k, entries)
     lam = float(np.linalg.eigvalsh(entries)[0])
     return gram, lam
@@ -370,6 +372,110 @@ class ScanRow:
 _EXHAUSTIVE_BUDGET = {(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)}
 
 
+def _combination_blocks(M: int, k: int, size: int):
+    """itertools.combinations(range(M), k) as arrays of up to size rows,
+    whole-array and column-major. The subset of lexicographic rank r mirrors
+    (m -> M - 1 - m) the one of colexicographic rank C(M, k) - 1 - r, whose
+    elements, largest first, are for j = k..1 the largest c with
+    C(c, j) <= the rank left."""
+    tables = [np.array([math.comb(c, j) for c in range(M)]) for j in range(k, 0, -1)]
+    total = math.comb(M, k)
+    for lo in range(0, total, size):
+        rank = total - 1 - np.arange(lo, min(lo + size, total))
+        block = np.empty((k, len(rank)), int)
+        for t, table in enumerate(tables):
+            c = np.searchsorted(table, rank, side="right") - 1
+            rank -= table[c]
+            np.subtract(M - 1, c, out=block[t])
+        yield block.T
+
+
+def _pair_codes(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every overlap <s_a|s_b> of S's rows as (codes, values): values holds
+    each distinct overlap once, by its exact bytes, and codes[a, b] indexes
+    it. The entries come from the scan's einsum, _CHUNK // M rows of a at a
+    time, and only their codes are kept."""
+    M = len(S)
+    rows = max(1, _CHUNK // M)
+    codes = np.empty((M, M), np.uint16)
+    index = {}  # (real bits, imaginary bits) of an overlap -> its code
+    for lo in range(0, M, rows):
+        T = np.einsum("kin,kjn->kij", S[None, lo:lo + rows].conj(), S[None])[0]
+        # the block's distinct entries: real and imaginary bits apart, then pairs
+        (re, i_re), (im, i_im) = (
+            np.unique(part, return_inverse=True)
+            for part in T.reshape(-1).view(np.int64).reshape(-1, 2).T
+        )
+        pair = i_re * len(im) + i_im
+        held = np.flatnonzero(np.bincount(pair))
+        lut = np.zeros(len(re) * len(im), np.uint16)
+        lut[held] = [
+            index.setdefault((int(re[p // len(im)]), int(im[p % len(im)])), len(index))
+            for p in held
+        ]
+        codes[lo:lo + rows] = lut[pair].reshape(T.shape)
+    return codes, np.array(list(index), np.int64).view(complex).ravel()
+
+
+def _fold(
+    best: tuple, lam: np.ndarray, group: np.ndarray, subsets: np.ndarray
+) -> tuple:
+    """The running (min_lambda, witness) of a scan after subsets, whose
+    lambda_min are lam[group]: the smallest at or above SINGULAR_TOL, on the
+    first subset that reaches it. An earlier block keeps a tie."""
+    lams = np.where(lam >= SINGULAR_TOL, lam, math.inf)[group]
+    i = int(np.argmin(lams))
+    if lams[i] < best[0]:
+        return float(lams[i]), tuple(int(x) for x in subsets[i])
+    return best
+
+
+def _exhaustive_min(codes: np.ndarray, values: np.ndarray, k: int) -> tuple:
+    """_fold over every k-subset of the pair table's rows, _CHUNK at a time.
+    A subset's key is its Gram matrix as k^2 codes, so equal keys are equal
+    Gram matrices, and eigvalsh runs once per key, on its first subset."""
+    M = len(codes)
+    flat = codes.ravel()
+    best = (math.inf, None)
+    # the keys met so far, sorted, and their lambda_min; -1 is no subset's key
+    keys, lams = np.array([-1]), np.array([math.inf])
+    for block in _combination_blocks(M, k, _CHUNK):
+        cols = block.T
+        key = np.ravel_multi_index(
+            [flat[a * M + b] for a in cols for b in cols], (len(values),) * (k * k)
+        )
+        distinct, group = np.unique(key, return_inverse=True)
+        at = np.searchsorted(keys, distinct)
+        new = np.flatnonzero(keys.take(at, mode="clip") != distinct)
+        if len(new):
+            first = np.full(len(distinct), len(key))
+            np.minimum.at(first, group, np.arange(len(key)))
+            sub = block[first[new]]
+            G = values[flat[sub[:, :, None] * M + sub[:, None, :]]]
+            keys = np.insert(keys, at[new], distinct[new])
+            lams = np.insert(lams, at[new], np.linalg.eigvalsh(G)[:, 0])
+            at = np.searchsorted(keys, distinct)
+        best = _fold(best, lams[at], group, block)
+    return best
+
+
+def _sampled_min(S: np.ndarray, k: int, draws) -> tuple:
+    """_fold over the drawn k-subsets, _CHUNK at a time; each chunk is
+    grouped by the exact bytes of its Gram matrices, one eigvalsh a group."""
+    flat = itertools.chain.from_iterable(draws)
+    best = (math.inf, None)
+    while len(chunk := np.fromiter(itertools.islice(flat, _CHUNK * k), int)):
+        chunk = chunk.reshape(-1, k)
+        V = S[chunk]
+        G = np.einsum("kin,kjn->kij", V.conj(), V)
+        keys = G.reshape(len(G), -1).view(np.dtype((np.void, G[0].nbytes)))
+        _, first, group = np.unique(
+            keys.ravel(), return_index=True, return_inverse=True
+        )
+        best = _fold(best, np.linalg.eigvalsh(G[first])[:, 0], group, chunk)
+    return best
+
+
 def lambda_star_scan(
     k_max: int,
     n_max: int,
@@ -386,13 +492,25 @@ def lambda_star_scan(
     nonsingular subset has min_lambda inf and no witness; in sampled mode a
     k above the number of states at n draws no subset (samples 0).
 
-    The row reports the smallest computed lambda_min at or above
+    A row with k >= 2 reports the smallest computed lambda_min at or above
     SINGULAR_TOL and the first subset, in enumeration (or draw) order, that
-    reaches it, whatever the chunk size. Stabilizer overlaps take only a few
-    values, i^ell 2^(-m/2), so few Gram matrices differ: each chunk is
-    grouped by the exact bytes of G and eigvalsh runs once per group. Equal
-    input bits give equal eigenvalues, so every subset's lambda_min is the
-    one its own eigensolve would give, bit for bit."""
+    reaches it, whatever the chunk size; both modes end in _fold, the one
+    tie rule. G is einsum("kin,kjn->kij") of the subset's unit vectors, and
+    equal input bits give equal eigenvalues, so eigvalsh runs once per
+    distinct G and every lambda_min is the one the subset's own eigensolve
+    would give, bit for bit. Stabilizer overlaps take only a few values,
+    i^ell 2^(-m/2), so few Gram matrices differ. Exhaustive mode computes
+    each pair overlap once (_pair_codes): the einsum of rows a and b has the
+    very bytes of G[i, j] in the einsum of any subset with a at place i and
+    b at place j (a test checks every budget row), so a subset's k^2 codes
+    name its G. Sampled mode reaches n = 4, where the table would hold
+    1.35e9 pairs, so it computes each chunk's G and groups them by bytes.
+
+    The k = 1 rows are the exact value 1.0, the lambda_min of the 1 x 1 Gram
+    matrix [1] of any unit vector, on state (0,); the computed diagonal can
+    read 0.9999999999999998 (state 2 at n = 1, state 8 at n = 3). The value
+    holds for every 1-subset without a draw, so sampled mode marks the row
+    exhaustive too, with samples 0."""
     if mode not in ("exhaustive", "sampled"):
         raise MeasureError(f"unknown scan mode {mode!r}")
     if k_max < 1 or n_max < 1:
@@ -419,44 +537,18 @@ def lambda_star_scan(
     rng = np.random.default_rng(seed)
     for n in range(1, n_max + 1):
         S = stabilizer_unit_matrix(n)
-        for k in range(1, k_max + 1):
-            if k == 1:
-                rows.append(ScanRow(1, n, 1.0, (0,), True))
-                continue
+        pairs = _pair_codes(S) if mode == "exhaustive" and k_max > 1 else None
+        rows.append(ScanRow(1, n, 1.0, (0,), True))
+        for k in range(2, k_max + 1):
             if mode == "exhaustive":
-                subsets = itertools.combinations(range(len(S)), k)
-                samples = 0
-            elif k > len(S):
-                subsets, samples = iter(()), 0
-            else:
-                subsets = (
-                    np.sort(rng.choice(len(S), size=k, replace=False)).tolist()
-                    for _ in range(trials)
-                )
-                samples = trials
-            flat = itertools.chain.from_iterable(subsets)
-            best_val, best_wit = math.inf, None
-            while True:
-                chunk = np.fromiter(itertools.islice(flat, _CHUNK * k), int)
-                chunk = chunk.reshape(-1, k)
-                if not len(chunk):
-                    break
-                V = S[chunk]
-                G = np.einsum("kin,kjn->kij", V.conj(), V)
-                # one eigensolve per distinct G, keyed by its exact bytes
-                keys = G.reshape(len(G), -1).view(np.dtype((np.void, G[0].nbytes)))
-                _, first, group = np.unique(
-                    keys.ravel(), return_index=True, return_inverse=True
-                )
-                lam = np.linalg.eigvalsh(G[first])[:, 0]
-                lams = np.where(lam >= SINGULAR_TOL, lam, math.inf)[group]
-                i = int(np.argmin(lams))
-                if lams[i] < best_val:
-                    best_val = float(lams[i])
-                    best_wit = tuple(int(x) for x in chunk[i])
-            rows.append(
-                ScanRow(k, n, best_val, best_wit, mode == "exhaustive", samples)
+                rows.append(ScanRow(k, n, *_exhaustive_min(*pairs, k), True))
+                continue
+            samples = trials if k <= len(S) else 0
+            draws = (
+                np.sort(rng.choice(len(S), size=k, replace=False)).tolist()
+                for _ in range(samples)
             )
+            rows.append(ScanRow(k, n, *_sampled_min(S, k, draws), False, samples))
     return rows
 
 

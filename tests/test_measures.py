@@ -422,6 +422,77 @@ def test_lambda_star_scan_exhaustive_matches_oracle(k, n):
     assert (row.min_lambda, row.witness) == (best, wit)
 
 
+def test_lambda_star_scan_k1_rows_are_exact():
+    # a 1 x 1 Gram matrix of a unit vector is [1], so both modes give the
+    # k = 1 rows lambda_min 1.0 on state 0, though the computed diagonal
+    # reads 1 - 2^-52 at state 2 for n = 1 and at state 8 for n = 3
+    for n, state in ((1, 2), (3, 8)):
+        V = stabilizer_unit_matrix(n)[[[state]]]
+        assert np.linalg.eigvalsh(np.einsum("kin,kjn->kij", V.conj(), V))[0, 0] < 1
+    rows = lambda_star_scan(3, 2) + lambda_star_scan(2, 3, "sampled", trials=20)
+    assert [r for r in rows if r.k == 1] == [
+        measures.ScanRow(1, n, 1.0, (0,), True, 0) for n in (1, 2, 1, 2, 3)
+    ]
+
+
+@pytest.mark.parametrize("k,n", sorted(measures._EXHAUSTIVE_BUDGET))
+def test_pair_table_gram_is_the_subset_einsum(k, n):
+    # the exhaustive scan reads each subset's Gram matrix off the pair
+    # table; it must be byte for byte the per-subset einsum (a strided
+    # sample of the 582,660 pairs at n = 3)
+    S = stabilizer_unit_matrix(n)
+    codes, values = measures._pair_codes(S)
+    combos = itertools.combinations(range(len(S)), k)
+    subsets = np.array(list(itertools.islice(combos, 0, None, 97 if n == 3 else 1)))
+    V = S[subsets]
+    G = np.einsum("kin,kjn->kij", V.conj(), V)
+    read = values[codes[subsets[:, :, None], subsets[:, None, :]]]
+    assert read.tobytes() == G.tobytes()
+    # values are distinct by their bytes
+    assert len(np.unique(values.view(np.int64).reshape(-1, 2), axis=0)) == len(values)
+
+
+@pytest.mark.parametrize("M,k", [*itertools.product(range(13), range(5)), (60, 3)])
+def test_combination_blocks_match_itertools(M, k):
+    want = list(itertools.combinations(range(M), k))
+    for size in (1, 7, 4096):
+        blocks = list(measures._combination_blocks(M, k, size))
+        assert all(0 < len(block) <= size for block in blocks)
+        assert [tuple(row) for block in blocks for row in block.tolist()] == want
+
+
+def test_lambda_star_scan_n3_memory():
+    stabilizer_unit_matrix(3)  # the cached table is not the scan's memory
+    tracemalloc.start()
+    try:
+        row = lambda_star_scan(2, 3)[-1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (row.k, row.n, row.witness) == (2, 3, (120, 128))
+    assert peak < 8 * 2**20
+
+
+def test_gram_lambda_min_is_the_scan_einsum():
+    # one Gram formula: a scan row's witness states give back its
+    # min_lambda exactly, and every 37th triple at n = 2 its own einsum
+    # eigenvalue (a matmul Gram matrix differs in the last bit on some)
+    rows = lambda_star_scan(3, 2) + lambda_star_scan(2, 3)[-1:]
+    rows += lambda_star_scan(8, 3, "sampled", trials=200, seed=5)
+    for row in rows:
+        if row.k > 1 and row.witness is not None:
+            stabs = enumerate_stabilizers(row.n)
+            _, lam = gram_lambda_min([stabs[i] for i in row.witness])
+            assert lam == row.min_lambda
+    S = stabilizer_unit_matrix(2)
+    stabs = enumerate_stabilizers(2)
+    subsets = np.array(list(itertools.combinations(range(len(S)), 3)))[::37]
+    V = S[subsets]
+    lams = np.linalg.eigvalsh(np.einsum("kin,kjn->kij", V.conj(), V))[:, 0]
+    for subset, want in zip(subsets, lams):
+        assert gram_lambda_min([stabs[i] for i in subset])[1] == want
+
+
 def test_lambda_star_scan_rows_do_not_depend_on_chunk(monkeypatch):
     runs = []
     for chunk in (7, 4096):
