@@ -209,7 +209,6 @@ def _cmd_extract_stabilizer(config: ExperimentConfig, state):
             "which_part": trace.which_part,
             "balance_gates": [list(g) for g in trace.balance_circuit.gates],
             "stage_values": trace.stage_values,
-            "map_search_exhaustive": trace.map_search_exhaustive,
             "q_upper_rows": list(trace.q_poly.upper_rows),
             "q_alpha": trace.q_poly.alpha,
             "correlation": trace.correlation,

@@ -167,10 +167,7 @@ def apply_clifford(circuit: CliffordCircuit, state: StateVector) -> StateVector:
                 yw = y ^ w
                 u, v = G[y], G[yw]
                 G[y], G[yw] = (u + v) * k, (u - v) * k
-    L = [0]
-    for col in cols:
-        L += [y ^ col for y in L]
-    return StateVector(n, np.array(G)[L] * sign_table(N, z))
+    return StateVector(n, np.array(G)[span_points(cols)] * sign_table(N, z))
 
 
 def _weyl_label(n: int, z: int) -> tuple[int, int]:

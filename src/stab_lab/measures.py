@@ -352,6 +352,8 @@ def gram_lambda_min(states: Sequence[StabilizerState]) -> tuple[GramMatrix, floa
             f"Gram machinery supports 1 <= k <= {MAX_GRAM_STATES} states"
         )
     n = states[0].n
+    if any(s.n != n for s in states):
+        raise MeasureError("Gram machinery needs states on one qubit count")
     vecs = stabilizer_vectors(states)[None] / math.sqrt(1 << n)
     entries = np.einsum("kin,kjn->kij", vecs.conj(), vecs)[0]
     gram = GramMatrix(k, entries)

@@ -137,7 +137,10 @@ def test_extract_stabilizer_trace(t_state_file, tmp_path):
     doc = _read_json(out)
     assert 0.7286 <= doc["overlap"] <= 0.85356
     trace = doc["trace"]
-    assert trace["map_search_exhaustive"] is True
+    vals = trace["stage_values"]
+    assert list(vals) == ["affine", "linear", "symmetric", "zero_diagonal"]
+    assert len(set(vals.values())) == 1
+    assert "map_search_exhaustive" not in trace
     assert trace["final_overlap"] == doc["overlap"]
     assert trace["theoretical_floor_log10"] < -1000
 

@@ -15,6 +15,7 @@ from stab_lab import measures
 from stab_lab.clifford import (
     StabilizerState,
     enumerate_stabilizers,
+    stabilizer_at,
     stabilizer_to_statevector,
     stabilizer_unit_matrix,
 )
@@ -317,6 +318,13 @@ def test_gram_known_values():
     assert np.isclose(lam, 1 - 1 / math.sqrt(2), atol=1e-12)
     _, lam = gram_lambda_min([ZERO, ZERO])
     assert lam < 1e-9  # singular
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_gram_rejects_mixed_qubit_counts(order):
+    states = [stabilizer_at(1, 0), stabilizer_at(2, 5)][::order]
+    with pytest.raises(MeasureError, match="one qubit count"):
+        gram_lambda_min(states)
 
 
 def test_gram_psd_and_hermitian():

@@ -1,5 +1,6 @@
 """Stage-by-stage checks of the stabilizer-witness extraction pipeline."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -15,9 +16,7 @@ from stab_lab.gf2 import AffineMap, LinMap, linmap_from_images, nullspace, span_
 from stab_lab.measures import counterexample_state, stabilizer_fidelity
 from stab_lab.states import FamilySpec, StateVector, make_state
 from stab_lab.witness import (
-    EXHAUSTIVE_MAX_N,
     PipelineError,
-    _zero_diagonal_scan,
     QuadraticPoly,
     best_affine_map,
     drop_shift,
@@ -160,15 +159,22 @@ def test_best_affine_map_t_state(t_state):
     assert amap.shift == 0
 
 
+def _round(amap, t):
+    """amap through the three rounding stages, each checking its law."""
+    l0, _ = drop_shift(amap, t)
+    ls, _ = symmetrize_map(l0, t)
+    return zero_diagonal_map(ls, t)
+
+
 def test_best_affine_map_beats_random_candidates():
     rng = np.random.default_rng(0)
-    state = random_states(3, 1, seed=6)[0]
-    t = char_function(state)
+    # a real-state table: the zero-diagonal law holds only there
+    t = _balanced_table(random_states(3, 1, seed=6)[0])
     _, best_val = best_affine_map(t)
     for _ in range(50):
         cols = tuple(int(c) for c in rng.integers(0, 8, size=3))
         cand = AffineMap(LinMap(3, cols), int(rng.integers(0, 8)))
-        assert graph_sum(t, cand) <= best_val + 1e-12
+        assert _round(cand, t)[1] <= best_val + 1e-12
 
 
 def test_best_affine_map_n5_beats_zero_map():
@@ -207,13 +213,6 @@ def _enumerate_affine_maps(t):
     return amap, graph_sum(t, amap)
 
 
-def _assert_same_search(t):
-    amap, val = best_affine_map(t)
-    want_map, want_val = _enumerate_affine_maps(t)
-    assert amap == want_map
-    assert val.hex() == want_val.hex()
-
-
 def _random_table(n, kind, seed, scale=1.0):
     """A nonnegative table: "quarters" are quantized to quarters, which
     forces exact ties; "ulps" sit within a few ulps of 1, where sums in
@@ -236,12 +235,6 @@ def random_tables(draw, n_max, n_min=1):
     kind = draw(st.sampled_from(["plain", "quarters", "quarters", "ulps"]))
     scale = 1.0 if kind == "ulps" else draw(st.sampled_from([1.0, 0.1, 3.0]))
     return _random_table(n, kind, seed, scale)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(t=random_tables(3))
-def test_best_affine_map_matches_enumeration(t):
-    _assert_same_search(t)
 
 
 def _balanced_table(state):
@@ -272,28 +265,9 @@ N4_CORPUS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(N4_CORPUS))
-def test_best_affine_map_matches_enumeration_n4(name):
-    _assert_same_search(N4_CORPUS[name]())
-
-
-def test_best_affine_map_n4_tie_across_prefix_order():
-    # Exactly two maps collect a full row each: l(y) = y_1, columns
-    # (0, 1, 0, 0), and l(y) = y_0, columns (1, 0, 0, 0). The first is
-    # lexicographically first, but the search holds the prefix
-    # (c_0, c_1, c_2) at flat position c_0 + 16 c_1 + 256 c_2, where the
-    # second comes first (1 < 16).
-    y = np.arange(16)
-    f = np.zeros((16, 16))
-    f[y, y & 1] = f[y, (y >> 1) & 1] = 1.0
-    t = CharTable(4, f)
-    _assert_same_search(t)
-    assert best_affine_map(t) == (AffineMap(LinMap(4, (0, 1, 0, 0)), 0), 16.0)
-
-
 def test_best_affine_map_constant_table_n4_stays_small():
-    # Every candidate ties exactly, so the first map, zero with shift 0,
-    # wins; the search's arrays must stay small on the way.
+    # Every symmetric zero-diagonal map ties exactly, so the smallest mask,
+    # the zero map, wins; the scan's arrays must stay small on the way.
     t = CharTable(4, np.full((16, 16), 0.1))
     tracemalloc.start()
     try:
@@ -307,7 +281,7 @@ def test_best_affine_map_constant_table_n4_stays_small():
 
 
 def _zero_diagonal_oracle(t):
-    """Oracle for the n > EXHAUSTIVE_MAX_N scan: every symmetric zero-diagonal
+    """Oracle for best_affine_map's scan: every symmetric zero-diagonal
     map in mask order (entry (i, j), i < j, at bit j(j-1)/2 + i), its graph
     gathered and summed over y = 0..N-1 in sequence; first maximum wins."""
     n, N = t.n, t.N
@@ -344,10 +318,17 @@ def _assert_scan_matches_oracle(t):
         assert abs(val - want_val) <= 1e-12
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(t=random_tables(6, n_min=EXHAUSTIVE_MAX_N + 1))
+# 80 examples draw 12 tables at n = 5 and 14 at n = 6, where the scan's
+# levels are deepest
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(t=random_tables(6))
 def test_zero_diagonal_scan_matches_oracle(t):
     _assert_scan_matches_oracle(t)
+
+
+@pytest.mark.parametrize("name", sorted(N4_CORPUS))
+def test_zero_diagonal_scan_matches_oracle_n4(name):
+    _assert_scan_matches_oracle(N4_CORPUS[name]())
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -377,14 +358,46 @@ def test_zero_diagonal_scan_n6_stays_small():
 
 def test_zero_diagonal_scan_reaches_affine_optimum_small_n():
     # On balanced tables of real states the best symmetric zero-diagonal
-    # map scores the exhaustive affine optimum: 90 of 90 inputs.
-    for n in (2, 3, 4):
+    # map scores the exhaustive affine optimum: 60 of 60 inputs. The same
+    # 30 inputs at n = 4 agree too, but enumerating them takes 4 s.
+    for n in (2, 3):
         states = [make_state(FamilySpec("haar", n, seed=s)) for s in range(25)]
         states += [counterexample_state(n, s) for s in range(5)]
         for state in states:
             t = _balanced_table(state)
-            scan_val = graph_sum(t, _zero_diagonal_scan(t))
-            assert abs(scan_val - best_affine_map(t)[1]) <= 1e-9
+            scan_val = best_affine_map(t)[1]
+            assert abs(scan_val - _enumerate_affine_maps(t)[1]) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "state",
+    [
+        lambda n: random_states(n, 1, seed=n)[0],
+        lambda n: counterexample_state(n, 0),
+    ],
+    ids=["haar", "counterexample"],
+)
+def test_rounding_any_affine_map_ends_no_heavier_than_scan(n, state):
+    # Every one of the 2^(n^2 + n) affine maps, through the three stages
+    t = _balanced_table(state(n))
+    scan_val = best_affine_map(t)[1]
+    for cols in itertools.product(range(t.N), repeat=n):
+        for shift in range(t.N):
+            amap = AffineMap(LinMap(n, cols), shift)
+            assert _round(amap, t)[1] <= scan_val + 1e-9
+
+
+# The corpus tables of real states: the stage laws are theorems only there
+@pytest.mark.parametrize(
+    "name",
+    ["counterexample balanced", "haar balanced", "stabilizer 0",
+     "t_tensor balanced", "uniform"],
+)
+def test_rounding_affine_optimum_ends_no_heavier_than_scan_n4(name):
+    t = N4_CORPUS[name]()
+    rounded = _round(_enumerate_affine_maps(t)[0], t)[1]
+    assert rounded <= best_affine_map(t)[1] + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -659,9 +672,9 @@ def test_pipeline_soundness_random():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pipeline_symmetrization_keeps_linear_mass(n):
-    """At n <= 4 the best affine map's linear part is already symmetric on
-    these inputs, so the zero completion returns it and the symmetric stage
-    keeps the linear stage's mass exactly."""
+    """The map search returns a symmetric map, so the zero completion
+    returns it and the symmetric stage keeps the linear stage's mass
+    exactly."""
     specs = [FamilySpec("t_tensor", n), FamilySpec("uniform", n)]
     specs += [FamilySpec("haar", n, seed=seed) for seed in range(10)]
     for spec in specs:
