@@ -32,7 +32,7 @@ RANK_RESIDUAL_TOL = 1e-9
 _CHUNK = 4096
 MAX_TRIALS = 100_000  # sampled subsets per (k, n) in lambda_star_scan
 MAX_GRAM_STATES = 8  # states per Gram matrix
-_PAIR_ROWS = 64  # rows of i per block of the rank search's pair sweep
+_PAIR_ROWS = 32  # rows of i per block of the rank search's pair sweep
 _PLANE_BLOCK = 256  # subsets per block of the hyperplane table's build
 
 
@@ -126,10 +126,17 @@ def _first_hit(
     """Lexicographically first depth-subset of U's rows whose span leaves w a
     squared residual <= thr, or None. U and w arrive with the span of the
     chosen prefix already projected out; a row whose projected norm^2 is at
-    most SINGULAR_TOL is dependent and adds nothing to the span."""
+    most SINGULAR_TOL is dependent and adds nothing to the span, as a
+    pseudo-inverse of the subset's Gram matrix would drop it.
+
+    stabilizer_rank calls depth 1 and 2 only; deeper calls recurse over
+    prefixes, the tests' oracle for r >= 3. Depth 2 scores _PAIR_ROWS rows
+    of i at a time, in place in G and in three buffers made once per call,
+    and the first hit in row-major order is the first pair."""
     M = len(U)
-    nrm = np.einsum("ij,ij->i", U.conj(), U).real  # ||u_j||^2
-    b = U.conj() @ w  # <u_j, w>
+    Uc = U.conj()
+    nrm = np.einsum("ij,ij->i", Uc, U).real  # ||u_j||^2
+    b = Uc @ w  # <u_j, w>
     w2 = float(np.vdot(w, w).real)
     # 1 / ||u_j||^2, and 0 for a dependent row, which then projects nothing out
     inv = np.divide(1.0, nrm, out=np.zeros(M), where=nrm > SINGULAR_TOL)
@@ -138,19 +145,33 @@ def _first_hit(
         return (int(hits[0]),) if len(hits) else None
     if depth == 2:
         # every pair (i, j > i) in closed form: project u_i out of u_j and w
+        size = _PAIR_ROWS * M
+        bufs = np.empty(size), np.empty(size), np.empty(size, bool)
+        upper = ~np.tri(_PAIR_ROWS, dtype=bool)  # column c > row a of a block
         for lo in range(0, M - 1, _PAIR_ROWS):
             hi = min(lo + _PAIR_ROWS, M - 1)
-            G = U[lo:hi].conj() @ U[lo:].T  # G[a, c] = <u_{lo+a}, u_{lo+c}>
+            h = hi - lo
+            nj, res, ok = (x[: h * (M - lo)].reshape(h, M - lo) for x in bufs)
+            G = Uc[lo:hi] @ U[lo:].T  # G[a, c] = <u_{lo+a}, u_{lo+c}>
             inv_i = inv[lo:hi, None]
-            nj = nrm[lo:] - np.abs(G) ** 2 * inv_i
-            bj = b[lo:] - G.conj() * (b[lo:hi, None] * inv_i)
+            np.abs(G, out=nj)
+            nj **= 2
+            nj *= inv_i
+            np.subtract(nrm[lo:], nj, out=nj)  # ||u_j||^2 with u_i projected out
+            np.conjugate(G, out=G)
+            G *= b[lo:hi, None] * inv_i
+            np.subtract(b[lo:], G, out=G)  # <u_j, w> with u_i projected out
             w2p = w2 - np.abs(b[lo:hi, None]) ** 2 * inv_i
-            gain = np.divide(
-                np.abs(bj) ** 2, nj, out=np.zeros_like(nj), where=nj > SINGULAR_TOL
-            )
-            res = w2p - gain
-            upper = np.arange(lo, M) > np.arange(lo, hi)[:, None]
-            hits = np.flatnonzero(upper & (res <= thr))
+            np.abs(G, out=res)
+            res **= 2
+            np.greater(nj, SINGULAR_TOL, out=ok)
+            np.divide(res, nj, out=res, where=ok)
+            np.logical_not(ok, out=ok)
+            np.copyto(res, 0.0, where=ok)  # a dependent u_j gains nothing
+            np.subtract(w2p, res, out=res)
+            np.less_equal(res, thr, out=ok)
+            ok[:, :h] &= upper[:h, :h]
+            hits = np.flatnonzero(ok)
             if len(hits):
                 a, c = divmod(int(hits[0]), M - lo)
                 return lo + a, lo + c
@@ -261,16 +282,15 @@ def stabilizer_rank(
     first qualifying subset is the least first subset of a qualifying
     hyperplane, the same witness for every delta.
 
-    Every other step is depth-first over lexicographic prefixes. It carries
-    the stabilizer rows and the state with the span of the chosen prefix
-    projected out, so adding u_j leaves ||w||^2 - |<u_j, w>|^2 / ||u_j||^2.
-    The last two indices are scored for every pair at once in closed form,
-    _PAIR_ROWS rows of i at a time, and the first hit in row-major order is
-    the first pair. A row whose projected norm^2 is at most SINGULAR_TOL lies
-    in the span already and counts as adding nothing, as a pseudo-inverse of
-    the subset's Gram matrix would drop it.
+    The step r = N (n = 1 and 2) is not searched. Rows 0..N-1 of the table
+    are the computational basis, since the zero subspace's cosets open the
+    enumeration, so (0, ..., N-1) spans C^N and is the first N-subset of
+    all: a state that misses every smaller r has rank N with that witness.
+
+    Steps r = 1 and 2 are _first_hit's closed forms over every row and
+    every pair.
     """
-    if delta < 0:
+    if not delta >= 0:  # NaN too, which every residual test would fail
         raise MeasureError("delta must be nonnegative")
     n = state.n
     if n > 3:
@@ -279,7 +299,7 @@ def stabilizer_rank(
     thr = tol * tol + RANK_RESIDUAL_TOL  # inf, not OverflowError, for huge delta
     S = stabilizer_unit_matrix(n)
     v = state.unit()
-    r_cap = state.N if n <= 2 else 2
+    r_cap = state.N - 1 if n <= 2 else 2
     for r in range(1, r_cap + 1):
         if r == state.N - 1:
             hit = _hyperplane_hit(n, v, thr)
@@ -287,8 +307,8 @@ def stabilizer_rank(
             hit = _first_hit(S, v, r, thr)
         if hit is not None:
             return r, hit
-    if n <= 2:
-        raise MeasureError("no spanning subset found (cannot happen: basis states span)")
+    if n <= 2:  # rows 0..N-1 of S are the computational basis
+        return state.N, tuple(range(state.N))
     return (3, state.N), None
 
 

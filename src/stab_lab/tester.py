@@ -30,6 +30,7 @@ choice itself).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -119,6 +120,8 @@ def estimate_R(state: StateVector, shots: int, seed: int = 0) -> float:
 
 
 def _decide(state: StateVector, tau: float, shots: int, seed: int) -> TestDecision:
+    if not math.isfinite(tau):  # nan or inf gives one verdict for every state
+        raise TesterError(f"threshold must be finite, got {tau}")
     r_hat = estimate_R(state, shots, seed)
     verdict = "close" if r_hat >= tau else "far"
     return TestDecision(r_hat, tau, verdict, shots, seed)

@@ -140,6 +140,11 @@ def test_rank_validation():
         stabilizer_rank(random_states(4, 1)[0])
     with pytest.raises(MeasureError):
         stabilizer_rank(random_states(1, 1)[0], delta=-0.1)
+    # a NaN delta fails every residual test, which would read as a miss
+    for n, k in ((2, 50), (3, 100)):
+        stab = stabilizer_to_statevector(stabilizer_at(n, k))
+        with pytest.raises(MeasureError, match="nonnegative"):
+            stabilizer_rank(stab, float("nan"))
     with pytest.raises(MeasureError, match="hyperplane table capped at n = 2"):
         measures._hyperplanes(3)
 
@@ -228,8 +233,8 @@ def test_rank_matches_subset_oracle(case):
 
 
 def test_first_hit_rounding_dependent_rows_add_nothing():
-    # stabilizer_rank never meets a dependent prefix row at n <= 2 (its first
-    # four rows are independent), so search tables that start with a
+    # stabilizer_rank never recurses (it searches depth 1 and 2 only), so
+    # drive the prefix recursion directly, on tables that start with a
     # dependent triple. Random global phases leave a dependent row a
     # projected norm^2 near 1e-32 instead of exactly 0; scored as a
     # direction, such a row turns about 2 in 100 of these 4-subset misses
@@ -297,6 +302,48 @@ def test_rank_matches_subset_oracle_n3():
         assert got == want
 
 
+def test_rank_pairs_across_block_edges_n3():
+    # the pair sweep scores _PAIR_ROWS rows of i per block: pairs whose i is
+    # the last row of a block, the first row of the next or of the short last
+    # block, and pairs that end at the last row, against the subset oracle;
+    # the first, fourth and last are their own first witness
+    assert measures._PAIR_ROWS == 32  # the pairs below sit on 32-row edges
+    rng = np.random.default_rng(4)
+    cases = [
+        ((31, 32), (31, 32)),
+        ((32, 33), (4, 6)),
+        ((31, 1079), (31, 1046)),
+        ((32, 40), (32, 40)),
+        ((1056, 1079), (1056, 1079)),
+    ]
+    for pair, witness in cases:
+        state = _combination(3, list(pair), True, rng)
+        got = stabilizer_rank(state)
+        assert got == _subset_rank(state)
+        assert got == (2, witness)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_table_opens_with_the_computational_basis(n):
+    # stabilizer_rank's r = N step rests on this: rows 0..N-1 span C^N
+    N = 2**n
+    assert np.array_equal(stabilizer_unit_matrix(n)[:N], np.eye(N))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rank_full_step_is_the_basis(n):
+    # Haar states miss every r < N; the r = N answer is the first N-subset,
+    # as the prefix recursion finds it
+    S = stabilizer_unit_matrix(n)
+    N = 2**n
+    thr = RANK_RESIDUAL_TOL**2 + RANK_RESIDUAL_TOL
+    for state in random_states(n, 5, seed=40 + n):
+        v = state.unit()
+        assert stabilizer_rank(state) == (N, tuple(range(N)))
+        assert _first_hit(S, v, N, thr) == tuple(range(N))
+        assert all(_first_hit(S, v, r, thr) is None for r in range(1, N))
+
+
 def test_rank_miss_n3_memory():
     state = random_states(3, 1, seed=12)[0]
     stabilizer_unit_matrix(3)  # the cached table is not the search's memory
@@ -307,7 +354,7 @@ def test_rank_miss_n3_memory():
     finally:
         tracemalloc.stop()
     assert (rank, wit) == ((3, 8), None)
-    assert peak < 16 * 2**20
+    assert peak < 3 * 2**20  # the pair sweep works in place
 
 
 def test_gram_known_values():

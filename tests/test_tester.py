@@ -203,6 +203,15 @@ def test_rank_vs_haar_requires_calibration(t_state):
         rank_vs_haar_test(t_state, k=0, shots=100, thresholds={(1, 1): 0.5})
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_tester_rejects_non_finite_threshold(threshold):
+    state = make_state(FamilySpec("t_tensor", 2))
+    with pytest.raises(TesterError, match="finite"):
+        tolerant_test(state, 0.9, 0.3, shots=1000, threshold=threshold)
+    with pytest.raises(TesterError, match="finite"):
+        rank_vs_haar_test(state, k=2, shots=1000, thresholds={(2, 2): threshold})
+
+
 def test_rank_vs_haar_decisions():
     thresholds = {(3, 1): 0.55}
     rng = np.random.default_rng(2)
