@@ -20,6 +20,7 @@ from .charfn import char_function
 from .clifford import (
     TABLE_MAX_N,
     StabilizerState,
+    expected_stabilizer_count,
     stabilizer_at,
     stabilizer_unit_matrix,
     stabilizer_vectors,
@@ -184,22 +185,22 @@ def _first_hit(
     return None
 
 
-def _wedge_steps(N: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Gathers that wedge N - 1 rows of C^N together one row at a time. The
-    wedge of rows 0..i-1 has one entry per sorted i-set K of columns, in
-    itertools.combinations order; step i takes it to rows 0..i by
-    (w ^ v)_K = sum_t (-1)^(i - t) w_(K minus k_t) v_(k_t) over K's columns
-    k_t, as (entries of w, columns of v, signs), i + 1 terms per new K."""
-    steps, sets = [], list(itertools.combinations(range(N), 1))
-    for i in range(1, N - 1):
-        new = list(itertools.combinations(range(N), i + 1))
-        place = {K: q for q, K in enumerate(sets)}
-        left = [place[K[:t] + K[t + 1:]] for K in new for t in range(i + 1)]
-        right = [k for K in new for k in K]
-        sign = [(-1) ** (i - t) for _ in new for t in range(i + 1)]
-        steps.append((np.array(left, int), np.array(right, int), np.array(sign, float)))
-        sets = new
-    return steps
+def _combination_blocks(M: int, k: int, size: int):
+    """itertools.combinations(range(M), k) as arrays of up to size rows,
+    whole-array and column-major. The subset of lexicographic rank r mirrors
+    (m -> M - 1 - m) the one of colexicographic rank C(M, k) - 1 - r, whose
+    elements, largest first, are for j = k..1 the largest c with
+    C(c, j) <= the rank left."""
+    tables = [np.array([math.comb(c, j) for c in range(M)]) for j in range(k, 0, -1)]
+    total = math.comb(M, k)
+    for lo in range(0, total, size):
+        rank = total - 1 - np.arange(lo, min(lo + size, total))
+        block = np.empty((k, len(rank)), int)
+        for t, table in enumerate(tables):
+            c = np.searchsorted(table, rank, side="right") - 1
+            rank -= table[c]
+            np.subtract(M - 1, c, out=block[t])
+        yield block.T
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,32 +211,28 @@ def _hyperplanes(n: int) -> tuple[np.ndarray, np.ndarray]:
     first subset, and row k of normals a unit c with sum_j c_j u_j = 0 for
     every u in hyperplane k, so |c . v|^2 is v's squared residual against it.
 
-    Subsets go through in itertools.combinations order, _PLANE_BLOCK at a
-    time. c is the wedge of the subset's rows read by missing column (the
-    signed maximal minors); its norm^2 is the Gram determinant, and at most
-    SINGULAR_TOL marks a dependent subset, which spans less. A hyperplane is
-    keyed by the stabilizer rows it holds, those with |c . s|^2 <=
-    SINGULAR_TOL (one bit each; at n = 2 the others give at least 1/12), so
-    equal keys are the same hyperplane exactly. A key that no earlier block
-    held is new, and the block's first subset with it is its first subset."""
+    Subsets go through in itertools.combinations order (_combination_blocks),
+    _PLANE_BLOCK at a time. c is the signed maximal minors of the subset's
+    rows: c_l = (-1)^l times the np.linalg.det of its columns other than l.
+    Its norm^2 is the Gram determinant, and at most SINGULAR_TOL marks a
+    dependent subset, which spans less. A hyperplane is keyed by the
+    stabilizer rows it holds, those with |c . s|^2 <= SINGULAR_TOL (one bit
+    each; at n = 2 the others give at least 1/12), so equal keys are the
+    same hyperplane exactly. A key that no earlier block held is new, and
+    the block's first subset with it is its first subset."""
     if n > 2:
         raise MeasureError("hyperplane table capped at n = 2")
     S = stabilizer_unit_matrix(n)
     M, N = S.shape
-    steps = _wedge_steps(N)
+    minors = np.array([np.delete(np.arange(N), l) for l in range(N)])
     bits = np.uint64(1) << np.arange(M, dtype=np.uint64)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(M), N - 1))
     # sorted; a dependent subset gets key 0, which no hyperplane has, since
     # a subset's own rows lie in its span
     keys = np.zeros(1, np.uint64)
     normals, subsets = [], []
-    while len(block := np.fromiter(itertools.islice(flat, _PLANE_BLOCK * (N - 1)), int)):
-        block = block.reshape(-1, N - 1)
+    for block in _combination_blocks(M, N - 1, _PLANE_BLOCK):
         A = S[block]
-        w = A[:, 0]
-        for i, (left, right, sign) in enumerate(steps, 1):
-            w = (w[:, left] * A[:, i, right] * sign).reshape(len(A), -1, i + 1).sum(axis=2)
-        c = w[:, ::-1] * (-1.0) ** np.arange(N)  # column l: the minor without l
+        c = np.linalg.det(A[:, :, minors].swapaxes(1, 2)) * (-1.0) ** np.arange(N)
         norm = np.linalg.norm(c, axis=1)
         spans = norm**2 > SINGULAR_TOL
         c = np.divide(c, norm[:, None], out=np.zeros_like(c), where=spans[:, None])
@@ -252,15 +249,6 @@ def _hyperplanes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def _hyperplane_hit(n: int, v: np.ndarray, thr: float) -> Optional[tuple[int, ...]]:
-    """_first_hit(S, v, N - 1, thr) on the full stabilizer table S, read off
-    the hyperplane table: the least stored subset whose hyperplane leaves v
-    a squared residual <= thr, or None."""
-    normals, subsets = _hyperplanes(n)
-    hits = np.flatnonzero(np.abs(normals @ v) ** 2 <= thr)
-    return tuple(int(i) for i in subsets[hits[0]]) if len(hits) else None
-
-
 def stabilizer_rank(
     state: StateVector, delta: float = 0.0
 ) -> tuple[object, Optional[tuple[int, ...]]]:
@@ -274,7 +262,8 @@ def stabilizer_rank(
 
     The step r = N - 1 (n = 1 and 2) asks whether the state lies within
     delta of a hyperplane, and reads the answer off the cached table of the
-    hyperplanes that stabilizer subsets span (_hyperplanes): against an
+    hyperplanes that stabilizer subsets span (_hyperplanes, whose unit
+    normals are signed maximal minors by np.linalg.det): against an
     independent subset the squared residual is |<h|v>|^2 for the
     hyperplane's unit normal h, so the subsets that qualify are those of the
     qualifying hyperplanes. A dependent subset spans no more than some
@@ -299,34 +288,21 @@ def stabilizer_rank(
     thr = tol * tol + RANK_RESIDUAL_TOL  # inf, not OverflowError, for huge delta
     S = stabilizer_unit_matrix(n)
     v = state.unit()
-    r_cap = state.N - 1 if n <= 2 else 2
-    for r in range(1, r_cap + 1):
-        if r == state.N - 1:
-            hit = _hyperplane_hit(n, v, thr)
-        else:
-            hit = _first_hit(S, v, r, thr)
+    for r in range(1, min(state.N - 1, 3)):  # r = 1, 2 below N - 1
+        hit = _first_hit(S, v, r, thr)
         if hit is not None:
             return r, hit
-    if n <= 2:  # rows 0..N-1 of S are the computational basis
-        return state.N, tuple(range(state.N))
-    return (3, state.N), None
+    if n > 2:
+        return (3, state.N), None
+    normals, subsets = _hyperplanes(n)
+    hits = np.flatnonzero(np.abs(normals @ v) ** 2 <= thr)
+    if len(hits):
+        return state.N - 1, tuple(int(i) for i in subsets[hits[0]])
+    return state.N, tuple(range(state.N))  # rows 0..N-1 of S: the basis
 
 
 # ---------------------------------------------------------------------------
 # Gram matrices
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    k: int
-    entries: np.ndarray  # (k, k) complex, Hermitian, unit diagonal
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        if entries.shape != (self.k, self.k):
-            raise MeasureError("Gram matrix shape mismatch")
 
 
 def _quantize_overlap(
@@ -361,11 +337,11 @@ def quantize_overlap_eighth(
     return _quantize_overlap(value, 8, tol)
 
 
-def gram_lambda_min(states: Sequence[StabilizerState]) -> tuple[GramMatrix, float]:
-    """Exact Gram matrix of the given stabilizer states and its minimum
-    eigenvalue; lambda_min below 1e-9 flags a singular (dependent) family.
-    G is lambda_star_scan's einsum, so a scan row's witness states give back
-    its min_lambda bit for bit."""
+def gram_lambda_min(states: Sequence[StabilizerState]) -> tuple[np.ndarray, float]:
+    """Exact Gram matrix of the given stabilizer states, as a read-only
+    (k, k) complex array, and its minimum eigenvalue; lambda_min below 1e-9
+    flags a singular (dependent) family. G is lambda_star_scan's einsum, so
+    a scan row's witness states give back its min_lambda bit for bit."""
     k = len(states)
     if not 1 <= k <= MAX_GRAM_STATES:
         raise MeasureError(
@@ -376,9 +352,8 @@ def gram_lambda_min(states: Sequence[StabilizerState]) -> tuple[GramMatrix, floa
         raise MeasureError("Gram machinery needs states on one qubit count")
     vecs = stabilizer_vectors(states)[None] / math.sqrt(1 << n)
     entries = np.einsum("kin,kjn->kij", vecs.conj(), vecs)[0]
-    gram = GramMatrix(k, entries)
-    lam = float(np.linalg.eigvalsh(entries)[0])
-    return gram, lam
+    entries.setflags(write=False)
+    return entries, float(np.linalg.eigvalsh(entries)[0])
 
 
 @dataclass(frozen=True)
@@ -392,24 +367,6 @@ class ScanRow:
 
 
 _EXHAUSTIVE_BUDGET = {(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)}
-
-
-def _combination_blocks(M: int, k: int, size: int):
-    """itertools.combinations(range(M), k) as arrays of up to size rows,
-    whole-array and column-major. The subset of lexicographic rank r mirrors
-    (m -> M - 1 - m) the one of colexicographic rank C(M, k) - 1 - r, whose
-    elements, largest first, are for j = k..1 the largest c with
-    C(c, j) <= the rank left."""
-    tables = [np.array([math.comb(c, j) for c in range(M)]) for j in range(k, 0, -1)]
-    total = math.comb(M, k)
-    for lo in range(0, total, size):
-        rank = total - 1 - np.arange(lo, min(lo + size, total))
-        block = np.empty((k, len(rank)), int)
-        for t, table in enumerate(tables):
-            c = np.searchsorted(table, rank, side="right") - 1
-            rank -= table[c]
-            np.subtract(M - 1, c, out=block[t])
-        yield block.T
 
 
 def _pair_codes(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -690,7 +647,15 @@ def relations_experiment(
 def random_low_rank_state(
     n: int, k: int, rng: np.random.Generator
 ) -> StateVector:
-    """Random normalized combination of k distinct enumerated stabilizers."""
+    """Random normalized combination of k distinct enumerated stabilizers.
+    n and k are checked against the table's size before it is built."""
+    if not 1 <= n <= TABLE_MAX_N:
+        raise MeasureError(
+            f"n must be in [1, {TABLE_MAX_N}] (the stabilizer table's cap)"
+        )
+    count = expected_stabilizer_count(n)
+    if not 1 <= k <= count:
+        raise MeasureError(f"k must be in [1, {count}] at n = {n}, got {k}")
     S = stabilizer_unit_matrix(n)
     picks = rng.choice(len(S), size=k, replace=False)
     coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)

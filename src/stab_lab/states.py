@@ -26,10 +26,6 @@ class StateFormatError(ValueError):
     pass
 
 
-def _xor_index(N: int, y: int) -> np.ndarray:
-    return np.arange(N) ^ y
-
-
 def dot_parity(values: np.ndarray, mask: int) -> np.ndarray:
     """<v, mask> over F2, elementwise, as an int64 0/1 array."""
     return np.bitwise_count(np.asarray(values) & mask).astype(np.int64) & 1
@@ -133,19 +129,6 @@ def walsh_hadamard(g: np.ndarray) -> np.ndarray:
     """ghat(alpha) = E_x[(-1)^<alpha,x> g(x)] (expectation normalization).
     The dtype follows fwht: real input gives a real result."""
     return fwht(g) / len(g)
-
-
-def inverse_walsh(ghat: np.ndarray) -> np.ndarray:
-    """Sum-normalized inverse: recovers g from walsh_hadamard(g)."""
-    return fwht(ghat)
-
-
-def phase_derivative(g: np.ndarray, y: int) -> np.ndarray:
-    """x -> g(x) * conj(g(x + y))."""
-    g = np.asarray(g, dtype=complex)
-    if y >> (len(g).bit_length() - 1):
-        raise StateFormatError("direction does not fit the index space")
-    return g * np.conj(g[_xor_index(len(g), y)])
 
 
 def convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_states
-from stab_lab import measures
+from stab_lab import cli, measures
 from stab_lab.clifford import (
     StabilizerState,
     enumerate_stabilizers,
@@ -361,7 +361,7 @@ def test_gram_known_values():
     _, lam = gram_lambda_min([ZERO, ONE])
     assert np.isclose(lam, 1.0, atol=1e-12)
     gram, lam = gram_lambda_min([ZERO, PLUS])
-    assert np.isclose(abs(gram.entries[0, 1]), 1 / math.sqrt(2), atol=1e-12)
+    assert np.isclose(abs(gram[0, 1]), 1 / math.sqrt(2), atol=1e-12)
     assert np.isclose(lam, 1 - 1 / math.sqrt(2), atol=1e-12)
     _, lam = gram_lambda_min([ZERO, ZERO])
     assert lam < 1e-9  # singular
@@ -377,8 +377,9 @@ def test_gram_rejects_mixed_qubit_counts(order):
 def test_gram_psd_and_hermitian():
     states = [enumerate_stabilizers(2)[i] for i in (0, 7, 21, 40)]
     gram, lam = gram_lambda_min(states)
-    assert np.allclose(gram.entries, gram.entries.conj().T)
-    assert np.allclose(np.diag(gram.entries), 1.0)
+    assert gram.shape == (4, 4) and not gram.flags.writeable
+    assert np.allclose(gram, gram.conj().T)
+    assert np.allclose(np.diag(gram), 1.0)
     assert lam >= -1e-10
 
 
@@ -681,3 +682,19 @@ def test_delta_k_probe_reports():
     out = delta_k_probe(2, 2, trials=10, seed=0)
     assert 0 < out["min_fidelity"] <= 1
     assert out["ref"] == 0.25
+
+
+def test_low_rank_size_caps_come_before_the_table(capsys):
+    # k outside [1, 36720] at n = 4, or n above the table's cap, is refused
+    # before the stabilizer table is looked up, let alone built
+    before = stabilizer_unit_matrix.cache_info()
+    rng = np.random.default_rng(0)
+    for k in (0, 36721, 40000):
+        want = rf"^k must be in \[1, 36720\] at n = 4, got {k}$"
+        with pytest.raises(MeasureError, match=want):
+            random_low_rank_state(4, k, rng)
+    with pytest.raises(MeasureError, match=r"n must be in \[1, 4\]"):
+        random_low_rank_state(5, 2, rng)
+    assert cli.main(["calibrate", "--n", "4", "--k", "40000"]) == cli.EXIT_USAGE
+    assert "k must be in [1, 36720] at n = 4, got 40000" in capsys.readouterr().err
+    assert stabilizer_unit_matrix.cache_info() == before

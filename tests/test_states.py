@@ -19,10 +19,8 @@ from stab_lab.states import (
     dump_state_json,
     fwht,
     haar_unit,
-    inverse_walsh,
     load_state_json,
     make_state,
-    phase_derivative,
     sign_table,
     walsh_hadamard,
 )
@@ -45,7 +43,7 @@ def test_fwht_is_scaled_involution(n, seed):
 def test_walsh_roundtrip_and_parseval(n, seed):
     g = _random_complex(n, seed)
     ghat = walsh_hadamard(g)
-    assert np.allclose(inverse_walsh(ghat), g)
+    assert np.allclose(fwht(ghat), g)  # sum-normalized inverse
     assert np.isclose(np.sum(np.abs(ghat) ** 2), np.mean(np.abs(g) ** 2))
 
 
@@ -111,12 +109,6 @@ def test_dot_parity_matches_bit_count(value, mask):
 def test_sign_table_small():
     assert list(sign_table(4, 0b01)) == [1, -1, 1, -1]
     assert list(sign_table(4, 0b11)) == [1, -1, -1, 1]
-
-
-def test_phase_derivative():
-    g = _random_complex(2, 3)
-    d = phase_derivative(g, 0b10)
-    assert np.allclose(d, g * np.conj(g[[2, 3, 0, 1]]))
 
 
 def test_statevector_conventions():

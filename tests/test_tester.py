@@ -243,21 +243,21 @@ def test_four_copy_law_matches_sampler_for_real_states():
         for _ in range(3):
             vec = rng.standard_normal(1 << n)
             state = StateVector.from_unit(vec / np.linalg.norm(vec))
-            assert sampler_vs_four_copy_tv(state) < 1e-10
+            assert sampler_vs_four_copy_tv(state) < 1e-14
 
 
 def test_four_copy_law_matches_sampler_for_complex_states(t_state):
     # conjugation effects cancel in the XOR difference law, so the
     # distribution-level sampler agrees even off the real locus
-    assert sampler_vs_four_copy_tv(t_state) < 1e-10
+    assert sampler_vs_four_copy_tv(t_state) < 1e-14
     rng = np.random.default_rng(6)
     for _ in range(3):
         state = StateVector.from_unit(haar_unit(2, rng))
-        assert sampler_vs_four_copy_tv(state) < 1e-10
+        assert sampler_vs_four_copy_tv(state) < 1e-14
     for n in range(1, MAX_QUBITS + 1):
-        assert sampler_vs_four_copy_tv(make_state(FamilySpec("t_tensor", n))) < 1e-10
+        assert sampler_vs_four_copy_tv(make_state(FamilySpec("t_tensor", n))) < 1e-14
         for state in random_states(n, 3, seed=n):
-            assert sampler_vs_four_copy_tv(state) < 1e-10
+            assert sampler_vs_four_copy_tv(state) < 1e-14
 
 
 def test_four_copy_hand_value(t_state):
