@@ -108,21 +108,21 @@ def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
     gives float64 and complex input gives complex128. The transform only
     adds and subtracts, so a real input's float64 output equals, bit for
     bit, the real part of the transform of the same input cast to complex
-    (whose imaginary parts stay exact zeros)."""
+    (whose imaginary parts stay exact zeros). Constant-geometry (Pease) form,
+    bit 0 first: its bytes equal the radix-2 form's (tests/test_states.py)."""
     a = np.asarray(a)
-    a = np.moveaxis(np.array(a, dtype=np.result_type(a, float)), axis, -1)
-    N = a.shape[-1]
+    last = axis in (-1, a.ndim - 1)
+    src = a if last else np.moveaxis(a, axis, -1)
+    src = src.astype(np.result_type(a, float), order="C")  # the one copy
+    N = src.shape[-1]
     if N & (N - 1):
         raise StateFormatError("length must be a power of 2")
-    h = 1
-    while h < N:
-        a = a.reshape(a.shape[:-1] + (N // (2 * h), 2, h))
-        x, y = a[..., 0, :].copy(), a[..., 1, :].copy()
-        a[..., 0, :] = x + y
-        a[..., 1, :] = x - y
-        a = a.reshape(a.shape[:-3] + (N,))
-        h *= 2
-    return np.moveaxis(a, -1, axis)
+    dst, h = np.empty_like(src), N >> 1
+    for _ in range(N.bit_length() - 1):
+        np.add(src[..., 0::2], src[..., 1::2], out=dst[..., :h])
+        np.subtract(src[..., 0::2], src[..., 1::2], out=dst[..., h:])
+        src, dst = dst, src
+    return src if last else np.moveaxis(src, -1, axis)
 
 
 def walsh_hadamard(g: np.ndarray) -> np.ndarray:

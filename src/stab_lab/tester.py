@@ -15,18 +15,18 @@ at n = 1..6; the largest seen on 100 Haar states per n is 1.6e-15).
 The outcomes are exactly those of Generator.choice(len(q), shots, p=q/sum q)
 on the same seed, drawn faster. choice builds cdf = p.cumsum() / its last
 entry, draws u = rng.random(shots) and returns searchsorted(cdf, u,
-side="right"), one binary search over all of cdf per shot. _draw keeps cdf
-and u and finds the same index through a guide table. The first entry above
-u is always an index where cdf strictly rises (the entry before it is at most
-u), so the search runs over the rising entries only. Their values c are
-bucketed into K equal cells of [0, 1), K a power of two at least twice the
-number of rises: u*K and the cell edges b/K are then exact, and cell b's
-bounds, the counts of c at most b/K and (b+1)/K, hold the answer. A shot in
-a cell that no c splits is settled by that lookup; a vectorized binary search
-inside the bounds settles the rest. The lookup rounds nothing, and every
-comparison after it is one of u with an entry of cdf, as in choice's search,
-so z is the same array bit for bit (tests/test_tester.py checks it against
-choice itself).
+side="right"), one binary search over all of cdf per shot. _draw keeps cdf and
+u and finds the same index through a guide table. The first entry above u is
+always an index where cdf strictly rises (the entry before it is at most u),
+so the search runs over the rising entries only. Their values c are bucketed
+into K equal cells of [0, 1), K a power of two at least twice the number of
+rises: c*K, u*K and the cell edges b/K are then exact, so one bincount of
+ceil(c*K) gives every cell's bounds, the counts of c at most b/K and (b+1)/K.
+A shot in a cell that no c splits is settled by that lookup; a vectorized
+binary search inside the bounds settles the rest. Every comparison is one of u
+with an entry of cdf, as in choice's search, so z is the same array bit for
+bit: tests/test_tester.py checks it against choice, and against searchsorted
+on cdf entries, cell edges and crowded cells.
 """
 
 from __future__ import annotations
@@ -82,15 +82,15 @@ def _draw(rng: np.random.Generator, probs: np.ndarray, shots: int) -> np.ndarray
     it holds two arrays of shot length, u and the result; the lookup's own
     arrays are per chunk of _CHUNK shots."""
     cdf = probs.cumsum()
-    if not np.isfinite(cdf[-1]):
-        raise TesterError("the difference distribution is not finite")
+    if not 0 < cdf[-1] < np.inf:  # also nan
+        raise TesterError("the distribution's mass is not finite and positive")
     cdf /= cdf[-1]
     rise = np.flatnonzero(np.concatenate(([cdf[0] > 0], cdf[1:] > cdf[:-1])))
     c = cdf[rise]
     K = 1 << (2 * len(c) - 1).bit_length()
-    # guide[b] = #{j : c[j] <= b/K}; the answer for u in cell b = floor(u*K)
-    # lies in [guide[b], guide[b + 1]], capped at the last rise (c[-1] = 1 > u)
-    guide = np.minimum(c.searchsorted(np.arange(K + 1) / K, side="right"), len(c) - 1)
+    # guide[b] = #{c <= b/K} = #{ceil(c*K) <= b}; the answer for u in cell
+    # b = floor(u*K) lies in [guide[b], guide[b + 1]] (and below len(c))
+    guide = np.bincount(np.ceil(c * K).astype(int), minlength=K + 1).cumsum()
     split = guide[1:] > guide[:-1]  # the cells that some c splits
     u = rng.random(shots)
     z = np.empty(shots, dtype=np.int64)

@@ -96,6 +96,45 @@ def test_fwht_dtype_contract():
     assert convolve(f, g + 1j).dtype == np.complex128
 
 
+def _fwht_radix2(a, axis=-1):
+    """The in-place radix-2 transform: the oracle for fwht's bytes."""
+    a = np.asarray(a)
+    a = np.moveaxis(np.array(a, dtype=np.result_type(a, float)), axis, -1)
+    N = a.shape[-1]
+    h = 1
+    while h < N:
+        a = a.reshape(a.shape[:-1] + (N // (2 * h), 2, h))
+        x, y = a[..., 0, :].copy(), a[..., 1, :].copy()
+        a[..., 0, :] = x + y
+        a[..., 1, :] = x - y
+        a = a.reshape(a.shape[:-3] + (N,))
+        h *= 2
+    return np.moveaxis(a, -1, axis)
+
+
+def test_fwht_is_radix2_bit_for_bit():
+    rng = np.random.default_rng(5)
+    makers = {
+        "bool": lambda shape: rng.random(shape) < 0.5,
+        "int64": lambda shape: rng.integers(-9, 10, shape),
+        "float64": rng.standard_normal,
+        "complex128": lambda shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+    }
+    for n in range(13):
+        N = 1 << n
+        for make in makers.values():
+            cases = [(make(N), 0), (make(N), -1)]
+            cases += [(make((N, 3)), 0), (make((3, N)), 1), (make((3, N)), -1)]
+            cases += [(make((N, 2, 3)), 0), (make((2, N, 3)), 1), (make((2, 3, N)), -1)]
+            cases += [(make((N, 3)).T, -1), (make((3, N)).T, 0)]  # transposed views
+            for a, axis in cases:
+                before = a.copy()
+                got, want = fwht(a, axis=axis), _fwht_radix2(a, axis=axis)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert np.array_equal(a, before)  # the input is left unmodified
+
+
 def test_fwht_rejects_non_power_of_two():
     with pytest.raises(StateFormatError):
         fwht(np.ones(3))

@@ -3,6 +3,7 @@ physical cross-check."""
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,7 @@ def test_draw_breaks_ties_like_searchsorted_right():
     for probs in (
         np.full(8, 1 / 8),
         np.array([0.0, 0.25, 0.0, 0.25, 0.5, 0.0]),
+        np.array([0.0, 0.0, 1.0, 0.0]),  # a point mass: one rise
         tiny,
         rng.random(64) * (rng.random(64) < 0.5),
     ):
@@ -115,6 +117,51 @@ def test_draw_breaks_ties_like_searchsorted_right():
         )
         want = np.searchsorted(cdf, u, side="right")
         assert np.array_equal(_draw(_GivenUniforms(u), probs, len(u)), want)
+
+
+def _guide_edge_cases():
+    """Distributions at the edges of _draw's guide table."""
+    # n = 6: a single outcome holds mass ~1, so each cell next to it holds
+    # about 1,000 rises and the binary search runs over wide bounds.
+    crowded = np.full(4096, 1e-7)
+    crowded[2048] = 1 - 4095e-7
+    # Dyadic: with 13 rises K = 32 and every c*K is a multiple of 1/2, so
+    # rises lie on cell edges (the ceil in the guide), some cells hold two.
+    counts = [6, 1, 1, 0, 2, 8, 0, 1, 3, 4, 0, 10, 2, 1, 5, 20]
+    return {"crowded": crowded, "dyadic": np.array(counts) / 64}
+
+
+GUIDE_EDGE_CASES = _guide_edge_cases()
+
+
+@pytest.mark.parametrize("name", GUIDE_EDGE_CASES)
+def test_draw_guide_edge_cases(name):
+    probs = GUIDE_EDGE_CASES[name]
+    for seed in range(10):
+        want = np.random.default_rng(seed).choice(len(probs), size=2 * _CHUNK + 7, p=probs)
+        assert np.array_equal(_draw(np.random.default_rng(seed), probs, len(want)), want)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    K = 1 << (2 * int(np.count_nonzero(probs)) - 1).bit_length()
+    edges = np.arange(K) / K
+    u = np.concatenate([cdf[cdf < 1], edges, np.nextafter(edges[1:], 0)])
+    u = np.concatenate([u, np.nextafter(u[u > 0], 0), (cdf[:-1] + cdf[1:]) / 2])
+    want = np.searchsorted(cdf, u, side="right")
+    assert np.array_equal(_draw(_GivenUniforms(u), probs, len(u)), want)
+
+
+def test_draw_keeps_per_chunk_memory():
+    # Two shot-length arrays, u and z, take 15.3 MiB of 1,000,000 shots and
+    # the peak reads 17.8 MiB; lookup arrays of full length would read 40.8.
+    q = bell_diff_distribution(char_function(make_state(FamilySpec("t_tensor", 6))))
+    probs = q / q.sum()
+    tracemalloc.start()
+    try:
+        _draw(np.random.default_rng(0), probs, 1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_draw_corpus_has_zeros_and_tiny_masses():
@@ -192,8 +239,9 @@ def test_tolerant_test_validation(t_state):
         bell_difference_sample(t_state, shots=0)
     with pytest.raises(TesterError):
         bell_difference_sample(t_state, shots=MAX_SHOTS + 1)
-    with pytest.raises(TesterError, match="not finite"):
-        _draw(np.random.default_rng(0), np.array([np.nan, 1.0]), 10)
+    for probs in ([np.nan, 1.0], [np.inf, 1.0], np.zeros(4)):
+        with pytest.raises(TesterError, match="not finite and positive"):
+            _draw(np.random.default_rng(0), np.asarray(probs), 10)
 
 
 def test_rank_vs_haar_requires_calibration(t_state):
