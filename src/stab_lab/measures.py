@@ -33,7 +33,12 @@ RANK_RESIDUAL_TOL = 1e-9
 _CHUNK = 4096
 MAX_TRIALS = 100_000  # sampled subsets per (k, n) in lambda_star_scan
 MAX_GRAM_STATES = 8  # states per Gram matrix
-_PAIR_ROWS = 32  # rows of i per block of the rank search's pair sweep
+_PAIR_ROWS = 32  # rows per block of the rank search's pair steps
+_SWEEP_ROWS = 64  # tables up to this size (n <= 2) keep the full pair sweep
+_SCORE_CHUNK = 2048  # candidate pairs scored at a time by the floor pair step
+_NEAR_FLOOR = 1 - 2**-0.5  # the pair floor 1 - |g| at |g| = 2^(-1/2)
+_FAR_FLOOR = 0.5  # and at every smaller overlap of distinct states
+_FLOOR_SLACK = 1e-9  # relative, so that rounding only adds candidates
 _PLANE_BLOCK = 256  # subsets per block of the hyperplane table's build
 
 
@@ -121,6 +126,47 @@ def stabilizer_fidelity(state: StateVector) -> tuple[float, StabilizerState]:
     return fid, stabilizer_at(state.n, best)
 
 
+def _row_terms(U: np.ndarray, w: np.ndarray) -> tuple:
+    """The terms of _first_hit's closed forms that one row brings: conj(U),
+    ||u_j||^2, 1 / ||u_j||^2 (0 for a dependent row, whose norm^2 is at most
+    SINGULAR_TOL, so that it projects nothing out), <u_j, w>, and ||w||^2."""
+    Uc = U.conj()
+    nrm = np.einsum("ij,ij->i", Uc, U).real
+    inv = np.divide(1.0, nrm, out=np.zeros(len(U)), where=nrm > SINGULAR_TOL)
+    return Uc, nrm, inv, Uc @ w, float(np.vdot(w, w).real)
+
+
+def _row_hit(terms: tuple, thr: float) -> Optional[tuple[int]]:
+    """The first row whose span leaves w a squared residual <= thr, or None."""
+    _, _, inv, b, w2 = terms
+    hits = np.flatnonzero(w2 - np.abs(b) ** 2 * inv <= thr)
+    return (int(hits[0]),) if len(hits) else None
+
+
+def _pair_residual(G, b_i, inv_i, b_j, nrm_j, w2: float, bufs) -> np.ndarray:
+    """w's squared residual against span{u_i, u_j} for pairs i < j in closed
+    form: project u_i out of u_j and w. G holds <u_i, u_j> and is
+    overwritten; bufs are two float buffers and a bool one of G's shape, and
+    the second, returned, holds the residuals."""
+    nj, res, ok = bufs
+    np.abs(G, out=nj)
+    nj **= 2
+    nj *= inv_i
+    np.subtract(nrm_j, nj, out=nj)  # ||u_j||^2 with u_i projected out
+    np.conjugate(G, out=G)
+    G *= b_i * inv_i
+    np.subtract(b_j, G, out=G)  # <u_j, w> with u_i projected out
+    w2p = w2 - np.abs(b_i) ** 2 * inv_i
+    np.abs(G, out=res)
+    res **= 2
+    np.greater(nj, SINGULAR_TOL, out=ok)
+    np.divide(res, nj, out=res, where=ok)
+    np.logical_not(ok, out=ok)
+    np.copyto(res, 0.0, where=ok)  # a dependent u_j gains nothing
+    np.subtract(w2p, res, out=res)
+    return res
+
+
 def _first_hit(
     U: np.ndarray, w: np.ndarray, depth: int, thr: float
 ) -> Optional[tuple[int, ...]]:
@@ -130,47 +176,29 @@ def _first_hit(
     most SINGULAR_TOL is dependent and adds nothing to the span, as a
     pseudo-inverse of the subset's Gram matrix would drop it.
 
-    stabilizer_rank calls depth 1 and 2 only; deeper calls recurse over
-    prefixes, the tests' oracle for r >= 3. Depth 2 scores _PAIR_ROWS rows
-    of i at a time, in place in G and in three buffers made once per call,
+    stabilizer_rank calls depth 1 and 2 on tables of up to _SWEEP_ROWS
+    rows; at n = 3 _floor_pair_hit replaces depth 2, and this full sweep
+    stays its oracle. Deeper calls recurse over prefixes, the tests' oracle
+    for r >= 3. Depth 2 scores every pair, _PAIR_ROWS rows of i at a time,
+    in place in G and in three buffers made once per call (_pair_residual),
     and the first hit in row-major order is the first pair."""
     M = len(U)
-    Uc = U.conj()
-    nrm = np.einsum("ij,ij->i", Uc, U).real  # ||u_j||^2
-    b = Uc @ w  # <u_j, w>
-    w2 = float(np.vdot(w, w).real)
-    # 1 / ||u_j||^2, and 0 for a dependent row, which then projects nothing out
-    inv = np.divide(1.0, nrm, out=np.zeros(M), where=nrm > SINGULAR_TOL)
+    Uc, nrm, inv, b, w2 = terms = _row_terms(U, w)
     if depth == 1:
-        hits = np.flatnonzero(w2 - np.abs(b) ** 2 * inv <= thr)
-        return (int(hits[0]),) if len(hits) else None
+        return _row_hit(terms, thr)
     if depth == 2:
-        # every pair (i, j > i) in closed form: project u_i out of u_j and w
         size = _PAIR_ROWS * M
         bufs = np.empty(size), np.empty(size), np.empty(size, bool)
         upper = ~np.tri(_PAIR_ROWS, dtype=bool)  # column c > row a of a block
         for lo in range(0, M - 1, _PAIR_ROWS):
             hi = min(lo + _PAIR_ROWS, M - 1)
             h = hi - lo
-            nj, res, ok = (x[: h * (M - lo)].reshape(h, M - lo) for x in bufs)
+            views = [x[: h * (M - lo)].reshape(h, M - lo) for x in bufs]
             G = Uc[lo:hi] @ U[lo:].T  # G[a, c] = <u_{lo+a}, u_{lo+c}>
-            inv_i = inv[lo:hi, None]
-            np.abs(G, out=nj)
-            nj **= 2
-            nj *= inv_i
-            np.subtract(nrm[lo:], nj, out=nj)  # ||u_j||^2 with u_i projected out
-            np.conjugate(G, out=G)
-            G *= b[lo:hi, None] * inv_i
-            np.subtract(b[lo:], G, out=G)  # <u_j, w> with u_i projected out
-            w2p = w2 - np.abs(b[lo:hi, None]) ** 2 * inv_i
-            np.abs(G, out=res)
-            res **= 2
-            np.greater(nj, SINGULAR_TOL, out=ok)
-            np.divide(res, nj, out=res, where=ok)
-            np.logical_not(ok, out=ok)
-            np.copyto(res, 0.0, where=ok)  # a dependent u_j gains nothing
-            np.subtract(w2p, res, out=res)
-            np.less_equal(res, thr, out=ok)
+            res = _pair_residual(
+                G, b[lo:hi, None], inv[lo:hi, None], b[lo:], nrm[lo:], w2, views
+            )
+            ok = np.less_equal(res, thr, out=views[2])
             ok[:, :h] &= upper[:h, :h]
             hits = np.flatnonzero(ok)
             if len(hits):
@@ -183,6 +211,108 @@ def _first_hit(
         if hit is not None:
             return (p,) + tuple(p + 1 + h for h in hit)
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def _near_pairs(n: int) -> np.ndarray:
+    """The pairs i < j of the n-qubit stabilizer table at the largest overlap
+    of distinct states, |<s_i|s_j>|^2 = 1/2, as a read-only (2, K) int16
+    array of (i, j) in lexicographic order; n <= 3. Squared overlaps of
+    stabilizer states are 0 or 2^-m, so the band (3/8, 5/8) holds 1/2 alone,
+    and every other pair of distinct states has |<s_i|s_j>|^2 <= 1/4. K is
+    12, 360 and 15,120 at n = 1, 2, 3. Built _PAIR_ROWS rows at a time."""
+    if n > 3:
+        raise MeasureError("near-pair list capped at n = 3")
+    S = stabilizer_unit_matrix(n)
+    parts = []
+    for lo in range(0, len(S), _PAIR_ROWS):
+        g2 = np.abs(S[lo:lo + _PAIR_ROWS].conj() @ S[lo:].T) ** 2
+        a, c = np.nonzero(np.abs(g2 - 0.5) < 0.125)
+        parts.append(np.stack([a, c])[:, c > a] + lo)
+    pairs = np.concatenate(parts, axis=1).astype(np.int16)
+    pairs.setflags(write=False)
+    return pairs
+
+
+def _least_pair_hit(terms: tuple, I, J, G, thr: float) -> int:
+    """The least key i * M + j over the pairs (I, J), i < j, whose span
+    leaves w a squared residual <= thr, and M * M if none does; G holds
+    their <u_i, u_j> and is overwritten."""
+    _, nrm, inv, b, w2 = terms
+    bufs = np.empty(len(G)), np.empty(len(G)), np.empty(len(G), bool)
+    hit = _pair_residual(G, b[I], inv[I], b[J], nrm[J], w2, bufs) <= thr
+    M = len(b)
+    return int((I[hit] * M + J[hit]).min(initial=M * M))
+
+
+def _floor_pair_hit(
+    n: int, S: np.ndarray, terms: tuple, thr: float
+) -> Optional[tuple[int, int]]:
+    """_first_hit(S, w, 2, thr) on the n-qubit stabilizer table S (n <= 3),
+    from w's _row_terms, scoring only the pairs that the Gram floor allows.
+
+    The Gram matrix of unit u_i, u_j with g = <u_i, u_j> has least
+    eigenvalue 1 - |g|, so their span holds at most
+    (|<u_i, w>|^2 + |<u_j, w>|^2) / (1 - |g|) of ||w||^2, and a pair can
+    leave w within thr only if beta_i + beta_j >= 1 - |g|, where
+    beta_i = |<u_i, w>|^2 / ||u_i||^2 / (||w||^2 - thr). Distinct stabilizer
+    states have |g| = 2^(-1/2) (the near pairs, _near_pairs) or |g| <= 1/2.
+    So the candidates are
+      - the near pairs with beta_i + beta_j >= 1 - 2^(-1/2), _SCORE_CHUNK of
+        the cached list at a time;
+      - the other pairs with beta_i + beta_j >= 1 - |g_ij|, which is at
+        least 1/2. With beta sorted, the pairs that reach 1/2 form a
+        staircase, whose g is computed _PAIR_ROWS rows of the permuted
+        table at a time.
+    Both floors carry the relative slack _FLOOR_SLACK, so rounding can only
+    add candidates. Every pair that leaves w within thr passes a floor, so
+    the least candidate that _pair_residual finds within thr is the first
+    hit of the full sweep."""
+    Uc, _, inv, b, w2 = terms
+    room = w2 - thr
+    if not room > 0:
+        return 0, 1  # every pair, and every row, leaves w within thr
+    beta = np.abs(b) ** 2 * inv / room
+    M = len(S)
+    best = M * M
+    near = _near_pairs(n)
+    for lo in range(0, near.shape[1], _SCORE_CHUNK):
+        I, J = near[:, lo:lo + _SCORE_CHUNK].astype(np.intp)
+        keep = beta[I] + beta[J] >= _NEAR_FLOOR * (1 - _FLOOR_SLACK)
+        I, J = I[keep], J[keep]
+        best = _least_pair_hit(terms, I, J, np.einsum("ij,ij->i", Uc[I], S[J]), thr)
+        if best < M * M:  # the list is in lexicographic order
+            break
+    order = np.argsort(-beta, kind="stable")
+    s = beta[order]
+    # row a of the sorted table pairs with the c in (a, ends[a]), where
+    # s_a + s_c reaches 1/2; ends falls as a grows, so the rows with a
+    # partner are the first A
+    floor = _FAR_FLOOR * (1 - _FLOOR_SLACK)
+    ends = np.searchsorted(-s, s - floor, side="right")
+    A = int(np.count_nonzero(ends > np.arange(1, M + 1)))
+    upper = ~np.tri(_PAIR_ROWS, dtype=bool)
+    for lo in range(0, A, _PAIR_ROWS):
+        hi, end = min(lo + _PAIR_ROWS, A), ends[lo]
+        G = Uc[order[lo:hi]] @ S[order[lo:end]].T
+        need = np.abs(G)  # |g|, then the floor less beta_a + beta_c
+        keep = need < 0.6  # the near pairs are the list's
+        np.subtract(1.0, need, out=need)
+        need *= 1 - _FLOOR_SLACK
+        np.maximum(need, floor, out=need)
+        need -= s[lo:hi, None]
+        need -= s[lo:end]
+        keep &= need <= 0.0
+        keep[:, :hi - lo] &= upper[:hi - lo, :hi - lo]
+        flat = np.flatnonzero(keep)
+        del need, keep
+        for k in range(0, len(flat), _SCORE_CHUNK):
+            a, c = np.divmod(flat[k:k + _SCORE_CHUNK], end - lo)
+            i, j, g = order[lo + a], order[lo + c], G[a, c]
+            np.conjugate(g, out=g, where=i > j)  # <u_min, u_max>
+            key = _least_pair_hit(terms, np.minimum(i, j), np.maximum(i, j), g, thr)
+            best = min(best, key)
+    return divmod(best, M) if best < M * M else None
 
 
 def _combination_blocks(M: int, k: int, size: int):
@@ -276,8 +406,16 @@ def stabilizer_rank(
     enumeration, so (0, ..., N-1) spans C^N and is the first N-subset of
     all: a state that misses every smaller r has rank N with that witness.
 
-    Steps r = 1 and 2 are _first_hit's closed forms over every row and
-    every pair.
+    Step r = 1 is _first_hit's closed form over every row. Step r = 2 is
+    chosen by table size. Up to _SWEEP_ROWS rows (n <= 2) it is _first_hit's
+    sweep over every pair, where pruning does not pay. At n = 3 it is
+    _floor_pair_hit, which shares r = 1's overlaps and scores only the pairs
+    that the Gram floor allows: the near pairs (|<s_i|s_j>|^2 = 1/2, a
+    cached list) whose normalized overlaps with the state reach
+    1 - 2^(-1/2), and the other pairs whose overlaps reach 1/2 and
+    1 - |<s_i|s_j>|, each floor with a 1e-9 relative slack. Its candidates
+    hold every pair that leaves the state within the threshold, so it
+    returns the sweep's first hit, and the sweep stays its test oracle.
     """
     if not delta >= 0:  # NaN too, which every residual test would fail
         raise MeasureError("delta must be nonnegative")
@@ -288,12 +426,17 @@ def stabilizer_rank(
     thr = tol * tol + RANK_RESIDUAL_TOL  # inf, not OverflowError, for huge delta
     S = stabilizer_unit_matrix(n)
     v = state.unit()
+    if len(S) > _SWEEP_ROWS:  # n = 3
+        terms = _row_terms(S, v)
+        hit = _row_hit(terms, thr)
+        if hit is not None:
+            return 1, hit
+        hit = _floor_pair_hit(n, S, terms, thr)
+        return (2, hit) if hit is not None else ((3, state.N), None)
     for r in range(1, min(state.N - 1, 3)):  # r = 1, 2 below N - 1
         hit = _first_hit(S, v, r, thr)
         if hit is not None:
             return r, hit
-    if n > 2:
-        return (3, state.N), None
     normals, subsets = _hyperplanes(n)
     hits = np.flatnonzero(np.abs(normals @ v) ** 2 <= thr)
     if len(hits):

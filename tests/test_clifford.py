@@ -272,6 +272,20 @@ def test_random_real_clifford_draws_from_the_real_pool(n):
         assert random_real_clifford(n, seed=seed).gates == want
 
 
+def test_random_real_clifford_n1_reaches_determinant_one_only():
+    # every even-length word over H and Z (determinant -1 each) has
+    # determinant +1, so the default depth 40 reaches 4 of the 8 elements
+    basis = [StateVector.from_unit(np.eye(2, dtype=complex)[k]) for k in (0, 1)]
+    found = set()
+    for seed in range(2000):
+        circuit = random_real_clifford(1, seed=seed)
+        C = np.column_stack([apply_clifford(circuit, b).unit() for b in basis]).real
+        assert np.isclose(np.linalg.det(C), 1.0, atol=1e-12)
+        C = C * np.sign(C.flat[np.flatnonzero(np.abs(C) > 1e-9)[0]])  # modulo sign
+        found.add(tuple(np.round(C, 9).ravel()))
+    assert len(found) == 4
+
+
 def test_random_real_clifford_deterministic():
     a = random_real_clifford(2, seed=5)
     b = random_real_clifford(2, seed=5)

@@ -303,11 +303,14 @@ def test_rank_matches_subset_oracle_n3():
 
 
 def test_rank_pairs_across_block_edges_n3():
-    # the pair sweep scores _PAIR_ROWS rows of i per block: pairs whose i is
-    # the last row of a block, the first row of the next or of the short last
-    # block, and pairs that end at the last row, against the subset oracle;
-    # the first, fourth and last are their own first witness
+    # the full pair sweep, the oracle of the n = 3 floor pair step, scores
+    # _PAIR_ROWS rows of i per block: pairs whose i is the last row of a
+    # block, the first row of the next or of the short last block, and pairs
+    # that end at the last row; the first, fourth and last are their own
+    # first witness
     assert measures._PAIR_ROWS == 32  # the pairs below sit on 32-row edges
+    S = stabilizer_unit_matrix(3)
+    thr = RANK_RESIDUAL_TOL**2 + RANK_RESIDUAL_TOL
     rng = np.random.default_rng(4)
     cases = [
         ((31, 32), (31, 32)),
@@ -318,9 +321,148 @@ def test_rank_pairs_across_block_edges_n3():
     ]
     for pair, witness in cases:
         state = _combination(3, list(pair), True, rng)
+        assert _first_hit(S, state.unit(), 2, thr) == witness
         got = stabilizer_rank(state)
         assert got == _subset_rank(state)
         assert got == (2, witness)
+
+
+def _floor_step(state, delta):
+    """The n = 3 floor pair step and the full sweep it replaces."""
+    S = stabilizer_unit_matrix(state.n)
+    v = state.unit()
+    thr = max(delta, RANK_RESIDUAL_TOL) ** 2 + RANK_RESIDUAL_TOL
+    terms = measures._row_terms(S, v)
+    return measures._floor_pair_hit(state.n, S, terms, thr), _first_hit(S, v, 2, thr)
+
+
+def test_floor_pair_step_matches_sweep_n3():
+    # seeded Haar states and real and complex combinations of 1-3
+    # stabilizers, over the delta grid: the step is the sweep's first hit.
+    # stabilizer_rank meets _subset_rank where the sweep hits early or the
+    # rank is 1; elsewhere the oracle's full scan (1.2 s a miss) is left to
+    # test_rank_matches_subset_oracle_n3, and the sweep stands for it
+    M = len(stabilizer_unit_matrix(3))
+    rng = np.random.default_rng(26)
+    states = random_states(3, 3, seed=26)
+    for k in (1, 2, 3):
+        for complex_coeffs in (False, True):
+            picks = list(rng.choice(M, size=k, replace=False))
+            states.append(_combination(3, picks, complex_coeffs, rng))
+    oracle_calls = 0
+    for state in states:
+        for delta in (0.0, 1e-6, 0.1, 0.3, 0.6, 0.95, 2.0):
+            step, sweep = _floor_step(state, delta)
+            assert step == sweep
+            got = stabilizer_rank(state, delta)
+            if got[0] == 1 or (step is not None and step[0] < 64):
+                oracle_calls += 1
+                assert got == _subset_rank(state, delta)
+            else:
+                assert got == ((2, step) if step else ((3, 8), None))
+    assert oracle_calls >= 30
+
+
+def _edge_state(S, i, j):
+    """The unit vector of span{s_i, s_j} that overlaps the pair least:
+    |<s_i|v>|^2 + |<s_j|v>|^2 = 1 - |g|, the least eigenvalue of the pair's
+    Gram matrix, with g = <s_i|s_j>."""
+    g = np.vdot(S[i], S[j])
+    vec = S[i] - np.conj(g) / abs(g) * S[j]
+    return vec / np.linalg.norm(vec)
+
+
+def _beta_sum(S, v, i, j, delta):
+    """beta_i + beta_j, the pair's share that the Gram floor bounds."""
+    thr = max(delta, RANK_RESIDUAL_TOL) ** 2 + RANK_RESIDUAL_TOL
+    b = S.conj() @ v
+    return (abs(b[i]) ** 2 + abs(b[j]) ** 2) / (np.vdot(v, v).real - thr)
+
+
+@pytest.mark.parametrize(
+    "pair", [(0, 568), (1, 1053), (5, 999), (916, 1069), (1006, 1033)]
+)
+def test_floor_pair_step_overlap_floor_edge_n3(pair):
+    # |g|^2 = 1/8: the state of the pair's plane on the floor 1 - |g|, whose
+    # first witness is the pair, the least of the two stabilizers its plane
+    # holds
+    S = stabilizer_unit_matrix(3)
+    i, j = pair
+    assert np.isclose(abs(np.vdot(S[i], S[j])) ** 2, 1 / 8, atol=1e-12)
+    v = _edge_state(S, i, j)
+    floor = 1 - 2**-1.5
+    assert 1 <= _beta_sum(S, v, i, j, 0.0) / floor <= 1 + 1e-8
+    state = StateVector.from_unit(v)
+    assert _floor_step(state, 0.0) == (pair, pair)
+    assert stabilizer_rank(state) == (2, pair)
+
+
+@pytest.mark.parametrize("pair", [(0, 120), (1, 433), (2, 497), (4, 179)])
+def test_floor_pair_step_half_floor_edge_n3(pair):
+    # |g|^2 = 1/4: the state of the pair's plane on the floor 1/2 is the
+    # third stabilizer of the plane, so it is rank 1. Tilt it in the plane
+    # by 0.6 thr and lift it off the plane by 0.5 thr (squared norms, delta
+    # = 0.01): the pair leaves it within thr, no single stabilizer does, and
+    # the pair's beta sum is within 4e-4 of 1/2, below a floor raised to
+    # 0.51. Many pairs near the third stabilizer hit too, so only pairs that
+    # start at a basis state are their state's first witness
+    S = stabilizer_unit_matrix(3)
+    i, j = pair
+    assert np.isclose(abs(np.vdot(S[i], S[j])) ** 2, 1 / 4, atol=1e-12)
+    delta = 0.01
+    thr = delta**2 + RANK_RESIDUAL_TOL
+    low = _edge_state(S, i, j)
+    assert np.isclose(np.abs(S.conj() @ low).max(), 1, atol=1e-12)
+    high = S[i] - np.vdot(low, S[i]) * low  # in the plane, orthogonal to low
+    high /= np.linalg.norm(high)
+    Q, _ = np.linalg.qr(S[[i, j]].T)
+    off = haar_unit(3, np.random.default_rng(i))
+    off -= Q @ (Q.conj().T @ off)
+    off /= np.linalg.norm(off)
+    tilt, lift = 0.6 * thr, 0.5 * thr
+    v = math.sqrt(1 - tilt - lift) * low + math.sqrt(tilt) * high
+    v += math.sqrt(lift) * off
+    assert 0.5 <= _beta_sum(S, v, i, j, delta) <= 0.5 + 4e-4
+    state = StateVector.from_unit(v)
+    assert _floor_step(state, delta) == (pair, pair)
+    assert stabilizer_rank(state, delta) == (2, pair)
+
+
+def test_near_pairs_are_never_first_witness_n3():
+    # why the near floor has no edge test: a near pair's plane holds six
+    # stabilizer states, and its least pair is orthogonal, so it spans the
+    # same plane ahead of the near pair. The state of a near pair's plane on
+    # its floor 1 - 2^(-1/2) has that orthogonal pair as its witness
+    S = stabilizer_unit_matrix(3)
+    near = measures._near_pairs(3)
+    for i, j in near[:, ::1009].T.tolist():
+        state = StateVector.from_unit(_edge_state(S, i, j))
+        step, sweep = _floor_step(state, 0.0)
+        assert step == sweep
+        assert step < (i, j)
+        assert abs(np.vdot(S[step[0]], S[step[1]])) < 1e-12
+
+
+@pytest.mark.parametrize("n, count", [(1, 12), (2, 360), (3, 15120)])
+def test_near_pairs_partition(n, count):
+    # the list holds every pair i < j at |g|^2 = 1/2 once, in lexicographic
+    # order, and every other pair of distinct states sits at |g|^2 <= 1/4
+    S = stabilizer_unit_matrix(n)
+    M = len(S)
+    near = measures._near_pairs(n)
+    assert near.dtype == np.int16 and near.shape == (2, count)
+    assert not near.flags.writeable
+    assert near.nbytes <= 0.5e6
+    i, j = near.astype(int)
+    keys = i * M + j
+    assert np.all(i < j) and np.all(np.diff(keys) > 0)
+    g2 = np.abs(S.conj() @ S.T) ** 2
+    assert np.abs(g2[i, j] - 0.5).max() < 1e-12
+    others = np.triu(np.ones((M, M), bool), 1)
+    others[i, j] = False
+    assert g2[others].max() <= 0.25 + 1e-12
+    with pytest.raises(MeasureError, match="capped at n = 3"):
+        measures._near_pairs(4)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -345,8 +487,12 @@ def test_rank_full_step_is_the_basis(n):
 
 
 def test_rank_miss_n3_memory():
+    # the floor pair step works _PAIR_ROWS rows of the sorted table and
+    # _SCORE_CHUNK candidates at a time: a warm miss peaked at 1.14 MiB.
+    # The table and the near-pair cache (60,480 bytes) are built before the
+    # trace, by a first call
     state = random_states(3, 1, seed=12)[0]
-    stabilizer_unit_matrix(3)  # the cached table is not the search's memory
+    assert stabilizer_rank(state) == ((3, 8), None)
     tracemalloc.start()
     try:
         rank, wit = stabilizer_rank(state)
@@ -354,7 +500,7 @@ def test_rank_miss_n3_memory():
     finally:
         tracemalloc.stop()
     assert (rank, wit) == ((3, 8), None)
-    assert peak < 3 * 2**20  # the pair sweep works in place
+    assert peak < 1.4 * 2**20  # the measured peak and a 0.26 MiB margin
 
 
 def test_gram_known_values():
