@@ -3,7 +3,8 @@ stabilizer rank — plus Gram-matrix eigenvalue machinery and the small-scale
 relations experiment tying the three measures together.
 
 All exhaustive searches run over the complete stabilizer enumeration, so
-results at n <= 4 (fidelity) and n <= 2 (rank) are exact, not heuristic.
+results are exact, not heuristic: fidelity at n <= 4, rank at n <= 2, and at
+n = 3 rank r <= 2 (a miss there gives the bound pair (3, 8)).
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ MAX_GRAM_STATES = 8  # states per Gram matrix
 _PAIR_ROWS = 32  # rows per block of the rank search's pair steps
 _SWEEP_ROWS = 64  # tables up to this size (n <= 2) keep the full pair sweep
 _SCORE_CHUNK = 2048  # candidate pairs scored at a time by the floor pair step
-_NEAR_FLOOR = 1 - 2**-0.5  # the pair floor 1 - |g| at |g| = 2^(-1/2)
-_FAR_FLOOR = 0.5  # and at every smaller overlap of distinct states
+_FAR_FLOOR = 0.5  # the pair floor 1 - |g| at |g| = 1/2, the step's least
 _FLOOR_SLACK = 1e-9  # relative, so that rounding only adds candidates
 _PLANE_BLOCK = 256  # subsets per block of the hyperplane table's build
 
@@ -213,76 +213,39 @@ def _first_hit(
     return None
 
 
-@functools.lru_cache(maxsize=None)
-def _near_pairs(n: int) -> np.ndarray:
-    """The pairs i < j of the n-qubit stabilizer table at the largest overlap
-    of distinct states, |<s_i|s_j>|^2 = 1/2, as a read-only (2, K) int16
-    array of (i, j) in lexicographic order; n <= 3. Squared overlaps of
-    stabilizer states are 0 or 2^-m, so the band (3/8, 5/8) holds 1/2 alone,
-    and every other pair of distinct states has |<s_i|s_j>|^2 <= 1/4. K is
-    12, 360 and 15,120 at n = 1, 2, 3. Built _PAIR_ROWS rows at a time."""
-    if n > 3:
-        raise MeasureError("near-pair list capped at n = 3")
-    S = stabilizer_unit_matrix(n)
-    parts = []
-    for lo in range(0, len(S), _PAIR_ROWS):
-        g2 = np.abs(S[lo:lo + _PAIR_ROWS].conj() @ S[lo:].T) ** 2
-        a, c = np.nonzero(np.abs(g2 - 0.5) < 0.125)
-        parts.append(np.stack([a, c])[:, c > a] + lo)
-    pairs = np.concatenate(parts, axis=1).astype(np.int16)
-    pairs.setflags(write=False)
-    return pairs
-
-
-def _least_pair_hit(terms: tuple, I, J, G, thr: float) -> int:
-    """The least key i * M + j over the pairs (I, J), i < j, whose span
-    leaves w a squared residual <= thr, and M * M if none does; G holds
-    their <u_i, u_j> and is overwritten."""
-    _, nrm, inv, b, w2 = terms
-    bufs = np.empty(len(G)), np.empty(len(G)), np.empty(len(G), bool)
-    hit = _pair_residual(G, b[I], inv[I], b[J], nrm[J], w2, bufs) <= thr
-    M = len(b)
-    return int((I[hit] * M + J[hit]).min(initial=M * M))
-
-
 def _floor_pair_hit(
-    n: int, S: np.ndarray, terms: tuple, thr: float
+    S: np.ndarray, terms: tuple, thr: float
 ) -> Optional[tuple[int, int]]:
-    """_first_hit(S, w, 2, thr) on the n-qubit stabilizer table S (n <= 3),
-    from w's _row_terms, scoring only the pairs that the Gram floor allows.
+    """_first_hit(S, w, 2, thr) on a stabilizer table S (n <= 3), from w's
+    _row_terms, scoring only the pairs that the Gram floor allows.
 
     The Gram matrix of unit u_i, u_j with g = <u_i, u_j> has least
     eigenvalue 1 - |g|, so their span holds at most
     (|<u_i, w>|^2 + |<u_j, w>|^2) / (1 - |g|) of ||w||^2, and a pair can
     leave w within thr only if beta_i + beta_j >= 1 - |g|, where
     beta_i = |<u_i, w>|^2 / ||u_i||^2 / (||w||^2 - thr). Distinct stabilizer
-    states have |g| = 2^(-1/2) (the near pairs, _near_pairs) or |g| <= 1/2.
-    So the candidates are
-      - the near pairs with beta_i + beta_j >= 1 - 2^(-1/2), _SCORE_CHUNK of
-        the cached list at a time;
-      - the other pairs with beta_i + beta_j >= 1 - |g_ij|, which is at
-        least 1/2. With beta sorted, the pairs that reach 1/2 form a
-        staircase, whose g is computed _PAIR_ROWS rows of the permuted
-        table at a time.
-    Both floors carry the relative slack _FLOOR_SLACK, so rounding can only
-    add candidates. Every pair that leaves w within thr passes a floor, so
-    the least candidate that _pair_residual finds within thr is the first
-    hit of the full sweep."""
-    Uc, _, inv, b, w2 = terms
+    states at n <= 3 have |g|^2 = 1/2 (near pairs) or |g|^2 <= 1/4, and the
+    one floor is beta_i + beta_j >= max(1/2, 1 - |g_ij|), less the relative
+    slack _FLOOR_SLACK, so that rounding can only add candidates. With beta
+    sorted, the pairs that reach 1/2 form a staircase, whose g is computed
+    _PAIR_ROWS rows of the permuted table at a time; _pair_residual scores
+    its candidates _SCORE_CHUNK at a time, and the least within thr wins.
+
+    The floor is exact for |g| <= 1/2 and too high for a near pair, but no
+    near pair is a first hit: its plane holds six stabilizer states, whose
+    least pair is orthogonal and comes first, and leaves w within thr
+    whenever the near pair does. So this is the full sweep's first hit,
+    except at a rounding tie: when w's squared residual against a near
+    pair's plane is thr to within rounding, the sweep may take the near pair
+    while the orthogonal pair's computed residual lands just above thr, and
+    this step returns a later pair or None."""
+    Uc, nrm, inv, b, w2 = terms
     room = w2 - thr
     if not room > 0:
         return 0, 1  # every pair, and every row, leaves w within thr
     beta = np.abs(b) ** 2 * inv / room
     M = len(S)
     best = M * M
-    near = _near_pairs(n)
-    for lo in range(0, near.shape[1], _SCORE_CHUNK):
-        I, J = near[:, lo:lo + _SCORE_CHUNK].astype(np.intp)
-        keep = beta[I] + beta[J] >= _NEAR_FLOOR * (1 - _FLOOR_SLACK)
-        I, J = I[keep], J[keep]
-        best = _least_pair_hit(terms, I, J, np.einsum("ij,ij->i", Uc[I], S[J]), thr)
-        if best < M * M:  # the list is in lexicographic order
-            break
     order = np.argsort(-beta, kind="stable")
     s = beta[order]
     # row a of the sorted table pairs with the c in (a, ends[a]), where
@@ -296,13 +259,12 @@ def _floor_pair_hit(
         hi, end = min(lo + _PAIR_ROWS, A), ends[lo]
         G = Uc[order[lo:hi]] @ S[order[lo:end]].T
         need = np.abs(G)  # |g|, then the floor less beta_a + beta_c
-        keep = need < 0.6  # the near pairs are the list's
         np.subtract(1.0, need, out=need)
         need *= 1 - _FLOOR_SLACK
         np.maximum(need, floor, out=need)
         need -= s[lo:hi, None]
         need -= s[lo:end]
-        keep &= need <= 0.0
+        keep = need <= 0.0
         keep[:, :hi - lo] &= upper[:hi - lo, :hi - lo]
         flat = np.flatnonzero(keep)
         del need, keep
@@ -310,8 +272,10 @@ def _floor_pair_hit(
             a, c = np.divmod(flat[k:k + _SCORE_CHUNK], end - lo)
             i, j, g = order[lo + a], order[lo + c], G[a, c]
             np.conjugate(g, out=g, where=i > j)  # <u_min, u_max>
-            key = _least_pair_hit(terms, np.minimum(i, j), np.maximum(i, j), g, thr)
-            best = min(best, key)
+            i, j = np.minimum(i, j), np.maximum(i, j)
+            bufs = np.empty(len(g)), np.empty(len(g)), np.empty(len(g), bool)
+            hit = _pair_residual(g, b[i], inv[i], b[j], nrm[j], w2, bufs) <= thr
+            best = int((i[hit] * M + j[hit]).min(initial=best))
     return divmod(best, M) if best < M * M else None
 
 
@@ -410,12 +374,11 @@ def stabilizer_rank(
     chosen by table size. Up to _SWEEP_ROWS rows (n <= 2) it is _first_hit's
     sweep over every pair, where pruning does not pay. At n = 3 it is
     _floor_pair_hit, which shares r = 1's overlaps and scores only the pairs
-    that the Gram floor allows: the near pairs (|<s_i|s_j>|^2 = 1/2, a
-    cached list) whose normalized overlaps with the state reach
-    1 - 2^(-1/2), and the other pairs whose overlaps reach 1/2 and
-    1 - |<s_i|s_j>|, each floor with a 1e-9 relative slack. Its candidates
-    hold every pair that leaves the state within the threshold, so it
-    returns the sweep's first hit, and the sweep stays its test oracle.
+    whose normalized overlaps with the state reach max(1/2,
+    1 - |<s_i|s_j>|), with a 1e-9 relative slack. It returns the sweep's
+    first hit except at a rounding tie on the plane of two stabilizers at
+    squared overlap 1/2 (see _floor_pair_hit); the sweep stays its test
+    oracle.
     """
     if not delta >= 0:  # NaN too, which every residual test would fail
         raise MeasureError("delta must be nonnegative")
@@ -431,7 +394,7 @@ def stabilizer_rank(
         hit = _row_hit(terms, thr)
         if hit is not None:
             return 1, hit
-        hit = _floor_pair_hit(n, S, terms, thr)
+        hit = _floor_pair_hit(S, terms, thr)
         return (2, hit) if hit is not None else ((3, state.N), None)
     for r in range(1, min(state.N - 1, 3)):  # r = 1, 2 below N - 1
         hit = _first_hit(S, v, r, thr)

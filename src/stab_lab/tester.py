@@ -176,9 +176,12 @@ def calibrate(
     shots: int = 10_000,
 ) -> dict:
     """Empirical threshold for rank<=k vs Haar at size n: the midpoint of the
-    class medians of R-hat over seeded corpora."""
+    class medians of R-hat over seeded corpora. The sizes and shots are
+    checked before the stabilizer table is looked up."""
     if min(n, k, corpus_size) < 1:
         raise TesterError("calibrate needs n, k and corpus_size of at least 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise TesterError(f"shots must be in [1, {MAX_SHOTS}]")
     from .measures import random_low_rank_state
 
     rng = np.random.default_rng(seed)

@@ -1,8 +1,10 @@
 """End-to-end command-line runs, exercised in process through main()."""
 
+import importlib.util
 import json
 import math
 import os
+import pathlib
 import subprocess
 
 import numpy as np
@@ -701,3 +703,40 @@ def test_cli_contract_on_generated_input(tmp_path_factory, case):
 def test_cli_contract_per_command(tmp_path_factory, command, data):
     case = data.draw(contract_argv((command,)))
     _check_contract(tmp_path_factory.mktemp("contract"), case)
+
+
+def _golden_script():
+    """scripts/golden_digests.py, loaded as a module."""
+    path = pathlib.Path(__file__).parent.parent / "scripts" / "golden_digests.py"
+    spec = importlib.util.spec_from_file_location("golden_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_readme_commands_match_golden_digests(tmp_path):
+    # the README's thirteen commands at fixed seeds and small n write the
+    # artifacts the committed table names, byte for byte apart from the
+    # version; a different numpy or BLAS build is reported, not skipped
+    golden = _golden_script()
+    table = json.loads(golden.TABLE.read_text())
+    assert list(table["digests"]) == list(golden.COMMANDS)
+    got = golden.run_commands(tmp_path)
+    bad = [name for name, digest in table["digests"].items() if got[name] != digest]
+    build = golden.build_info()
+    recorded = {key: table[key] for key in build}
+    assert not bad, (
+        f"artifacts differ from tests/golden_digests.json: {', '.join(bad)}; "
+        f"table built with {recorded}, this run with {build}"
+    )
+
+
+def test_golden_mask_covers_the_version():
+    golden = _golden_script()
+    assert golden.mask_version("# version=abc\n# config={}\nx\n") == (
+        "# version=<masked>\n# config={}\nx\n"
+    )
+    text = '{\n  "config": {\n    "version": "keep"\n  },\n  "version": "abc"\n}\n'
+    assert golden.mask_version(text) == text.replace('"abc"', '"<masked>"')
+    with pytest.raises(ValueError, match="no version"):
+        golden.mask_version('{\n  "config": {}\n}\n')

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_states
+from conftest import random_real_states, random_states
 from stab_lab import clifford
 from stab_lab.clifford import (
     MAX_CIRCUIT_QUBITS,
@@ -284,6 +284,41 @@ def test_random_real_clifford_n1_reaches_determinant_one_only():
         C = C * np.sign(C.flat[np.flatnonzero(np.abs(C) > 1e-9)[0]])  # modulo sign
         found.add(tuple(np.round(C, 9).ravel()))
     assert len(found) == 4
+
+
+def _real_clifford_group(n):
+    """The real Clifford group on n qubits modulo sign, as an (|G|, N, N)
+    array: a breadth-first search over products of the H, Z and CNOT
+    matrices, keyed by each product with its first nonzero entry made
+    positive."""
+    gens = [_gate_matrix(n, g).real for g in clifford._gate_codes(n)[0] if g[0] != "S"]
+    found = {}
+    frontier = [np.eye(1 << n)]
+    while frontier:
+        grown = []
+        for C in frontier:
+            C = C * np.sign(C.flat[np.flatnonzero(np.abs(C) > 1e-9)[0]])
+            key = tuple(np.round(C, 9).ravel())
+            if key not in found:
+                found[key] = C
+                grown += [g @ C for g in gens]
+        frontier = grown
+    return np.array(list(found.values()))
+
+
+@pytest.mark.parametrize("n, order", [(1, 8), (2, 1152)])
+def test_real_clifford_group_balances_on_average(n, order):
+    # the balancing lemma, exactly: the real Clifford group is an orthogonal
+    # 2-design, so for every real unit psi the group mean of
+    # sum_x (C psi)(x)^4 is 3 / (N + 2), and by Markov's inequality at least
+    # 2 / (N + 2) of the group brings it to balance's threshold 3 / N
+    group = _real_clifford_group(n)
+    assert len(group) == order
+    N = 1 << n
+    for state in random_real_states(n, 20, seed=17 + n):
+        moments = np.sum((group @ state.unit().real) ** 4, axis=1)
+        assert abs(moments.mean() - 3 / (N + 2)) <= 1e-12
+        assert np.mean(moments <= 3 / N) >= 2 / (N + 2)
 
 
 def test_random_real_clifford_deterministic():

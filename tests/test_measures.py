@@ -333,7 +333,7 @@ def _floor_step(state, delta):
     v = state.unit()
     thr = max(delta, RANK_RESIDUAL_TOL) ** 2 + RANK_RESIDUAL_TOL
     terms = measures._row_terms(S, v)
-    return measures._floor_pair_hit(state.n, S, terms, thr), _first_hit(S, v, 2, thr)
+    return measures._floor_pair_hit(S, terms, thr), _first_hit(S, v, 2, thr)
 
 
 def test_floor_pair_step_matches_sweep_n3():
@@ -428,14 +428,59 @@ def test_floor_pair_step_half_floor_edge_n3(pair):
     assert stabilizer_rank(state, delta) == (2, pair)
 
 
+def _near_pairs(n):
+    """The table's Gram matrix and its pairs i < j at |g|^2 = 1/2, the
+    largest overlap of distinct stabilizer states, in lexicographic order."""
+    S = stabilizer_unit_matrix(n)
+    gram = S.conj() @ S.T
+    i, j = np.nonzero(np.triu(np.abs(np.abs(gram) ** 2 - 0.5) < 0.125, 1))
+    return gram, i, j
+
+
+def _plane_states(gram, i, j):
+    """The table states in the plane of the near pairs (i[k], j[k]), as a
+    bool row per pair: s lies in span{s_i, s_j} when its squared overlaps
+    with s_i and with the unit 2^(1/2) (s_j - g s_i), g = <s_i|s_j>, add
+    up to 1."""
+    g = gram[i, j][:, None]
+    w = np.abs(gram[i]) ** 2 + 2 * np.abs(gram[j] - g.conj() * gram[i]) ** 2
+    return w > 1 - 1e-9
+
+
+@pytest.mark.parametrize("n, count", [(1, 12), (2, 360), (3, 15120)])
+def test_near_pairs_partition(n, count):
+    # the one floor max(1/2, 1 - |g|) of the pair step rests on this: every
+    # pair of distinct table states sits at |g|^2 = 1/2 or at |g|^2 <= 1/4
+    gram, i, j = _near_pairs(n)
+    assert len(i) == count
+    g2 = np.abs(gram) ** 2
+    assert np.abs(g2[i, j] - 0.5).max() < 1e-12
+    others = np.triu(np.ones(g2.shape, bool), 1)
+    others[i, j] = False
+    assert g2[others].max() <= 0.25 + 1e-12
+
+
 def test_near_pairs_are_never_first_witness_n3():
-    # why the near floor has no edge test: a near pair's plane holds six
-    # stabilizer states, and its least pair is orthogonal, so it spans the
-    # same plane ahead of the near pair. The state of a near pair's plane on
-    # its floor 1 - 2^(-1/2) has that orthogonal pair as its witness
+    # why the step may hold near pairs to the floor 1/2: at n <= 3 a near
+    # pair's plane holds six table states, and the least pair of them is
+    # orthogonal and comes before the near pair, so it leaves a state within
+    # thr whenever the near pair does (in exact arithmetic). Checked for
+    # every near pair
+    for n in (1, 2, 3):
+        gram, I, J = _near_pairs(n)
+        for lo in range(0, len(I), 1024):
+            i, j = I[lo:lo + 1024], J[lo:lo + 1024]
+            rows, cols = np.nonzero(_plane_states(gram, i, j))
+            assert np.array_equal(np.bincount(rows, minlength=len(i)), [6] * len(i))
+            members = cols.reshape(-1, 6)  # each row sorted, as nonzero gives it
+            first, second = members[:, 0], members[:, 1]
+            assert np.abs(gram[first, second]).max() < 1e-12
+            assert np.all((first < i) | ((first == i) & (second < j)))
+    # and the state of a near pair's plane on its own floor 1 - 2^(-1/2)
+    # has that orthogonal pair as its witness
     S = stabilizer_unit_matrix(3)
-    near = measures._near_pairs(3)
-    for i, j in near[:, ::1009].T.tolist():
+    _, I, J = _near_pairs(3)
+    for i, j in zip(I[::1009].tolist(), J[::1009].tolist()):
         state = StateVector.from_unit(_edge_state(S, i, j))
         step, sweep = _floor_step(state, 0.0)
         assert step == sweep
@@ -443,26 +488,59 @@ def test_near_pairs_are_never_first_witness_n3():
         assert abs(np.vdot(S[step[0]], S[step[1]])) < 1e-12
 
 
-@pytest.mark.parametrize("n, count", [(1, 12), (2, 360), (3, 15120)])
-def test_near_pairs_partition(n, count):
-    # the list holds every pair i < j at |g|^2 = 1/2 once, in lexicographic
-    # order, and every other pair of distinct states sits at |g|^2 <= 1/4
-    S = stabilizer_unit_matrix(n)
-    M = len(S)
-    near = measures._near_pairs(n)
-    assert near.dtype == np.int16 and near.shape == (2, count)
-    assert not near.flags.writeable
-    assert near.nbytes <= 0.5e6
-    i, j = near.astype(int)
-    keys = i * M + j
-    assert np.all(i < j) and np.all(np.diff(keys) > 0)
-    g2 = np.abs(S.conj() @ S.T) ** 2
-    assert np.abs(g2[i, j] - 0.5).max() < 1e-12
-    others = np.triu(np.ones((M, M), bool), 1)
-    others[i, j] = False
-    assert g2[others].max() <= 0.25 + 1e-12
-    with pytest.raises(MeasureError, match="capped at n = 3"):
-        measures._near_pairs(4)
+def _sweep_residual(S, v, i, j):
+    """v's squared residual against span{s_i, s_j}, i < j, with the very
+    bits _first_hit's sweep computes it with: the same block product and
+    _pair_residual."""
+    Uc, nrm, inv, b, w2 = measures._row_terms(S, v)
+    lo = i - i % measures._PAIR_ROWS
+    hi = min(lo + measures._PAIR_ROWS, len(S) - 1)
+    G = Uc[lo:hi] @ S[lo:].T
+    bufs = np.empty(G.shape), np.empty(G.shape), np.empty(G.shape, bool)
+    res = measures._pair_residual(
+        G, b[lo:hi, None], inv[lo:hi, None], b[lo:], nrm[lo:], w2, bufs
+    )
+    return float(res[i - lo, j - lo])
+
+
+def test_floor_pair_step_at_near_plane_ties_n3():
+    # the step's caveat: states at squared distance t from a near pair's
+    # plane, with thr at that residual as the sweep computes it and at the
+    # floats on either side. Where the step and the sweep differ, the sweep
+    # took a near pair because its plane's orthogonal pair, which comes
+    # first, rounded just above thr; the step then finds a later pair of the
+    # plane within thr, or none
+    S = stabilizer_unit_matrix(3)
+    gram, I, J = _near_pairs(3)
+    rng = np.random.default_rng(27)
+    differ = 0
+    for k in rng.choice(len(I), 40, replace=False).tolist():
+        i, j = int(I[k]), int(J[k])
+        Q, _ = np.linalg.qr(S[[i, j]].T)
+        x = Q @ (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        off = haar_unit(3, rng)
+        off -= Q @ (Q.conj().T @ off)
+        t = float(rng.choice([1e-3, 0.02]))
+        v = math.sqrt(1 - t) * x / np.linalg.norm(x)
+        v += math.sqrt(t) * off / np.linalg.norm(off)
+        tie = _sweep_residual(S, v, i, j)
+        terms = measures._row_terms(S, v)
+        for thr in (np.nextafter(tie, 0), tie, np.nextafter(tie, 1)):
+            step = measures._floor_pair_hit(S, terms, thr)
+            sweep = _first_hit(S, v, 2, thr)
+            if step == sweep:
+                continue
+            differ += 1
+            p, q = sweep
+            assert np.isclose(abs(gram[p, q]) ** 2, 0.5, atol=1e-12)
+            members = np.flatnonzero(_plane_states(gram, np.array([p]), np.array([q])))
+            first = tuple(members[:2].tolist())
+            assert abs(gram[first]) < 1e-12 and first < sweep
+            assert _sweep_residual(S, v, *first) > thr
+            if step is not None:
+                assert step > sweep
+                assert _sweep_residual(S, v, *step) <= thr
+    assert differ  # the caveat is real: rounding ties do occur
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -489,8 +567,8 @@ def test_rank_full_step_is_the_basis(n):
 def test_rank_miss_n3_memory():
     # the floor pair step works _PAIR_ROWS rows of the sorted table and
     # _SCORE_CHUNK candidates at a time: a warm miss peaked at 1.14 MiB.
-    # The table and the near-pair cache (60,480 bytes) are built before the
-    # trace, by a first call
+    # It keeps no cache of its own; the table is built before the trace, by
+    # a first call
     state = random_states(3, 1, seed=12)[0]
     assert stabilizer_rank(state) == ((3, 8), None)
     tracemalloc.start()

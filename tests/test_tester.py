@@ -10,8 +10,14 @@ import numpy as np
 import pytest
 
 from conftest import random_real_states, random_states
+from stab_lab import cli
 from stab_lab.charfn import bell_diff_distribution, char_function, exact_R
-from stab_lab.clifford import enumerate_stabilizers, stabilizer_at, stabilizer_to_statevector
+from stab_lab.clifford import (
+    enumerate_stabilizers,
+    stabilizer_at,
+    stabilizer_to_statevector,
+    stabilizer_unit_matrix,
+)
 from stab_lab.measures import counterexample_state, random_low_rank_state
 from stab_lab.states import (
     MAX_QUBITS,
@@ -368,3 +374,15 @@ def test_calibrate_reproduces_committed_thresholds():
     for entry in json.loads(path.read_text())["entries"]:
         args = {key: entry[key] for key in ("n", "k", "seed", "corpus_size", "shots")}
         assert calibrate(**args) == entry
+
+
+def test_calibrate_checks_shots_before_the_table(capsys):
+    # a shot count outside [1, MAX_SHOTS] is refused before the stabilizer
+    # table (9.4 MB at n = 4) is looked up, let alone built
+    before = stabilizer_unit_matrix.cache_info()
+    for shots in (0, -5, MAX_SHOTS + 1):
+        with pytest.raises(TesterError, match=r"shots must be in \[1, 10000000\]"):
+            calibrate(4, 2, shots=shots)
+    assert cli.main(["calibrate", "--n", "4", "--k", "2", "--shots", "0"]) == cli.EXIT_USAGE
+    assert "shots must be in [1, 10000000]" in capsys.readouterr().err
+    assert stabilizer_unit_matrix.cache_info() == before
