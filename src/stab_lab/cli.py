@@ -32,6 +32,8 @@ from typing import Optional
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
+import numpy as np  # noqa: E402
+
 from . import charfn, clifford, measures, states, tester, witness  # noqa: E402
 from .gf2 import doubling_stats, symp_pack  # noqa: E402
 
@@ -90,9 +92,9 @@ class ExperimentConfig:
     extra: dict = dataclasses.field(default_factory=dict)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write through a temporary file and a rename. The file gets the mode a
-    plain open() would give it (0o666 less the umask), not mkstemp's 0o600."""
+def _atomic_write(path: str, *parts: str) -> None:
+    """Write the parts through a temporary file and a rename. The file gets
+    the mode a plain open() would give it (0o666 less the umask), not 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stab-lab-")
     try:
@@ -100,7 +102,7 @@ def _atomic_write(path: str, text: str) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -109,24 +111,22 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _emit(config: ExperimentConfig, payload: dict, csv_body: Optional[str] = None):
-    """Write (or print) the artifact with version + config embedded."""
+    """Write (or print) the artifact with version + config embedded; a CSV
+    body is written after its header lines, not copied into one string."""
     header = {"version": version_string(), "config": dataclasses.asdict(config)}
     if csv_body is not None:
-        text = (
-            f"# version={header['version']}\n"
-            f"# config={json.dumps(header['config'], sort_keys=True)}\n"
-            + csv_body
-        )
+        config_line = json.dumps(header["config"], sort_keys=True)
+        parts = (f"# version={header['version']}\n# config={config_line}\n", csv_body)
     else:
-        text = json.dumps({**header, **payload}, indent=2, sort_keys=True) + "\n"
+        parts = (json.dumps({**header, **payload}, indent=2, sort_keys=True) + "\n",)
     if config.out:
-        _atomic_write(config.out, text)
+        _atomic_write(config.out, *parts)
         _atomic_write(
             config.out + ".run.json",
             json.dumps({"written_at": time.time(), "out": config.out}) + "\n",
         )
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _load_state(config: ExperimentConfig):
@@ -221,14 +221,14 @@ def _cmd_extract_stabilizer(config: ExperimentConfig, state):
 
 def _cmd_bell_sim(config: ExperimentConfig, state):
     zs, same = tester.bell_difference_sample(state, config.shots, config.seed)
-    n = state.n
-    bits = [format(x, f"0{n}b") for x in range(state.N)]
-    lines = ["y_bits,alpha_bits,same_bit"]
-    lines += (
-        f"{bits[z >> n]},{bits[z & (state.N - 1)]},{int(s)}"
-        for z, s in zip(zs.tolist(), same.tolist())
-    )
-    _emit(config, {}, csv_body="\n".join(lines) + "\n")
+    bits = [format(x, f"0{state.n}b") for x in range(state.N)]
+    # each line is 2n + 4 bytes; zs becomes, in place, each shot's line 2 z + same
+    lines = [f"{y},{a},{s}\n" for y in bits for a in bits for s in "01"]
+    zs <<= 1
+    zs += same
+    table = np.array(lines, dtype=f"S{2 * state.n + 4}")
+    body = "y_bits,alpha_bits,same_bit\n" + str(table[zs].data, "ascii")
+    _emit(config, {}, csv_body=body)
 
 
 def _cmd_tolerant_test(config: ExperimentConfig, state):

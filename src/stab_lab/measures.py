@@ -3,8 +3,8 @@ stabilizer rank — plus Gram-matrix eigenvalue machinery and the small-scale
 relations experiment tying the three measures together.
 
 All exhaustive searches run over the complete stabilizer enumeration, so
-results are exact, not heuristic: fidelity at n <= 4, rank at n <= 2, and at
-n = 3 rank r <= 2 (a miss there gives the bound pair (3, 8)).
+results are exact, not heuristic: fidelity at n <= 4, rank at n <= 2 (cached
+span tables) and at n = 3 for r <= 2 (a miss there gives the bound pair (3, 8)).
 """
 
 from __future__ import annotations
@@ -35,11 +35,10 @@ _CHUNK = 4096
 MAX_TRIALS = 100_000  # sampled subsets per (k, n) in lambda_star_scan
 MAX_GRAM_STATES = 8  # states per Gram matrix
 _PAIR_ROWS = 32  # rows per block of the rank search's pair steps
-_SWEEP_ROWS = 64  # tables up to this size (n <= 2) keep the full pair sweep
 _SCORE_CHUNK = 2048  # candidate pairs scored at a time by the floor pair step
 _FAR_FLOOR = 0.5  # the pair floor 1 - |g| at |g| = 1/2, the step's least
 _FLOOR_SLACK = 1e-9  # relative, so that rounding only adds candidates
-_PLANE_BLOCK = 256  # subsets per block of the hyperplane table's build
+_PLANE_BLOCK = 256  # complement rows per block of a span table's build: under 1 MiB
 
 
 class MeasureError(ValueError):
@@ -176,10 +175,10 @@ def _first_hit(
     most SINGULAR_TOL is dependent and adds nothing to the span, as a
     pseudo-inverse of the subset's Gram matrix would drop it.
 
-    stabilizer_rank calls depth 1 and 2 on tables of up to _SWEEP_ROWS
-    rows; at n = 3 _floor_pair_hit replaces depth 2, and this full sweep
-    stays its oracle. Deeper calls recurse over prefixes, the tests' oracle
-    for r >= 3. Depth 2 scores every pair, _PAIR_ROWS rows of i at a time,
+    No production code calls it: it is the tests' oracle for
+    stabilizer_rank's steps, the full pair sweep behind _floor_pair_hit and
+    the r = 2 span table, and by its prefix recursion for r >= 3. Depth 1
+    is _row_hit. Depth 2 scores every pair, _PAIR_ROWS rows of i at a time,
     in place in G and in three buffers made once per call (_pair_residual),
     and the first hit in row-major order is the first pair."""
     M = len(U)
@@ -298,49 +297,55 @@ def _combination_blocks(M: int, k: int, size: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _hyperplanes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct hyperplanes of C^N that (N - 1)-subsets of the n-qubit
-    stabilizer table span, as (normals, subsets), in the lexicographic order
-    of the first subset that spans each; n <= 2. Row k of subsets is that
-    first subset, and row k of normals a unit c with sum_j c_j u_j = 0 for
-    every u in hyperplane k, so |c . v|^2 is v's squared residual against it.
+def _spans(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct spans of r-subsets of the n-qubit stabilizer table, n <= 2,
+    as (complements, subsets), in the order of the first subset that spans
+    each in itertools.combinations order: subsets[k] is that subset, and
+    complements[k] the conjugated orthonormal basis C of span k's orthogonal
+    complement (N - r rows), so ||C v||^2 is v's squared residual against it.
 
-    Subsets go through in itertools.combinations order (_combination_blocks),
-    _PLANE_BLOCK at a time. c is the signed maximal minors of the subset's
-    rows: c_l = (-1)^l times the np.linalg.det of its columns other than l.
-    Its norm^2 is the Gram determinant, and at most SINGULAR_TOL marks a
-    dependent subset, which spans less. A hyperplane is keyed by the
-    stabilizer rows it holds, those with |c . s|^2 <= SINGULAR_TOL (one bit
-    each; at n = 2 the others give at least 1/12), so equal keys are the
-    same hyperplane exactly. A key that no earlier block held is new, and
-    the block's first subset with it is its first subset."""
+    C is the last N - r columns of the complete QR of the subset's columns,
+    _PLANE_BLOCK rows of C at a time (_combination_blocks); a Gram determinant
+    prod |R_ii|^2 at most SINGULAR_TOL marks a dependent subset. A span is
+    keyed by the table rows it holds, those with ||C s||^2 <= SINGULAR_TOL
+    (one bit each; at n = 2 the others give at least 1/12), so equal keys
+    are the same span, and a block's first subset with a new key is its
+    first subset."""
     if n > 2:
-        raise MeasureError("hyperplane table capped at n = 2")
+        raise MeasureError("span tables capped at n = 2")
     S = stabilizer_unit_matrix(n)
     M, N = S.shape
-    minors = np.array([np.delete(np.arange(N), l) for l in range(N)])
     bits = np.uint64(1) << np.arange(M, dtype=np.uint64)
-    # sorted; a dependent subset gets key 0, which no hyperplane has, since
-    # a subset's own rows lie in its span
+    # sorted; a dependent subset gets key 0, which no span has, since a
+    # subset's own rows lie in its span
     keys = np.zeros(1, np.uint64)
-    normals, subsets = [], []
-    for block in _combination_blocks(M, N - 1, _PLANE_BLOCK):
-        A = S[block]
-        c = np.linalg.det(A[:, :, minors].swapaxes(1, 2)) * (-1.0) ** np.arange(N)
-        norm = np.linalg.norm(c, axis=1)
-        spans = norm**2 > SINGULAR_TOL
-        c = np.divide(c, norm[:, None], out=np.zeros_like(c), where=spans[:, None])
-        key = np.where(spans, (np.abs(c @ S.T) <= math.sqrt(SINGULAR_TOL)) @ bits, 0)
+    comps, subsets = [], []
+    for block in _combination_blocks(M, r, _PLANE_BLOCK // (N - r)):
+        Q, R = np.linalg.qr(S[block].swapaxes(1, 2), mode="complete")
+        C = Q[:, :, r:].conj().swapaxes(1, 2)
+        gram = np.prod(np.abs(np.diagonal(R, axis1=1, axis2=2)) ** 2, axis=1)
+        held = np.sum(np.abs(C @ S.T) ** 2, axis=1) <= SINGULAR_TOL
+        key = np.where(gram > SINGULAR_TOL, held @ bits, 0)
         _, first = np.unique(key, return_index=True)
         known = keys[np.minimum(np.searchsorted(keys, key[first]), len(keys) - 1)]
         first = np.sort(first[known != key[first]])
         keys = np.sort(np.concatenate([keys, key[first]]))
-        normals.append(c[first])
+        comps.append(C[first])
         subsets.append(block[first])
-    table = np.concatenate(normals), np.concatenate(subsets)
+    table = np.concatenate(comps), np.concatenate(subsets)
     for part in table:  # every caller shares the cached arrays
         part.setflags(write=False)
     return table
+
+
+def _span_hit(n: int, r: int, v: np.ndarray, thr: float) -> Optional[tuple[int, ...]]:
+    """The first r-subset within thr of v once step r - 1 has missed: a
+    dependent subset spans no more than a smaller one, so it is the least
+    first subset of a span in _spans(n, r) with ||C v||^2 <= thr, or None."""
+    comps, subsets = _spans(n, r)
+    res = (np.abs(comps.reshape(-1, len(v)) @ v) ** 2).reshape(len(comps), -1)
+    hits = np.flatnonzero(res.sum(axis=1) <= thr)
+    return tuple(int(i) for i in subsets[hits[0]]) if len(hits) else None
 
 
 def stabilizer_rank(
@@ -354,32 +359,12 @@ def stabilizer_rank(
     lexicographically first r-subset (enumeration indices) whose squared
     residual is at most delta^2 + RANK_RESIDUAL_TOL.
 
-    The step r = N - 1 (n = 1 and 2) asks whether the state lies within
-    delta of a hyperplane, and reads the answer off the cached table of the
-    hyperplanes that stabilizer subsets span (_hyperplanes, whose unit
-    normals are signed maximal minors by np.linalg.det): against an
-    independent subset the squared residual is |<h|v>|^2 for the
-    hyperplane's unit normal h, so the subsets that qualify are those of the
-    qualifying hyperplanes. A dependent subset spans no more than some
-    smaller subset inside it, which step r - 1 has already tried. So the
-    first qualifying subset is the least first subset of a qualifying
-    hyperplane, the same witness for every delta.
-
-    The step r = N (n = 1 and 2) is not searched. Rows 0..N-1 of the table
-    are the computational basis, since the zero subspace's cosets open the
-    enumeration, so (0, ..., N-1) spans C^N and is the first N-subset of
-    all: a state that misses every smaller r has rank N with that witness.
-
-    Step r = 1 is _first_hit's closed form over every row. Step r = 2 is
-    chosen by table size. Up to _SWEEP_ROWS rows (n <= 2) it is _first_hit's
-    sweep over every pair, where pruning does not pay. At n = 3 it is
-    _floor_pair_hit, which shares r = 1's overlaps and scores only the pairs
-    whose normalized overlaps with the state reach max(1/2,
-    1 - |<s_i|s_j>|), with a 1e-9 relative slack. It returns the sweep's
-    first hit except at a rounding tie on the plane of two stabilizers at
-    squared overlap 1/2 (see _floor_pair_hit); the sweep stays its test
-    oracle.
-    """
+    Step r = 1 is _row_hit's closed form, and r = 2 at n = 3 is
+    _floor_pair_hit. At n <= 2 each step 2 <= r < N is one lookup in a
+    cached span table (_span_hit); its ||C v||^2 rounds differently from
+    _first_hit's closed form, so where a pair's residual is the threshold to
+    within a few ulps the two may name different pairs. Step r = N needs no
+    search, since the computational basis opens the table."""
     if not delta >= 0:  # NaN too, which every residual test would fail
         raise MeasureError("delta must be nonnegative")
     n = state.n
@@ -389,22 +374,17 @@ def stabilizer_rank(
     thr = tol * tol + RANK_RESIDUAL_TOL  # inf, not OverflowError, for huge delta
     S = stabilizer_unit_matrix(n)
     v = state.unit()
-    if len(S) > _SWEEP_ROWS:  # n = 3
-        terms = _row_terms(S, v)
-        hit = _row_hit(terms, thr)
-        if hit is not None:
-            return 1, hit
+    terms = _row_terms(S, v)
+    if (hit := _row_hit(terms, thr)) is not None:
+        return 1, hit
+    if n == 3:
         hit = _floor_pair_hit(S, terms, thr)
         return (2, hit) if hit is not None else ((3, state.N), None)
-    for r in range(1, min(state.N - 1, 3)):  # r = 1, 2 below N - 1
-        hit = _first_hit(S, v, r, thr)
-        if hit is not None:
+    for r in range(2, state.N):
+        if (hit := _span_hit(n, r, v, thr)) is not None:
             return r, hit
-    normals, subsets = _hyperplanes(n)
-    hits = np.flatnonzero(np.abs(normals @ v) ** 2 <= thr)
-    if len(hits):
-        return state.N - 1, tuple(int(i) for i in subsets[hits[0]])
-    return state.N, tuple(range(state.N))  # rows 0..N-1 of S: the basis
+    # rows 0..N-1 of S, the computational basis, are the first N-subset of all
+    return state.N, tuple(range(state.N))
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ import math
 import os
 import pathlib
 import subprocess
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stab_lab import cli, clifford, witness
+from stab_lab import cli, clifford, tester, witness
 from stab_lab.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from stab_lab.states import FamilySpec, dump_state_json, haar_unit, make_state
 
@@ -179,6 +180,49 @@ def test_bell_sim_csv(t_state_file, tmp_path):
         y, alpha, bit = row.split(",")
         assert set(y) <= {"0", "1"} and set(alpha) <= {"0", "1"}
         assert bit in ("0", "1")
+
+
+def _bell_csv_per_shot(zs, same, n):
+    """Oracle: the CSV body formatted one Python string per shot."""
+    bits = [format(x, f"0{n}b") for x in range(1 << n)]
+    lines = ["y_bits,alpha_bits,same_bit"]
+    lines += (
+        f"{bits[z >> n]},{bits[z & ((1 << n) - 1)]},{int(s)}"
+        for z, s in zip(zs.tolist(), same.tolist())
+    )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n, shots", [(1, 1000), (3, 10_000), (6, 20_000)])
+def test_bell_sim_csv_matches_per_shot_formatter(n, shots, tmp_path, capsys):
+    # the line table indexed by 2 z + same writes the very bytes of the
+    # per-shot formatter, to a file and to stdout
+    out = tmp_path / "shots.csv"
+    args = ["bell-sim", "--family", "haar", "--n", str(n), "--shots", str(shots)]
+    assert run(args + ["--seed", "5", "--out", str(out)]) == EXIT_OK
+    zs, same = tester.bell_difference_sample(make_state(FamilySpec("haar", n)), shots, 5)
+    want = _bell_csv_per_shot(zs, same, n)
+    assert out.read_text().split("\n", 2)[2] == want
+    capsys.readouterr()
+    assert run(args + ["--seed", "5"]) == EXIT_OK
+    assert capsys.readouterr().out.split("\n", 2)[2] == want
+
+
+def test_bell_sim_memory(tmp_path):
+    # 10^6 shots at n = 6 write a 16 MB body. Formatted one string per shot
+    # the command peaked at 124 MiB; through the line table it peaks at
+    # 40.6 MiB: the shots (8.6 MiB), the body, and the body's encoded copy
+    out = tmp_path / "shots.csv"
+    args = ["bell-sim", "--family", "haar", "--n", "6", "--shots", str(10**6)]
+    tracemalloc.start()
+    try:
+        code = run(args + ["--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert out.stat().st_size > 16 * 10**6
+    assert peak < 48 * 2**20
 
 
 def test_tolerant_test_command(t_state_file, tmp_path):

@@ -321,6 +321,27 @@ def test_real_clifford_group_balances_on_average(n, order):
         assert np.mean(moments <= 3 / N) >= 2 / (N + 2)
 
 
+def test_balance_first_try_follows_the_group_fraction():
+    # the balancing law as seeded counts: at n = 2 a depth-160 word is within
+    # 4e-11 of uniform on the real Clifford group, so balance's first try
+    # balances a state with probability p, the exact fraction of the group
+    # that brings it to 3 / N. Over 2,000 seeds, the seeds on which balance
+    # returns its first draw are Binomial(2000, p), here within 3 sigma
+    group = _real_clifford_group(2)
+    state = next(
+        s for s in random_real_states(2, 20, seed=28) if fourth_moment(s) > 3 / 4
+    )
+    moments = np.sum((group @ state.unit().real) ** 4, axis=1)
+    assert np.abs(moments - 3 / 4).min() > 1e-6  # no rounding tie at 3 / N
+    p = float(np.mean(moments <= 3 / 4))
+    assert p == 5 / 6
+    hits = 0
+    for seed in range(2000):
+        draw = int(np.random.default_rng(seed).integers(0, 2**63))
+        hits += balance(state, seed)[0] == random_real_clifford(2, seed=draw)
+    assert abs(hits - 2000 * p) <= 3 * math.sqrt(2000 * p * (1 - p))
+
+
 def test_random_real_clifford_deterministic():
     a = random_real_clifford(2, seed=5)
     b = random_real_clifford(2, seed=5)

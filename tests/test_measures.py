@@ -145,8 +145,8 @@ def test_rank_validation():
         stab = stabilizer_to_statevector(stabilizer_at(n, k))
         with pytest.raises(MeasureError, match="nonnegative"):
             stabilizer_rank(stab, float("nan"))
-    with pytest.raises(MeasureError, match="hyperplane table capped at n = 2"):
-        measures._hyperplanes(3)
+    with pytest.raises(MeasureError, match="span tables capped at n = 2"):
+        measures._spans(3, 2)
 
 
 def _subset_search(S, v, r, thr):
@@ -233,7 +233,7 @@ def test_rank_matches_subset_oracle(case):
 
 
 def test_first_hit_rounding_dependent_rows_add_nothing():
-    # stabilizer_rank never recurses (it searches depth 1 and 2 only), so
+    # stabilizer_rank does not call _first_hit, the oracle of its steps, so
     # drive the prefix recursion directly, on tables that start with a
     # dependent triple. Random global phases leave a dependent row a
     # projected norm^2 near 1e-32 instead of exactly 0; scored as a
@@ -252,35 +252,46 @@ def test_first_hit_rounding_dependent_rows_add_nothing():
             assert _first_hit(U, v, r, thr) == _subset_search(U, v, r, thr)
 
 
-@pytest.mark.parametrize("n, count", [(1, 6), (2, 1500)])
-def test_hyperplane_table(n, count):
-    # against an SVD of every (N - 1)-subset in itertools.combinations
-    # order: each independent subset's hyperplane, keyed by the stabilizer
-    # rows its normal annihilates, is held exactly once, under the first
-    # subset that spans it, and the build stays small
+@pytest.mark.parametrize("n, r, count", [(2, 2, 710), (2, 3, 1500)])
+def test_span_tables(n, r, count):
+    # against an SVD of every r-subset in itertools.combinations order: each
+    # independent subset's span, keyed by the stabilizer rows it holds, is
+    # held exactly once, under the first subset that spans it, with an
+    # orthonormal basis of its complement, and the build stays small
     S = stabilizer_unit_matrix(n)
     M, N = S.shape
-    measures._hyperplanes.cache_clear()
+    measures._spans.cache_clear()
     tracemalloc.start()
     try:
-        normals, subsets = measures._hyperplanes(n)
+        comps, subsets = measures._spans(n, r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert len(normals) == len(subsets) == count
-    assert np.allclose(np.linalg.norm(normals, axis=1), 1, atol=1e-12)
-    combos = np.array(list(itertools.combinations(range(M), N - 1)))
+    assert comps.shape == (count, N - r, N) and subsets.shape == (count, r)
+    gram = comps @ comps.conj().swapaxes(1, 2)
+    assert np.abs(gram - np.eye(N - r)).max() < 1e-12
+    combos = np.array(list(itertools.combinations(range(M), r)))
     _, sv, vh = np.linalg.svd(S[combos])
     independent = sv[:, -1] > 1e-6
-    # sum_j c_j u_j = 0 on the span, for c the conjugated last row of vh
-    held = np.abs(vh[independent, -1].conj() @ S.T) < 1e-6
+    # the rows of vh past r span the complement of the subset's span
+    held = np.sum(np.abs(vh[independent, r:].conj() @ S.T) ** 2, axis=1) < 1e-12
     first = {}
     for subset, rows in zip(combos[independent].tolist(), held):
         first.setdefault(np.packbits(rows).tobytes(), tuple(subset))
-    keys = [np.packbits(np.abs(S @ c) < 1e-6).tobytes() for c in normals]
-    assert keys == list(first)
+    held = np.sum(np.abs(comps @ S.T) ** 2, axis=1) < 1e-12
+    assert [np.packbits(rows).tobytes() for rows in held] == list(first)
     assert [tuple(row) for row in subsets.tolist()] == list(first.values())
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_span_tables_reach_every_span_n2(r):
+    # a seeded complex combination of each span's first subset has rank r
+    # and that subset as its witness, so no span is shadowed
+    rng = np.random.default_rng(28 + r)
+    for subset in measures._spans(2, r)[1].tolist():
+        state = _combination(2, subset, True, rng)
+        assert stabilizer_rank(state) == (r, tuple(subset))
 
 
 def test_rank_matches_subset_oracle_n3():
@@ -540,6 +551,57 @@ def test_floor_pair_step_at_near_plane_ties_n3():
             if step is not None:
                 assert step > sweep
                 assert _sweep_residual(S, v, *step) <= thr
+    assert differ  # the caveat is real: rounding ties do occur
+
+
+def _long_residual(S, v, pair):
+    """v's squared residual against the span of S's rows in pair, by
+    Gram-Schmidt in long double: a reference for rounding ties."""
+    w = v.astype(np.clongdouble)
+    basis = []
+    for k in pair:
+        u = S[k].astype(np.clongdouble)
+        for e in basis:
+            u = u - np.sum(e.conj() * u) * e
+        basis.append(u / np.sqrt(np.sum(np.abs(u) ** 2)))
+        w = w - np.sum(basis[-1].conj() * w) * basis[-1]
+    return float(np.sum(np.abs(w) ** 2))
+
+
+def test_span_table_at_plane_ties_n2():
+    # the r = 2 table step's caveat: ||C v||^2 rounds differently from the
+    # sweep's closed form. States at squared distance t from the plane of a
+    # random pair, with thr at that pair's residual as the sweep computes it
+    # and at the floats on either side. Where the table step (the r = 2
+    # step of stabilizer_rank at that thr) and the sweep differ, the one
+    # that skipped the earlier of the two named pairs computed that pair, or
+    # its plane, just above thr: its exact residual is within 8 eps of thr
+    # (3 eps was the most seen). The later pair, if any, may span another
+    # plane well inside thr; it is within thr + 8 eps
+    S = stabilizer_unit_matrix(2)
+    pairs = list(itertools.combinations(range(len(S)), 2))
+    rng = np.random.default_rng(28)
+    tol = 8 * np.finfo(float).eps
+    differ = 0
+    for k in rng.choice(len(pairs), 40, replace=False).tolist():
+        i, j = pairs[k]
+        Q, _ = np.linalg.qr(S[[i, j]].T)
+        x = Q @ (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        off = haar_unit(2, rng)
+        off -= Q @ (Q.conj().T @ off)
+        t = float(rng.choice([1e-3, 0.02]))
+        v = math.sqrt(1 - t) * x / np.linalg.norm(x)
+        v += math.sqrt(t) * off / np.linalg.norm(off)
+        tie = _sweep_residual(S, v, i, j)
+        for thr in (np.nextafter(tie, 0), tie, np.nextafter(tie, 1)):
+            step = measures._span_hit(2, 2, v, thr)
+            sweep = _first_hit(S, v, 2, thr)
+            if step == sweep:
+                continue
+            differ += 1
+            first, *later = sorted(p for p in (step, sweep) if p is not None)
+            assert abs(_long_residual(S, v, first) - thr) <= tol
+            assert all(_long_residual(S, v, p) <= thr + tol for p in later)
     assert differ  # the caveat is real: rounding ties do occur
 
 
