@@ -92,13 +92,14 @@ class ExperimentConfig:
     extra: dict = dataclasses.field(default_factory=dict)
 
 
-def _atomic_write(path: str, *parts: str) -> None:
-    """Write the parts through a temporary file and a rename. The file gets
-    the mode a plain open() would give it (0o666 less the umask), not 0o600."""
+def _atomic_write(path: str, *parts) -> None:
+    """Write the bytes-like parts through a temporary file and a rename. The
+    file gets the mode a plain open() would give it (0o666 less the umask),
+    not 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stab-lab-")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
@@ -110,23 +111,25 @@ def _atomic_write(path: str, *parts: str) -> None:
         raise
 
 
-def _emit(config: ExperimentConfig, payload: dict, csv_body: Optional[str] = None):
-    """Write (or print) the artifact with version + config embedded; a CSV
-    body is written after its header lines, not copied into one string."""
+def _emit(config: ExperimentConfig, payload: dict, *csv):
+    """Write (or print) the artifact with version + config embedded. A CSV
+    comes as bytes-like parts, its column line first, and is written after
+    its header lines as it is, not copied into one string."""
     header = {"version": version_string(), "config": dataclasses.asdict(config)}
-    if csv_body is not None:
+    if csv:
         config_line = json.dumps(header["config"], sort_keys=True)
-        parts = (f"# version={header['version']}\n# config={config_line}\n", csv_body)
+        head = f"# version={header['version']}\n# config={config_line}\n"
+        parts = (head.encode(), *csv)
     else:
-        parts = (json.dumps({**header, **payload}, indent=2, sort_keys=True) + "\n",)
+        doc = json.dumps({**header, **payload}, indent=2, sort_keys=True)
+        parts = ((doc + "\n").encode(),)
     if config.out:
         _atomic_write(config.out, *parts)
-        _atomic_write(
-            config.out + ".run.json",
-            json.dumps({"written_at": time.time(), "out": config.out}) + "\n",
-        )
+        run = json.dumps({"written_at": time.time(), "out": config.out})
+        _atomic_write(config.out + ".run.json", (run + "\n").encode())
     else:
-        sys.stdout.writelines(parts)
+        sys.stdout.flush()  # text already printed goes first
+        sys.stdout.buffer.writelines(parts)
 
 
 def _load_state(config: ExperimentConfig):
@@ -153,7 +156,7 @@ def _load_state(config: ExperimentConfig):
 
 
 def _cmd_charfn(config: ExperimentConfig, state):
-    _emit(config, {}, csv_body=charfn.char_table_csv(charfn.char_function(state)))
+    _emit(config, {}, charfn.char_table_csv(charfn.char_function(state)).encode())
 
 
 def _cmd_gowers(config: ExperimentConfig, state):
@@ -185,7 +188,6 @@ def _cmd_gram_scan(config: ExperimentConfig, _):
     rows = measures.lambda_star_scan(
         k_max=config.extra["k"],
         n_max=config.extra["nmax"],
-        mode=config.extra["mode"],
         trials=config.extra["trials"],
         seed=config.seed,
     )
@@ -194,7 +196,7 @@ def _cmd_gram_scan(config: ExperimentConfig, _):
         lam = "" if r.min_lambda == float("inf") else repr(r.min_lambda)
         wit = "" if r.witness is None else " ".join(map(str, r.witness))
         lines.append(f"{r.k},{r.n},{lam},{wit},{int(r.exhaustive)},{r.samples}")
-    _emit(config, {}, csv_body="\n".join(lines) + "\n")
+    _emit(config, {}, ("\n".join(lines) + "\n").encode())
 
 
 def _cmd_extract_stabilizer(config: ExperimentConfig, state):
@@ -227,8 +229,7 @@ def _cmd_bell_sim(config: ExperimentConfig, state):
     zs <<= 1
     zs += same
     table = np.array(lines, dtype=f"S{2 * state.n + 4}")
-    body = "y_bits,alpha_bits,same_bit\n" + str(table[zs].data, "ascii")
-    _emit(config, {}, csv_body=body)
+    _emit(config, {}, b"y_bits,alpha_bits,same_bit\n", table[zs])
 
 
 def _cmd_tolerant_test(config: ExperimentConfig, state):
@@ -388,7 +389,6 @@ _COMMANDS = {
         **_SEED,
         "--k": dict(type=int, required=True),
         "--nmax": dict(type=int, required=True),
-        "--mode": dict(choices=("exhaustive", "sampled"), default="exhaustive"),
         "--trials": dict(type=int, default=2000),
     }),
     "tolerant-test": (_cmd_tolerant_test, True, {

@@ -10,7 +10,6 @@ span tables) and at n = 3 for r <= 2 (a miss there gives the bound pair (3, 8)).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -32,7 +31,8 @@ SINGULAR_TOL = 1e-9
 STABILIZER_FIDELITY_TOL = 1e-9
 RANK_RESIDUAL_TOL = 1e-9
 _CHUNK = 4096
-MAX_TRIALS = 100_000  # sampled subsets per (k, n) in lambda_star_scan
+_KNOWN_BYTES = 1 << 22  # Gram keys a scan row keeps between blocks
+MAX_TRIALS = 100_000  # subsets drawn per sampled row of lambda_star_scan
 MAX_GRAM_STATES = 8  # states per Gram matrix
 _PAIR_ROWS = 32  # rows per block of the rank search's pair steps
 _SCORE_CHUNK = 2048  # candidate pairs scored at a time by the floor pair step
@@ -142,28 +142,14 @@ def _row_hit(terms: tuple, thr: float) -> Optional[tuple[int]]:
     return (int(hits[0]),) if len(hits) else None
 
 
-def _pair_residual(G, b_i, inv_i, b_j, nrm_j, w2: float, bufs) -> np.ndarray:
+def _pair_residual(G, b_i, inv_i, b_j, nrm_j, w2: float) -> np.ndarray:
     """w's squared residual against span{u_i, u_j} for pairs i < j in closed
-    form: project u_i out of u_j and w. G holds <u_i, u_j> and is
-    overwritten; bufs are two float buffers and a bool one of G's shape, and
-    the second, returned, holds the residuals."""
-    nj, res, ok = bufs
-    np.abs(G, out=nj)
-    nj **= 2
-    nj *= inv_i
-    np.subtract(nrm_j, nj, out=nj)  # ||u_j||^2 with u_i projected out
-    np.conjugate(G, out=G)
-    G *= b_i * inv_i
-    np.subtract(b_j, G, out=G)  # <u_j, w> with u_i projected out
-    w2p = w2 - np.abs(b_i) ** 2 * inv_i
-    np.abs(G, out=res)
-    res **= 2
-    np.greater(nj, SINGULAR_TOL, out=ok)
-    np.divide(res, nj, out=res, where=ok)
-    np.logical_not(ok, out=ok)
-    np.copyto(res, 0.0, where=ok)  # a dependent u_j gains nothing
-    np.subtract(w2p, res, out=res)
-    return res
+    form, from G = <u_i, u_j>: project u_i out of u_j and w."""
+    nj = nrm_j - np.abs(G) ** 2 * inv_i  # ||u_j||^2 with u_i projected out
+    bj = b_j - G.conj() * (b_i * inv_i)  # <u_j, w> with u_i projected out
+    ok = nj > SINGULAR_TOL  # a dependent u_j gains nothing
+    gain = np.divide(np.abs(bj) ** 2, nj, out=np.zeros(nj.shape), where=ok)
+    return (w2 - np.abs(b_i) ** 2 * inv_i) - gain
 
 
 def _first_hit(
@@ -178,26 +164,23 @@ def _first_hit(
     No production code calls it: it is the tests' oracle for
     stabilizer_rank's steps, the full pair sweep behind _floor_pair_hit and
     the r = 2 span table, and by its prefix recursion for r >= 3. Depth 1
-    is _row_hit. Depth 2 scores every pair, _PAIR_ROWS rows of i at a time,
-    in place in G and in three buffers made once per call (_pair_residual),
-    and the first hit in row-major order is the first pair."""
+    is _row_hit. Depth 2 scores every pair, _PAIR_ROWS rows of i at a time
+    (_pair_residual), and the first hit in row-major order is the first
+    pair."""
     M = len(U)
     Uc, nrm, inv, b, w2 = terms = _row_terms(U, w)
     if depth == 1:
         return _row_hit(terms, thr)
     if depth == 2:
-        size = _PAIR_ROWS * M
-        bufs = np.empty(size), np.empty(size), np.empty(size, bool)
         upper = ~np.tri(_PAIR_ROWS, dtype=bool)  # column c > row a of a block
         for lo in range(0, M - 1, _PAIR_ROWS):
             hi = min(lo + _PAIR_ROWS, M - 1)
             h = hi - lo
-            views = [x[: h * (M - lo)].reshape(h, M - lo) for x in bufs]
             G = Uc[lo:hi] @ U[lo:].T  # G[a, c] = <u_{lo+a}, u_{lo+c}>
             res = _pair_residual(
-                G, b[lo:hi, None], inv[lo:hi, None], b[lo:], nrm[lo:], w2, views
+                G, b[lo:hi, None], inv[lo:hi, None], b[lo:], nrm[lo:], w2
             )
-            ok = np.less_equal(res, thr, out=views[2])
+            ok = res <= thr
             ok[:, :h] &= upper[:h, :h]
             hits = np.flatnonzero(ok)
             if len(hits):
@@ -272,8 +255,7 @@ def _floor_pair_hit(
             i, j, g = order[lo + a], order[lo + c], G[a, c]
             np.conjugate(g, out=g, where=i > j)  # <u_min, u_max>
             i, j = np.minimum(i, j), np.maximum(i, j)
-            bufs = np.empty(len(g)), np.empty(len(g)), np.empty(len(g), bool)
-            hit = _pair_residual(g, b[i], inv[i], b[j], nrm[j], w2, bufs) <= thr
+            hit = _pair_residual(g, b[i], inv[i], b[j], nrm[j], w2) <= thr
             best = int((i[hit] * M + j[hit]).min(initial=best))
     return divmod(best, M) if best < M * M else None
 
@@ -332,7 +314,7 @@ def _spans(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
         keys = np.sort(np.concatenate([keys, key[first]]))
         comps.append(C[first])
         subsets.append(block[first])
-    table = np.concatenate(comps), np.concatenate(subsets)
+    table = np.ascontiguousarray(np.concatenate(comps)), np.concatenate(subsets)
     for part in table:  # every caller shares the cached arrays
         part.setflags(write=False)
     return table
@@ -482,102 +464,104 @@ def _pair_codes(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, np.array(list(index), np.int64).view(complex).ravel()
 
 
-def _fold(
-    best: tuple, lam: np.ndarray, group: np.ndarray, subsets: np.ndarray
-) -> tuple:
-    """The running (min_lambda, witness) of a scan after subsets, whose
-    lambda_min are lam[group]: the smallest at or above SINGULAR_TOL, on the
-    first subset that reaches it. An earlier block keeps a tie."""
-    lams = np.where(lam >= SINGULAR_TOL, lam, math.inf)[group]
-    i = int(np.argmin(lams))
-    if lams[i] < best[0]:
-        return float(lams[i]), tuple(int(x) for x in subsets[i])
+def _scan_min(blocks) -> tuple:
+    """The smallest lambda_min at or above SINGULAR_TOL over the k-subsets
+    in blocks and the first subset that reaches it, an earlier block keeping
+    a tie, or (inf, None). blocks yields (subsets, keys, gram): equal keys
+    are equal Gram matrices, and gram(rows) gives those of subsets[rows].
+    The keys met so far are kept sorted with their lambda_min (inf below
+    SINGULAR_TOL), and eigvalsh runs once per key, on its first subset. They
+    are a cache: past _KNOWN_BYTES they are dropped, which repeats
+    eigensolves of equal bits and so changes no lambda_min."""
+    best = (math.inf, None)
+    keys, lams = None, np.empty(0)
+    for subsets, key, gram in blocks:
+        distinct, group = np.unique(key, return_inverse=True)
+        if keys is None or keys.nbytes > _KNOWN_BYTES:
+            keys, lams = distinct[:0], lams[:0]
+        at = np.searchsorted(keys, distinct)
+        new = (np.flatnonzero(keys.take(at, mode="clip") != distinct) if len(keys)
+               else np.arange(len(distinct)))
+        if len(new):
+            first = np.full(len(distinct), len(key))
+            np.minimum.at(first, group, np.arange(len(key)))
+            lam = np.linalg.eigvalsh(gram(first[new]))[:, 0]
+            lam = np.where(lam >= SINGULAR_TOL, lam, math.inf)
+            keys = np.insert(keys, at[new], distinct[new])
+            lams = np.insert(lams, at[new], lam)
+            at = np.searchsorted(keys, distinct)
+        lam = lams[at][group]
+        i = int(np.argmin(lam))
+        if lam[i] < best[0]:
+            best = float(lam[i]), tuple(int(x) for x in subsets[i])
     return best
 
 
-def _exhaustive_min(codes: np.ndarray, values: np.ndarray, k: int) -> tuple:
-    """_fold over every k-subset of the pair table's rows, _CHUNK at a time.
-    A subset's key is its Gram matrix as k^2 codes, so equal keys are equal
-    Gram matrices, and eigvalsh runs once per key, on its first subset."""
+def _code_blocks(codes: np.ndarray, values: np.ndarray, k: int):
+    """Every k-subset of the pair table's rows for _scan_min, _CHUNK at a
+    time: a subset's key is its Gram matrix as k^2 codes, and its Gram
+    matrix is read off the table."""
     M = len(codes)
     flat = codes.ravel()
-    best = (math.inf, None)
-    # the keys met so far, sorted, and their lambda_min; -1 is no subset's key
-    keys, lams = np.array([-1]), np.array([math.inf])
     for block in _combination_blocks(M, k, _CHUNK):
         cols = block.T
         key = np.ravel_multi_index(
             [flat[a * M + b] for a in cols for b in cols], (len(values),) * (k * k)
         )
-        distinct, group = np.unique(key, return_inverse=True)
-        at = np.searchsorted(keys, distinct)
-        new = np.flatnonzero(keys.take(at, mode="clip") != distinct)
-        if len(new):
-            first = np.full(len(distinct), len(key))
-            np.minimum.at(first, group, np.arange(len(key)))
-            sub = block[first[new]]
-            G = values[flat[sub[:, :, None] * M + sub[:, None, :]]]
-            keys = np.insert(keys, at[new], distinct[new])
-            lams = np.insert(lams, at[new], np.linalg.eigvalsh(G)[:, 0])
-            at = np.searchsorted(keys, distinct)
-        best = _fold(best, lams[at], group, block)
-    return best
+
+        def gram(rows, block=block):
+            sub = block[rows]
+            return values[flat[sub[:, :, None] * M + sub[:, None, :]]]
+
+        yield block, key, gram
 
 
-def _sampled_min(S: np.ndarray, k: int, draws) -> tuple:
-    """_fold over the drawn k-subsets, _CHUNK at a time; each chunk is
-    grouped by the exact bytes of its Gram matrices, one eigvalsh a group."""
-    flat = itertools.chain.from_iterable(draws)
-    best = (math.inf, None)
-    while len(chunk := np.fromiter(itertools.islice(flat, _CHUNK * k), int)):
-        chunk = chunk.reshape(-1, k)
-        V = S[chunk]
+def _drawn_blocks(S: np.ndarray, k: int, rng: np.random.Generator, trials: int):
+    """trials k-subsets of S's rows for _scan_min, each a sorted
+    rng.choice without replacement, _CHUNK at a time: a block's Gram
+    matrices come from one einsum, and a subset's key is its G's bytes."""
+    for lo in range(0, trials, _CHUNK):
+        draws = [rng.choice(len(S), size=k, replace=False)
+                 for _ in range(min(_CHUNK, trials - lo))]
+        block = np.sort(draws)
+        V = S[block]
         G = np.einsum("kin,kjn->kij", V.conj(), V)
-        keys = G.reshape(len(G), -1).view(np.dtype((np.void, G[0].nbytes)))
-        _, first, group = np.unique(
-            keys.ravel(), return_index=True, return_inverse=True
-        )
-        best = _fold(best, np.linalg.eigvalsh(G[first])[:, 0], group, chunk)
-    return best
+        key = G.reshape(len(G), -1).view(np.dtype((np.void, G[0].nbytes)))
+        yield block, key.ravel(), G.__getitem__
 
 
 def lambda_star_scan(
-    k_max: int,
-    n_max: int,
-    mode: str = "exhaustive",
-    trials: int = 2000,
-    seed: int = 0,
+    k_max: int, n_max: int, trials: int = 2000, seed: int = 0
 ) -> list[ScanRow]:
     """Minimum lambda_min over nonsingular Gram matrices of k distinct
     enumerated stabilizers, per (k, n), for k <= MAX_GRAM_STATES and n <= 4.
-    Exhaustive mode is budget-limited to (k <= 3, n <= 2) and (k = 2,
-    n <= 3), and every (k, n) it would visit is checked against that budget
-    before any stabilizer table is built; sampled mode draws seeded random
-    subsets, 1 <= trials <= MAX_TRIALS of them per (k, n). A row with no
-    nonsingular subset has min_lambda inf and no witness; in sampled mode a
-    k above the number of states at n draws no subset (samples 0).
+    Each row chooses its scan by its size: a (k, n) in _EXHAUSTIVE_BUDGET
+    visits every k-subset, and any other draws trials seeded random subsets
+    from one generator, in (n, k) order; 1 <= trials <= MAX_TRIALS is
+    checked whether or not a row samples. A row with no nonsingular subset
+    has min_lambda inf and no witness; a k above the number of states at n
+    draws no subset (samples 0).
 
     A row with k >= 2 reports the smallest computed lambda_min at or above
     SINGULAR_TOL and the first subset, in enumeration (or draw) order, that
-    reaches it, whatever the chunk size; both modes end in _fold, the one
-    tie rule. G is einsum("kin,kjn->kij") of the subset's unit vectors, and
-    equal input bits give equal eigenvalues, so eigvalsh runs once per
-    distinct G and every lambda_min is the one the subset's own eigensolve
-    would give, bit for bit. Stabilizer overlaps take only a few values,
-    i^ell 2^(-m/2), so few Gram matrices differ. Exhaustive mode computes
-    each pair overlap once (_pair_codes): the einsum of rows a and b has the
-    very bytes of G[i, j] in the einsum of any subset with a at place i and
-    b at place j (a test checks every budget row), so a subset's k^2 codes
-    name its G. Sampled mode reaches n = 4, where the table would hold
-    1.35e9 pairs, so it computes each chunk's G and groups them by bytes.
+    reaches it, whatever the chunk size; both row kinds run _scan_min, the
+    one loop and tie rule. G is einsum("kin,kjn->kij") of the
+    subset's unit vectors, and equal input bits give equal eigenvalues, so
+    eigvalsh runs once per distinct G and every lambda_min is the one the
+    subset's own eigensolve would give, bit for bit. Stabilizer overlaps
+    take only a few values, i^ell 2^(-m/2), so few Gram matrices differ.
+    Exhaustive rows compute each pair overlap once (_pair_codes): the
+    einsum of rows a and b has the very bytes of G[i, j] in the einsum of
+    any subset with a at place i and b at place j (a test checks every
+    budget row), so a subset's k^2 codes name its G. Sampled rows reach
+    n = 4, where the table would hold 1.35e9 pairs, so each block computes
+    its own G and keys it by its bytes.
 
     The k = 1 rows are the exact value 1.0, the lambda_min of the 1 x 1 Gram
     matrix [1] of any unit vector, on state (0,); the computed diagonal can
     read 0.9999999999999998 (state 2 at n = 1, state 8 at n = 3). The value
-    holds for every 1-subset without a draw, so sampled mode marks the row
-    exhaustive too, with samples 0."""
-    if mode not in ("exhaustive", "sampled"):
-        raise MeasureError(f"unknown scan mode {mode!r}")
+    holds for every 1-subset without a draw, so they are exhaustive at
+    every n, with samples 0."""
     if k_max < 1 or n_max < 1:
         raise MeasureError("k_max and n_max must be at least 1")
     if k_max > MAX_GRAM_STATES:
@@ -588,32 +572,22 @@ def lambda_star_scan(
         raise MeasureError(
             f"n_max must be at most {TABLE_MAX_N} (the stabilizer table's cap)"
         )
-    if mode == "sampled" and not 1 <= trials <= MAX_TRIALS:
+    if not 1 <= trials <= MAX_TRIALS:
         raise MeasureError(f"trials must be in [1, {MAX_TRIALS}]")
-    if mode == "exhaustive":
-        for n in range(1, n_max + 1):
-            for k in range(2, k_max + 1):
-                if (k, n) not in _EXHAUSTIVE_BUDGET:
-                    raise MeasureError(
-                        f"exhaustive scan budget exceeded at (k={k}, n={n}); "
-                        "use sampled mode"
-                    )
     rows = []
     rng = np.random.default_rng(seed)
     for n in range(1, n_max + 1):
         S = stabilizer_unit_matrix(n)
-        pairs = _pair_codes(S) if mode == "exhaustive" and k_max > 1 else None
+        pairs = None
         rows.append(ScanRow(1, n, 1.0, (0,), True))
         for k in range(2, k_max + 1):
-            if mode == "exhaustive":
-                rows.append(ScanRow(k, n, *_exhaustive_min(*pairs, k), True))
-                continue
-            samples = trials if k <= len(S) else 0
-            draws = (
-                np.sort(rng.choice(len(S), size=k, replace=False)).tolist()
-                for _ in range(samples)
-            )
-            rows.append(ScanRow(k, n, *_sampled_min(S, k, draws), False, samples))
+            if (k, n) in _EXHAUSTIVE_BUDGET:
+                pairs = pairs or _pair_codes(S)
+                rows.append(ScanRow(k, n, *_scan_min(_code_blocks(*pairs, k)), True))
+            else:
+                samples = trials if k <= len(S) else 0
+                blocks = _drawn_blocks(S, k, rng, samples)
+                rows.append(ScanRow(k, n, *_scan_min(blocks), False, samples))
     return rows
 
 

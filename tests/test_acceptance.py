@@ -380,7 +380,7 @@ def test_criterion_10_gram_machinery():
         recon = np.exp(1j * math.pi * ell / 4) * 2.0 ** (-m / 2)
         assert np.abs(np.where(nz, G - recon, 0)).max() < 1e-10
     # the two-state eigenvalue floor is flat across sizes
-    rows = lambda_star_scan(2, 3, "exhaustive")
+    rows = lambda_star_scan(2, 3)
     for r in rows:
         if r.k == 2:
             assert abs(r.min_lambda - (1 - 1 / math.sqrt(2))) < 1e-12

@@ -121,12 +121,12 @@ def test_gram_scan_csv_body_k3_nmax2(tmp_path):
 
 
 def test_gram_scan_sampled_k_above_state_count(tmp_path):
-    # n = 1 has 6 stabilizer states, so k = 7 draws no subset; k = 3..6
-    # exceed 2^n and draw subsets that are all singular
+    # n = 1 has 6 stabilizer states, so k = 7 draws no subset; k = 4..6,
+    # above the exhaustive budget, exceed 2^n and draw subsets that are all
+    # singular
     out = tmp_path / "scan.csv"
     assert run(
-        ["gram-scan", "--k", "7", "--nmax", "1", "--mode", "sampled",
-         "--trials", "5", "--out", str(out)]
+        ["gram-scan", "--k", "7", "--nmax", "1", "--trials", "5", "--out", str(out)]
     ) == EXIT_OK
     lines = out.read_text().splitlines()
     assert lines[-2:] == ["6,1,,,0,5", "7,1,,,0,0"]
@@ -210,8 +210,9 @@ def test_bell_sim_csv_matches_per_shot_formatter(n, shots, tmp_path, capsys):
 
 def test_bell_sim_memory(tmp_path):
     # 10^6 shots at n = 6 write a 16 MB body. Formatted one string per shot
-    # the command peaked at 124 MiB; through the line table it peaks at
-    # 40.6 MiB: the shots (8.6 MiB), the body, and the body's encoded copy
+    # the command peaked at 124 MiB, and as one string written in text mode
+    # at 40.6 MiB. Written as the line table's bytes it peaks at 25.4 MiB:
+    # the shots (8.6 MiB) and one 15.3 MiB body; the bound adds 2.6 MiB
     out = tmp_path / "shots.csv"
     args = ["bell-sim", "--family", "haar", "--n", "6", "--shots", str(10**6)]
     tracemalloc.start()
@@ -222,7 +223,7 @@ def test_bell_sim_memory(tmp_path):
         tracemalloc.stop()
     assert code == EXIT_OK
     assert out.stat().st_size > 16 * 10**6
-    assert peak < 48 * 2**20
+    assert peak < 28 * 2**20
 
 
 def test_tolerant_test_command(t_state_file, tmp_path):
@@ -388,7 +389,7 @@ CONFIG_HEADERS = [
         ["gram-scan", "--k", "1", "--nmax", "1"],
         {"command": "gram-scan", "state_file": None, "family": None, "n": None,
          "x0": None, "family_seed": None, "seed": 0, "shots": None,
-         "extra": {"k": 1, "mode": "exhaustive", "nmax": 1, "trials": 2000}},
+         "extra": {"k": 1, "nmax": 1, "trials": 2000}},
     ),
     (
         ["extract-stabilizer", "--family", "t_tensor", "--n", "1"],
@@ -482,10 +483,11 @@ def test_artifacts_follow_umask(tmp_path):
         ["doubling", "--family", "haar", "--n", "2", "--delta", "nan"],
         ["rank", "--family", "haar", "--n", "2", "--delta", "nan"],
         ["gowers", "--family", "haar", "--n", "2", "--eps=-inf"],
-        ["gram-scan", "--k", "2", "--nmax", "1", "--mode", "sampled", "--trials", "-5"],
-        ["gram-scan", "--k", "2", "--nmax", "1", "--mode", "sampled", "--trials", "0"],
-        ["gram-scan", "--k", "2", "--nmax", "1", "--mode", "sampled",
-         "--trials", "100001"],
+        # (2, 1) is exhaustive, and trials is checked all the same
+        ["gram-scan", "--k", "2", "--nmax", "1", "--trials", "-5"],
+        ["gram-scan", "--k", "2", "--nmax", "1", "--trials", "0"],
+        ["gram-scan", "--k", "2", "--nmax", "1", "--trials", "100001"],
+        ["gram-scan", "--k", "2", "--nmax", "1", "--mode", "x"],
         ["gram-scan", "--k", "0", "--nmax", "1"],
         ["gram-scan", "--k", "2", "--nmax", "0"],
         ["gowers", "--family", "haar", "--n", "5", "--direct"],
@@ -495,8 +497,8 @@ def test_artifacts_follow_umask(tmp_path):
         ["fidelity", "--state", "F", "--n", "2"],
         ["rank", "--state", "F", "--x0", "5"],
         ["rank", "--state", "F", "--family-seed", "7"],
-        ["gram-scan", "--k", "2", "--nmax", "5", "--mode", "sampled"],
-        ["gram-scan", "--k", "9", "--nmax", "2", "--mode", "sampled"],
+        ["gram-scan", "--k", "2", "--nmax", "5"],
+        ["gram-scan", "--k", "9", "--nmax", "2"],
         ["extract-stabilizer", "--family", "uniform", "--n", "4", "--seed", "-1"],
         ["extract-stabilizer", "--family", "haar", "--n", "4", "--family-seed", "0",
          "--seed", "-1"],
@@ -698,7 +700,6 @@ def contract_argv(draw, commands):
     if command == "gram-scan":
         argv += ["--k", str(k), "--nmax",
                  str(draw(st.integers(1 if in_range else -1, 2))),
-                 "--mode", draw(st.sampled_from(["exhaustive", "sampled"])),
                  "--trials", str(draw(st.integers(1 if in_range else -1, 50)))]
     return argv, text, thresholds
 

@@ -269,6 +269,9 @@ def test_span_tables(n, r, count):
         tracemalloc.stop()
     assert peak < 2**20
     assert comps.shape == (count, N - r, N) and subsets.shape == (count, r)
+    # C-contiguous, so that _span_hit's reshape is a view, and shared read-only
+    assert comps.flags.c_contiguous and subsets.flags.c_contiguous
+    assert not comps.flags.writeable and not subsets.flags.writeable
     gram = comps @ comps.conj().swapaxes(1, 2)
     assert np.abs(gram - np.eye(N - r)).max() < 1e-12
     combos = np.array(list(itertools.combinations(range(M), r)))
@@ -507,11 +510,48 @@ def _sweep_residual(S, v, i, j):
     lo = i - i % measures._PAIR_ROWS
     hi = min(lo + measures._PAIR_ROWS, len(S) - 1)
     G = Uc[lo:hi] @ S[lo:].T
-    bufs = np.empty(G.shape), np.empty(G.shape), np.empty(G.shape, bool)
     res = measures._pair_residual(
-        G, b[lo:hi, None], inv[lo:hi, None], b[lo:], nrm[lo:], w2, bufs
+        G, b[lo:hi, None], inv[lo:hi, None], b[lo:], nrm[lo:], w2
     )
     return float(res[i - lo, j - lo])
+
+
+def _in_place_pair_residual(G, b_i, inv_i, b_j, nrm_j, w2):
+    """_pair_residual as the rank search once ran it, in place in G and in
+    two float buffers and a bool one: the reference for its bytes."""
+    nj, res, ok = np.empty(G.shape), np.empty(G.shape), np.empty(G.shape, bool)
+    np.abs(G, out=nj)
+    nj **= 2
+    nj *= inv_i
+    np.subtract(nrm_j, nj, out=nj)
+    np.conjugate(G, out=G)
+    G *= b_i * inv_i
+    np.subtract(b_j, G, out=G)
+    w2p = w2 - np.abs(b_i) ** 2 * inv_i
+    np.abs(G, out=res)
+    res **= 2
+    np.greater(nj, SINGULAR_TOL, out=ok)
+    np.divide(res, nj, out=res, where=ok)
+    np.logical_not(ok, out=ok)
+    np.copyto(res, 0.0, where=ok)
+    np.subtract(w2p, res, out=res)
+    return res
+
+
+def test_pair_residual_keeps_the_in_place_bytes_n3():
+    # the closed form applies the in-place protocol's operations in its
+    # order, so every residual has the same bytes: 5 Haar states x 12 blocks
+    S = stabilizer_unit_matrix(3)
+    M = len(S)
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        Uc, nrm, inv, b, w2 = measures._row_terms(S, haar_unit(3, rng))
+        for lo in rng.choice(np.arange(0, M - 1, measures._PAIR_ROWS), 12, False):
+            hi = min(lo + measures._PAIR_ROWS, M - 1)
+            args = b[lo:hi, None], inv[lo:hi, None], b[lo:], nrm[lo:], w2
+            G = Uc[lo:hi] @ S[lo:].T
+            want = _in_place_pair_residual(G.copy(), *args)
+            assert measures._pair_residual(G, *args).tobytes() == want.tobytes()
 
 
 def test_floor_pair_step_at_near_plane_ties_n3():
@@ -690,7 +730,7 @@ def test_eighth_root_quantization_all_pairs_n2():
 
 
 def test_lambda_star_scan_values():
-    rows = lambda_star_scan(2, 2, "exhaustive")
+    rows = lambda_star_scan(2, 2)
     by_kn = {(r.k, r.n): r for r in rows}
     assert by_kn[(1, 1)].min_lambda == 1.0
     assert np.isclose(by_kn[(2, 1)].min_lambda, 1 - 1 / math.sqrt(2), atol=1e-12)
@@ -698,8 +738,8 @@ def test_lambda_star_scan_values():
 
 
 def test_lambda_star_scan_budget_and_sampled(monkeypatch):
-    # the budget is checked before any table is built: (3, 3) is refused
-    # without scanning n = 1..3 first
+    # the sizes, the caps (n = 5 has no table) and trials are checked before
+    # any table is built; trials even when every row would be exhaustive
     requested = []
 
     def recording_table(n):
@@ -707,23 +747,27 @@ def test_lambda_star_scan_budget_and_sampled(monkeypatch):
         return stabilizer_unit_matrix(n)
 
     monkeypatch.setattr(measures, "stabilizer_unit_matrix", recording_table)
-    with pytest.raises(MeasureError, match=r"\(k=3, n=3\)"):
-        lambda_star_scan(3, 3, "exhaustive")
-    assert requested == []
-    for k_max, n_max in ((0, 1), (2, 0)):
+    for k_max, n_max in ((0, 1), (2, 0), (9, 1), (2, 5)):
         with pytest.raises(MeasureError):
             lambda_star_scan(k_max, n_max)
-    # the caps are checked before any table is built (n = 5 has none)
-    for k_max, n_max in ((9, 1), (2, 5)):
-        with pytest.raises(MeasureError):
-            lambda_star_scan(k_max, n_max, "sampled")
     for trials in (-5, 0, MAX_TRIALS + 1):
-        with pytest.raises(MeasureError):
-            lambda_star_scan(2, 1, "sampled", trials=trials)
-    rows = lambda_star_scan(2, 2, "sampled", trials=50, seed=1)
-    sampled = [r for r in rows if r.k == 2]
-    assert all(r.samples == 50 and not r.exhaustive for r in sampled)
-    assert all(r.min_lambda >= 1 - 1 / math.sqrt(2) - 1e-9 for r in sampled)
+        with pytest.raises(MeasureError, match="trials"):
+            lambda_star_scan(2, 1, trials=trials)
+    assert requested == []
+    # each row chooses its scan: the budget's rows are exhaustive, and
+    # (3, 3), above it, is sampled
+    rows = lambda_star_scan(3, 3, trials=50, seed=1)
+    assert [(r.k, r.n, r.exhaustive, r.samples) for r in rows] == [
+        (k, n, (k, n) != (3, 3), 50 if (k, n) == (3, 3) else 0)
+        for n in (1, 2, 3) for k in (1, 2, 3)
+    ]
+    assert rows[:6] == lambda_star_scan(3, 2)
+    # a pair of distinct stabilizer states has |<s|t>| <= 2^(-1/2)
+    sampled = lambda_star_scan(2, 4, trials=50, seed=1)[-1]
+    assert (sampled.k, sampled.n, sampled.exhaustive, sampled.samples) == (
+        2, 4, False, 50
+    )
+    assert sampled.min_lambda >= 1 - 1 / math.sqrt(2) - 1e-9
 
 
 def _scan_oracle(S, subsets):
@@ -765,13 +809,13 @@ def test_lambda_star_scan_exhaustive_matches_oracle(k, n):
 
 
 def test_lambda_star_scan_k1_rows_are_exact():
-    # a 1 x 1 Gram matrix of a unit vector is [1], so both modes give the
+    # a 1 x 1 Gram matrix of a unit vector is [1], so every scan gives the
     # k = 1 rows lambda_min 1.0 on state 0, though the computed diagonal
     # reads 1 - 2^-52 at state 2 for n = 1 and at state 8 for n = 3
     for n, state in ((1, 2), (3, 8)):
         V = stabilizer_unit_matrix(n)[[[state]]]
         assert np.linalg.eigvalsh(np.einsum("kin,kjn->kij", V.conj(), V))[0, 0] < 1
-    rows = lambda_star_scan(3, 2) + lambda_star_scan(2, 3, "sampled", trials=20)
+    rows = lambda_star_scan(3, 2) + lambda_star_scan(3, 3, trials=20)
     assert [r for r in rows if r.k == 1] == [
         measures.ScanRow(1, n, 1.0, (0,), True, 0) for n in (1, 2, 1, 2, 3)
     ]
@@ -820,7 +864,7 @@ def test_gram_lambda_min_is_the_scan_einsum():
     # min_lambda exactly, and every 37th triple at n = 2 its own einsum
     # eigenvalue (a matmul Gram matrix differs in the last bit on some)
     rows = lambda_star_scan(3, 2) + lambda_star_scan(2, 3)[-1:]
-    rows += lambda_star_scan(8, 3, "sampled", trials=200, seed=5)
+    rows += lambda_star_scan(8, 3, trials=200, seed=5)
     for row in rows:
         if row.k > 1 and row.witness is not None:
             stabs = enumerate_stabilizers(row.n)
@@ -836,26 +880,34 @@ def test_gram_lambda_min_is_the_scan_einsum():
 
 
 def test_lambda_star_scan_rows_do_not_depend_on_chunk(monkeypatch):
-    runs = []
-    for chunk in (7, 4096):
+    # nor on the known-key cache, here dropped after every block. n_max = 2:
+    # at n = 3 the exhaustive (2, 3) row would take 83,000 blocks of 7; the
+    # sampled rows run the same loop at every n
+    runs, cache = [], measures._KNOWN_BYTES
+    for chunk, known in ((7, cache), (4096, cache), (4096, 0)):
         monkeypatch.setattr(measures, "_CHUNK", chunk)
+        monkeypatch.setattr(measures, "_KNOWN_BYTES", known)
         runs.append(
             lambda_star_scan(3, 2)
-            + lambda_star_scan(8, 3, "sampled", trials=300, seed=3)
+            + lambda_star_scan(8, 2, trials=300, seed=3)
         )
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
 
 
 @pytest.mark.parametrize("k_max,n_max,trials,seed", [(8, 3, 500, 2), (4, 4, 300, 3)])
 def test_lambda_star_scan_sampled_matches_oracle(k_max, n_max, trials, seed):
-    # replay the scan's draws: per n, per k >= 2 with k <= #states, trials
-    # sorted draws without replacement from one generator
-    rows = lambda_star_scan(k_max, n_max, "sampled", trials=trials, seed=seed)
+    # replay the scan's draws: per n, per k >= 2 outside the exhaustive
+    # budget with k <= #states, trials sorted draws without replacement
+    # from one generator
+    rows = lambda_star_scan(k_max, n_max, trials=trials, seed=seed)
     rng = np.random.default_rng(seed)
     by_kn = {(r.k, r.n): r for r in rows}
     for n in range(1, n_max + 1):
         S = stabilizer_unit_matrix(n)
         for k in range(2, k_max + 1):
+            if (k, n) in measures._EXHAUSTIVE_BUDGET:
+                assert by_kn[(k, n)].exhaustive
+                continue
             if k > len(S):
                 draws = []
             else:
