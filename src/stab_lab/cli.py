@@ -127,9 +127,11 @@ def _emit(config: ExperimentConfig, payload: dict, *csv):
         _atomic_write(config.out, *parts)
         run = json.dumps({"written_at": time.time(), "out": config.out})
         _atomic_write(config.out + ".run.json", (run + "\n").encode())
-    else:
+    elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()  # text already printed goes first
         sys.stdout.buffer.writelines(parts)
+    else:  # a text-only stream, such as redirect_stdout(io.StringIO())
+        sys.stdout.write(b"".join(parts).decode())
 
 
 def _load_state(config: ExperimentConfig):

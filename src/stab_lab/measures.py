@@ -31,7 +31,6 @@ SINGULAR_TOL = 1e-9
 STABILIZER_FIDELITY_TOL = 1e-9
 RANK_RESIDUAL_TOL = 1e-9
 _CHUNK = 4096
-_KNOWN_BYTES = 1 << 22  # Gram keys a scan row keeps between blocks
 MAX_TRIALS = 100_000  # subsets drawn per sampled row of lambda_star_scan
 MAX_GRAM_STATES = 8  # states per Gram matrix
 _PAIR_ROWS = 32  # rows per block of the rank search's pair steps
@@ -470,15 +469,13 @@ def _scan_min(blocks) -> tuple:
     a tie, or (inf, None). blocks yields (subsets, keys, gram): equal keys
     are equal Gram matrices, and gram(rows) gives those of subsets[rows].
     The keys met so far are kept sorted with their lambda_min (inf below
-    SINGULAR_TOL), and eigvalsh runs once per key, on its first subset. They
-    are a cache: past _KNOWN_BYTES they are dropped, which repeats
-    eigensolves of equal bits and so changes no lambda_min."""
+    SINGULAR_TOL), and eigvalsh runs once per key, on its first subset."""
     best = (math.inf, None)
     keys, lams = None, np.empty(0)
     for subsets, key, gram in blocks:
         distinct, group = np.unique(key, return_inverse=True)
-        if keys is None or keys.nbytes > _KNOWN_BYTES:
-            keys, lams = distinct[:0], lams[:0]
+        if keys is None:
+            keys = distinct[:0]
         at = np.searchsorted(keys, distinct)
         new = (np.flatnonzero(keys.take(at, mode="clip") != distinct) if len(keys)
                else np.arange(len(distinct)))
@@ -545,9 +542,9 @@ def lambda_star_scan(
     A row with k >= 2 reports the smallest computed lambda_min at or above
     SINGULAR_TOL and the first subset, in enumeration (or draw) order, that
     reaches it, whatever the chunk size; both row kinds run _scan_min, the
-    one loop and tie rule. G is einsum("kin,kjn->kij") of the
-    subset's unit vectors, and equal input bits give equal eigenvalues, so
-    eigvalsh runs once per distinct G and every lambda_min is the one the
+    one loop and tie rule. G is einsum("kin,kjn->kij") of the subset's
+    unit vectors, and equal input bits give equal eigenvalues, so eigvalsh
+    runs once per distinct G in a scan and every lambda_min is the one the
     subset's own eigensolve would give, bit for bit. Stabilizer overlaps
     take only a few values, i^ell 2^(-m/2), so few Gram matrices differ.
     Exhaustive rows compute each pair overlap once (_pair_codes): the
@@ -555,7 +552,8 @@ def lambda_star_scan(
     any subset with a at place i and b at place j (a test checks every
     budget row), so a subset's k^2 codes name its G. Sampled rows reach
     n = 4, where the table would hold 1.35e9 pairs, so each block computes
-    its own G and keys it by its bytes.
+    its own G, keys it by its bytes and is scanned on its own, as such keys
+    seldom repeat across blocks.
 
     The k = 1 rows are the exact value 1.0, the lambda_min of the 1 x 1 Gram
     matrix [1] of any unit vector, on state (0,); the computed diagonal can
@@ -586,8 +584,11 @@ def lambda_star_scan(
                 rows.append(ScanRow(k, n, *_scan_min(_code_blocks(*pairs, k)), True))
             else:
                 samples = trials if k <= len(S) else 0
-                blocks = _drawn_blocks(S, k, rng, samples)
-                rows.append(ScanRow(k, n, *_scan_min(blocks), False, samples))
+                # a scan per block: byte keys seldom repeat across blocks,
+                # and min keeps the earlier block of a tie
+                best = min((_scan_min([b]) for b in _drawn_blocks(S, k, rng, samples)),
+                           key=lambda r: r[0], default=(math.inf, None))
+                rows.append(ScanRow(k, n, *best, False, samples))
     return rows
 
 

@@ -1,6 +1,8 @@
 """End-to-end command-line runs, exercised in process through main()."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -313,6 +315,24 @@ def test_stdout_emission(capsys, t_state_file):
     assert run(["rank", "--state", t_state_file]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["rank"] == 2
+
+
+def test_stdout_emission_to_a_text_only_stream(t_state_file, capsys):
+    # a stream with no .buffer, as under redirect_stdout(io.StringIO()),
+    # gets the very text that pytest's byte-backed capture gets
+    outs = []
+    scan = ["gram-scan", "--k", "3", "--nmax", "2"]
+    for argv in (["rank", "--state", t_state_file], scan):
+        assert run(argv) == EXIT_OK
+        want = capsys.readouterr().out
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            assert run(argv) == EXIT_OK
+        assert text.getvalue() == want
+        outs.append(want)
+    assert json.loads(outs[0])["rank"] == 2
+    assert outs[1].split("\n")[2:4] == ["k,n,min_lambda,witness,exhaustive,samples",
+                                        "1,1,1.0,0,1,0"]
 
 
 def test_seed_env_default(monkeypatch, tmp_path, t_state_file):

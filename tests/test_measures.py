@@ -880,18 +880,22 @@ def test_gram_lambda_min_is_the_scan_einsum():
 
 
 def test_lambda_star_scan_rows_do_not_depend_on_chunk(monkeypatch):
-    # nor on the known-key cache, here dropped after every block. n_max = 2:
-    # at n = 3 the exhaustive (2, 3) row would take 83,000 blocks of 7; the
-    # sampled rows run the same loop at every n
-    runs, cache = [], measures._KNOWN_BYTES
-    for chunk, known in ((7, cache), (4096, cache), (4096, 0)):
+    # (2, 3) leaves the budget here, so that every (k, 3) row samples: in
+    # blocks of 7 the exhaustive (2, 3) row would take 83,000 blocks. At
+    # seed 4 the sampled (2, 3) minimum is met in several blocks of 7, so
+    # the earlier block must keep the tie
+    budget = measures._EXHAUSTIVE_BUDGET - {(2, 3)}
+    monkeypatch.setattr(measures, "_EXHAUSTIVE_BUDGET", budget)
+    runs = []
+    for chunk in (7, 4096):
         monkeypatch.setattr(measures, "_CHUNK", chunk)
-        monkeypatch.setattr(measures, "_KNOWN_BYTES", known)
         runs.append(
             lambda_star_scan(3, 2)
-            + lambda_star_scan(8, 2, trials=300, seed=3)
+            + lambda_star_scan(8, 3, trials=300, seed=3)
+            + lambda_star_scan(8, 3, trials=300, seed=4)
         )
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1]
+    assert [r.exhaustive for r in runs[0][-7:]] == [False] * 7
 
 
 @pytest.mark.parametrize("k_max,n_max,trials,seed", [(8, 3, 500, 2), (4, 4, 300, 3)])
