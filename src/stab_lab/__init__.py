@@ -14,3 +14,9 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+class InvariantError(Exception):
+    """Marker base of the errors that report a violated identity or stage
+    contract; the CLI maps it to exit 3. Defined here, where importing it
+    loads no numpy and no submodule."""

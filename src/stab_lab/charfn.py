@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InvariantError
 from .states import MAX_QUBITS, StateVector, fwht
 
 
-class TableError(ValueError):
+class TableError(ValueError, InvariantError):
     pass
 
 

@@ -7,8 +7,16 @@ header. Primary outputs are written atomically and contain no timestamps
 (byte-identical reruns); wall-clock metadata goes to a `<out>.run.json`
 sidecar.
 
-Exit codes: 0 success, 2 validation/usage error, 3 internal-consistency
-failure (a checked identity or contract was violated).
+Exit codes: 0 success; 2 validation/usage error, any ValueError or OSError
+(every library's input error is a ValueError); 3 internal-consistency
+failure, an error that subclasses the package's marker base InvariantError
+(a checked identity or contract was violated). TableError is both a
+ValueError and an InvariantError, so main tests for exit 3 first.
+
+Each process runs one command, so this module imports only the standard
+library and the marker base at its top. A command body imports the library
+module it runs, and _load_state imports states; numpy loads with them, so
+--help and usage errors load neither numpy nor any submodule.
 """
 
 from __future__ import annotations
@@ -26,30 +34,20 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-# One BLAS thread unless the environment says otherwise, set before numpy
-# loads: every product here is small (n <= 6), and OpenBLAS's default
-# threads only add CPU time, and on a busy host they stall some products.
+from . import InvariantError, __version__
+
+# One BLAS thread unless the environment says otherwise, set before a command
+# body loads numpy: every product here is small (n <= 6), and OpenBLAS's
+# default threads only add CPU time, and on a busy host they stall some
+# products.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402
-
-from . import charfn, clifford, measures, states, tester, witness  # noqa: E402
-from .gf2 import doubling_stats, symp_pack  # noqa: E402
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
 
-_VALIDATION_ERRORS = (
-    states.StateFormatError,
-    measures.MeasureError,
-    tester.TesterError,
-    clifford.GateError,
-    ValueError,
-    OSError,
-)
-_INVARIANT_ERRORS = (witness.PipelineError, charfn.TableError, clifford.BalanceError)
+_VALIDATION_ERRORS = (ValueError, OSError)
 
 
 @functools.lru_cache(maxsize=None)
@@ -68,12 +66,7 @@ def version_string() -> str:
             return out.stdout.strip()
     except OSError:
         pass
-    try:
-        from importlib.metadata import version
-
-        return "v" + version("stab-lab")
-    except Exception:
-        return "unknown"
+    return "v" + __version__
 
 
 @dataclass(frozen=True)
@@ -135,6 +128,8 @@ def _emit(config: ExperimentConfig, payload: dict, *csv):
 
 
 def _load_state(config: ExperimentConfig):
+    from . import states
+
     if config.state_file:
         # the header would record inputs the state never used
         if config.family or (config.n, config.x0, config.family_seed) != (None,) * 3:
@@ -158,10 +153,14 @@ def _load_state(config: ExperimentConfig):
 
 
 def _cmd_charfn(config: ExperimentConfig, state):
+    from . import charfn
+
     _emit(config, {}, charfn.char_table_csv(charfn.char_function(state)).encode())
 
 
 def _cmd_gowers(config: ExperimentConfig, state):
+    from . import measures
+
     degree = config.extra["degree"]
     payload = {"gowers3_pow8": measures.gowers3(state)}
     if degree != 3 or config.extra["direct"]:
@@ -171,10 +170,14 @@ def _cmd_gowers(config: ExperimentConfig, state):
 
 
 def _cmd_measures(config: ExperimentConfig, state):
+    from . import measures
+
     _emit(config, {"report": measures.measure_report(state).to_dict()})
 
 
 def _cmd_rank(config: ExperimentConfig, state):
+    from . import measures
+
     delta = config.extra["delta"]
     rank, wit = measures.stabilizer_rank(state, delta)
     rank = list(rank) if isinstance(rank, tuple) else rank
@@ -182,11 +185,15 @@ def _cmd_rank(config: ExperimentConfig, state):
 
 
 def _cmd_fidelity(config: ExperimentConfig, state):
+    from . import measures
+
     fid, wit = measures.stabilizer_fidelity(state)
     _emit(config, {"fidelity": fid, "witness": json.loads(wit.to_json())})
 
 
 def _cmd_gram_scan(config: ExperimentConfig, _):
+    from . import measures
+
     rows = measures.lambda_star_scan(
         k_max=config.extra["k"],
         n_max=config.extra["nmax"],
@@ -202,6 +209,8 @@ def _cmd_gram_scan(config: ExperimentConfig, _):
 
 
 def _cmd_extract_stabilizer(config: ExperimentConfig, state):
+    from . import witness
+
     wit, overlap, trace = witness.extract_stabilizer(state, seed=config.seed)
     payload = {
         "witness": json.loads(wit.to_json()),
@@ -224,6 +233,10 @@ def _cmd_extract_stabilizer(config: ExperimentConfig, state):
 
 
 def _cmd_bell_sim(config: ExperimentConfig, state):
+    import numpy as np
+
+    from . import tester
+
     zs, same = tester.bell_difference_sample(state, config.shots, config.seed)
     bits = [format(x, f"0{state.n}b") for x in range(state.N)]
     # each line is 2n + 4 bytes; zs becomes, in place, each shot's line 2 z + same
@@ -235,6 +248,8 @@ def _cmd_bell_sim(config: ExperimentConfig, state):
 
 
 def _cmd_tolerant_test(config: ExperimentConfig, state):
+    from . import tester
+
     decision = tester.tolerant_test(
         state,
         eps1=config.extra["eps1"],
@@ -271,6 +286,8 @@ def _load_thresholds(path: str) -> list:
 
 
 def _cmd_rank_vs_haar(config: ExperimentConfig, state):
+    from . import tester
+
     thresholds = {
         (e["n"], e["k"]): e["threshold"]
         for e in _load_thresholds(config.extra["thresholds"])
@@ -286,6 +303,8 @@ def _cmd_rank_vs_haar(config: ExperimentConfig, state):
 
 
 def _cmd_calibrate(config: ExperimentConfig, _):
+    from . import tester
+
     result = tester.calibrate(
         n=config.n,
         k=config.extra["k"],
@@ -306,12 +325,17 @@ def _cmd_calibrate(config: ExperimentConfig, _):
 
 
 def _cmd_relations(config: ExperimentConfig, _):
+    from . import measures
+
     specs = measures.relations_corpus(config.seed)
     _emit(config, {"report": measures.relations_experiment(specs, seed=config.seed)})
 
 
 def _cmd_doubling(config: ExperimentConfig, state):
     """Additive structure of a zeta-graph subset of the balanced table."""
+    from . import charfn, clifford, witness
+    from .gf2 import doubling_stats, symp_pack
+
     delta = config.extra["delta"]
     tilde, nu, which = witness.split_real(state)
     circuit, balanced = clifford.balance(tilde, seed=config.seed)
@@ -458,7 +482,7 @@ def main(argv: Optional[list] = None) -> int:
                 config, x0=config.x0 or 0, family_seed=config.family_seed or 0
             )
         body(config, state)
-    except _INVARIANT_ERRORS as exc:
+    except InvariantError as exc:
         print(f"internal-consistency failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except _VALIDATION_ERRORS as exc:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InvariantError
 from .gf2 import span_points, symp_unpack
 from .states import StateVector, dot_parity, quadratic_parity, sign_table
 
@@ -29,7 +30,7 @@ class GateError(ValueError):
     pass
 
 
-class BalanceError(RuntimeError):
+class BalanceError(RuntimeError, InvariantError):
     """Raised when rejection sampling finds no balancing circuit in budget."""
 
     def __init__(self, tries: int, best_moment: float):

@@ -573,7 +573,9 @@ def lambda_star_scan(
     if not 1 <= trials <= MAX_TRIALS:
         raise MeasureError(f"trials must be in [1, {MAX_TRIALS}]")
     rows = []
-    rng = np.random.default_rng(seed)
+    # made at the first sampled row, so an all-exhaustive scan loads no
+    # numpy.random
+    rng = None
     for n in range(1, n_max + 1):
         S = stabilizer_unit_matrix(n)
         pairs = None
@@ -584,6 +586,7 @@ def lambda_star_scan(
                 rows.append(ScanRow(k, n, *_scan_min(_code_blocks(*pairs, k)), True))
             else:
                 samples = trials if k <= len(S) else 0
+                rng = rng or np.random.default_rng(seed)
                 # a scan per block: byte keys seldom repeat across blocks,
                 # and min keeps the earlier block of a tie
                 best = min((_scan_min([b]) for b in _drawn_blocks(S, k, rng, samples)),

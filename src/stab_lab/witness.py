@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import InvariantError
 from .charfn import CharTable, char_function
 from .clifford import (
     CliffordCircuit,
@@ -59,7 +60,7 @@ CONTRACT_TOL = 1e-9
 EXHAUSTIVE_MAX_N = 0  # read only by perfbench/spans.py's span names
 
 
-class PipelineError(RuntimeError):
+class PipelineError(RuntimeError, InvariantError):
     """An inequality the construction guarantees failed at runtime."""
 
 

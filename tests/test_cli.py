@@ -7,7 +7,9 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stab_lab import cli, clifford, tester, witness
+import stab_lab
+from stab_lab import charfn, cli, clifford, tester, witness
 from stab_lab.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from stab_lab.states import FamilySpec, dump_state_json, haar_unit, make_state
 
@@ -154,17 +157,22 @@ def test_stage_law_failure_exits_3_and_writes_nothing(monkeypatch, capsys, tmp_p
     def broken(l, t):
         raise witness.PipelineError("zero-diagonal monotonicity failed: 0 < 1")
 
+    def bad_table(state):
+        raise charfn.TableError("table values are not finite")
+
     cases = [
         # a stage law fails
-        ((witness, "zero_diagonal_map", broken), ["--family", "t_tensor", "--n", "2"]),
+        ((witness, "zero_diagonal_map", broken), "extract-stabilizer", "t_tensor", "2"),
         # balance exhausts its tries: a basis state is far from balanced
-        ((clifford, "BALANCE_TRIES", 0), ["--family", "basis", "--n", "3"]),
+        ((clifford, "BALANCE_TRIES", 0), "extract-stabilizer", "basis", "3"),
+        # a TableError is also a ValueError, which alone would exit 2
+        ((charfn, "char_function", bad_table), "charfn", "t_tensor", "1"),
     ]
     out = tmp_path / "x.json"
-    for patch, state_flags in cases:
+    for patch, command, family, n in cases:
         with monkeypatch.context() as m:
             m.setattr(*patch)
-            argv = ["extract-stabilizer", *state_flags, "--out", str(out)]
+            argv = [command, "--family", family, "--n", n, "--out", str(out)]
             assert run(argv) == EXIT_INVARIANT
         assert "internal-consistency failure" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -373,6 +381,65 @@ def test_version_computed_once_per_process(monkeypatch, tmp_path):
         cli.version_string.cache_clear()
     assert len(calls) == 1
     assert [_read_json(out)["version"] for out in outs] == ["abc1234", "abc1234"]
+
+
+def _fresh_process(code: str) -> str:
+    """stdout of code run in a fresh interpreter that finds this checkout's
+    package first."""
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_version_outside_git_is_the_package_version():
+    # no metadata scan of every installed distribution
+    code = (
+        "import subprocess, sys\n"
+        "from stab_lab import cli\n"
+        "subprocess.run = lambda cmd, **kw: subprocess.CompletedProcess(cmd, 128)\n"
+        "print(cli.version_string(), 'importlib.metadata' in sys.modules)\n"
+    )
+    assert _fresh_process(code).split() == [f"v{stab_lab.__version__}", "False"]
+
+
+def test_package_version_matches_pyproject():
+    text = (pathlib.Path(__file__).parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]*)"$', text, re.M)[1] == stab_lab.__version__
+
+
+@pytest.mark.parametrize(
+    "argv, runs, absent",
+    [
+        (None, "cli", {"numpy", "charfn", "clifford", "gf2", "measures",
+                       "states", "tester", "witness"}),
+        (["charfn", "--family", "t_tensor", "--n", "1"], "charfn",
+         {"clifford", "measures", "tester", "witness"}),
+        (["tolerant-test", "--family", "haar", "--n", "2", "--shots", "100",
+          "--eps1", "0.9", "--eps2", "0.3"], "tester",
+         {"clifford", "measures", "witness"}),
+        (["measures", "--family", "t_tensor", "--n", "1"], "measures",
+         {"tester", "witness"}),
+    ],
+    ids=["import", "charfn", "tolerant-test", "measures"],
+)
+def test_command_loads_only_its_modules(argv, runs, absent, tmp_path):
+    # each command is its own process, and every module it does not run
+    # would cost that process its import
+    code = "import sys\nfrom stab_lab import cli\n"
+    if argv:
+        code += f"assert cli.main({[*argv, '--out', str(tmp_path / 'x')]!r}) == 0\n"
+    code += "print(*(m.removeprefix('stab_lab.') for m in sys.modules))\n"
+    loaded = set(_fresh_process(code).split())
+    assert runs in loaded
+    assert not absent & loaded
 
 
 # Each subcommand's full config header (all but "out"), so that no flag's

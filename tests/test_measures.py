@@ -761,7 +761,13 @@ def test_lambda_star_scan_budget_and_sampled(monkeypatch):
         (k, n, (k, n) != (3, 3), 50 if (k, n) == (3, 3) else 0)
         for n in (1, 2, 3) for k in (1, 2, 3)
     ]
-    assert rows[:6] == lambda_star_scan(3, 2)
+    # the rows of an all-exhaustive scan, made without a generator
+    def no_generator(seed):
+        raise AssertionError("an all-exhaustive scan made a generator")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", no_generator)
+        assert rows[:6] == lambda_star_scan(3, 2)
     # a pair of distinct stabilizer states has |<s|t>| <= 2^(-1/2)
     sampled = lambda_star_scan(2, 4, trials=50, seed=1)[-1]
     assert (sampled.k, sampled.n, sampled.exhaustive, sampled.samples) == (
