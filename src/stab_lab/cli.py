@@ -53,15 +53,16 @@ _VALIDATION_ERRORS = (ValueError, OSError)
 @functools.lru_cache(maxsize=None)
 def version_string() -> str:
     """Computed once per process, so a run that rewrites a tracked file
-    (calibrate --out data/thresholds.json) still records the loaded code."""
+    (calibrate --out data/thresholds.json) still records the loaded code.
+    With no .git at or above the package, git describe could only fail."""
+    here = top = os.path.dirname(os.path.abspath(__file__))
+    while not os.path.exists(os.path.join(top, ".git")):
+        top, below = os.path.dirname(top), top
+        if top == below:
+            return "v" + __version__
     try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
+        out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=here,
+                             capture_output=True, text=True, timeout=5)
         if out.returncode == 0:
             return out.stdout.strip()
     except OSError:

@@ -3,8 +3,8 @@ stabilizer rank — plus Gram-matrix eigenvalue machinery and the small-scale
 relations experiment tying the three measures together.
 
 All exhaustive searches run over the complete stabilizer enumeration, so
-results are exact, not heuristic: fidelity at n <= 4, rank at n <= 2 (cached
-span tables) and at n = 3 for r <= 2 (a miss there gives the bound pair (3, 8)).
+results are exact, not heuristic: fidelity at n <= 4, rank at n <= 2 (a cached
+span table) and at n = 3 for r <= 2 (a miss there gives the bound pair (3, 8)).
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ RANK_RESIDUAL_TOL = 1e-9
 _CHUNK = 4096
 MAX_TRIALS = 100_000  # subsets drawn per sampled row of lambda_star_scan
 MAX_GRAM_STATES = 8  # states per Gram matrix
-_PAIR_ROWS = 32  # rows per block of the rank search's pair steps
+_PAIR_ROWS = 32  # rows per block of the floor pair step (and the tests' sweep)
 _SCORE_CHUNK = 2048  # candidate pairs scored at a time by the floor pair step
 _FAR_FLOOR = 0.5  # the pair floor 1 - |g| at |g| = 1/2, the step's least
 _FLOOR_SLACK = 1e-9  # relative, so that rounding only adds candidates
-_PLANE_BLOCK = 256  # complement rows per block of a span table's build: under 1 MiB
+_SPAN_BLOCK = 256  # candidates per block of the span table's build: under 1 MiB
 
 
 class MeasureError(ValueError):
@@ -125,7 +125,7 @@ def stabilizer_fidelity(state: StateVector) -> tuple[float, StabilizerState]:
 
 
 def _row_terms(U: np.ndarray, w: np.ndarray) -> tuple:
-    """The terms of _first_hit's closed forms that one row brings: conj(U),
+    """The terms of the rank search's closed forms that one row brings: conj(U),
     ||u_j||^2, 1 / ||u_j||^2 (0 for a dependent row, whose norm^2 is at most
     SINGULAR_TOL, so that it projects nothing out), <u_j, w>, and ||w||^2."""
     Uc = U.conj()
@@ -151,54 +151,12 @@ def _pair_residual(G, b_i, inv_i, b_j, nrm_j, w2: float) -> np.ndarray:
     return (w2 - np.abs(b_i) ** 2 * inv_i) - gain
 
 
-def _first_hit(
-    U: np.ndarray, w: np.ndarray, depth: int, thr: float
-) -> Optional[tuple[int, ...]]:
-    """Lexicographically first depth-subset of U's rows whose span leaves w a
-    squared residual <= thr, or None. U and w arrive with the span of the
-    chosen prefix already projected out; a row whose projected norm^2 is at
-    most SINGULAR_TOL is dependent and adds nothing to the span, as a
-    pseudo-inverse of the subset's Gram matrix would drop it.
-
-    No production code calls it: it is the tests' oracle for
-    stabilizer_rank's steps, the full pair sweep behind _floor_pair_hit and
-    the r = 2 span table, and by its prefix recursion for r >= 3. Depth 1
-    is _row_hit. Depth 2 scores every pair, _PAIR_ROWS rows of i at a time
-    (_pair_residual), and the first hit in row-major order is the first
-    pair."""
-    M = len(U)
-    Uc, nrm, inv, b, w2 = terms = _row_terms(U, w)
-    if depth == 1:
-        return _row_hit(terms, thr)
-    if depth == 2:
-        upper = ~np.tri(_PAIR_ROWS, dtype=bool)  # column c > row a of a block
-        for lo in range(0, M - 1, _PAIR_ROWS):
-            hi = min(lo + _PAIR_ROWS, M - 1)
-            h = hi - lo
-            G = Uc[lo:hi] @ U[lo:].T  # G[a, c] = <u_{lo+a}, u_{lo+c}>
-            res = _pair_residual(
-                G, b[lo:hi, None], inv[lo:hi, None], b[lo:], nrm[lo:], w2
-            )
-            ok = res <= thr
-            ok[:, :h] &= upper[:h, :h]
-            hits = np.flatnonzero(ok)
-            if len(hits):
-                a, c = divmod(int(hits[0]), M - lo)
-                return lo + a, lo + c
-        return None
-    for p in range(M - depth + 1):
-        rest = U[p + 1:] - np.outer(U[p + 1:] @ U[p].conj() * inv[p], U[p])
-        hit = _first_hit(rest, w - b[p] * inv[p] * U[p], depth - 1, thr)
-        if hit is not None:
-            return (p,) + tuple(p + 1 + h for h in hit)
-    return None
-
-
 def _floor_pair_hit(
     S: np.ndarray, terms: tuple, thr: float
 ) -> Optional[tuple[int, int]]:
-    """_first_hit(S, w, 2, thr) on a stabilizer table S (n <= 3), from w's
-    _row_terms, scoring only the pairs that the Gram floor allows.
+    """The full pair sweep's first hit (the tests' _first_hit(S, w, 2, thr))
+    on a stabilizer table S (n <= 3), from w's _row_terms, scoring only the
+    pairs that the Gram floor allows.
 
     The Gram matrix of unit u_i, u_j with g = <u_i, u_j> has least
     eigenvalue 1 - |g|, so their span holds at most
@@ -277,56 +235,99 @@ def _combination_blocks(M: int, k: int, size: int):
         yield block.T
 
 
-@functools.lru_cache(maxsize=None)
-def _spans(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct spans of r-subsets of the n-qubit stabilizer table, n <= 2,
-    as (complements, subsets), in the order of the first subset that spans
-    each in itertools.combinations order: subsets[k] is that subset, and
-    complements[k] the conjugated orthonormal basis C of span k's orthogonal
-    complement (N - r rows), so ||C v||^2 is v's squared residual against it.
+def _form_coords(V: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """x(v) for each v on V's last axis: conj(v) v^T as floats, at index."""
+    X = V.conj()[..., :, None] * V[..., None, :]
+    return X.reshape(*V.shape[:-1], -1).view(np.float64)[..., index]
 
-    C is the last N - r columns of the complete QR of the subset's columns,
-    _PLANE_BLOCK rows of C at a time (_combination_blocks); a Gram determinant
-    prod |R_ii|^2 at most SINGULAR_TOL marks a dependent subset. A span is
-    keyed by the table rows it holds, those with ||C s||^2 <= SINGULAR_TOL
-    (one bit each; at n = 2 the others give at least 1/12), so equal keys
-    are the same span, and a block's first subset with a new key is its
-    first subset."""
+
+def _complement_forms(V: np.ndarray, index, weights) -> tuple:
+    """The rows of _span_table for a block V (k, r, N) of r-subsets, r < N,
+    and the mask of the independent ones, whose Gram determinant exceeds
+    SINGULAR_TOL. The complement projector P is in closed form:
+    I - U G^-1 U^H for r <= 2, with G^-1 written out, and w w^H / ||w||^2
+    at r = 3, where w = conj(c) and c_l = det[e_l, U], the signed minors."""
+    k, r, N = V.shape
+    if r == 3:  # c = D v_3, with D the Hodge dual of v_1 ^ v_2
+        u, v, w = V.swapaxes(0, 1)
+        p, q = np.triu_indices(N, 1)
+        D = np.zeros((k, N, N), complex)
+        m = u[:, p] * v[:, q] - u[:, q] * v[:, p]
+        D[:, p, q] = m[:, ::-1] * [1, -1, 1, 1, -1, 1]
+        c = np.einsum("kls,ks->kl", D - D.swapaxes(1, 2), w)
+        det = np.einsum("kl,kl->k", c.conj(), c).real  # ||c||^2 = det G
+        P = c.conj()[:, :, None] * c[:, None, :]  # det G times P, as below
+    else:
+        G = V.conj() @ V.swapaxes(1, 2)  # G[k, a, b] = <v_a, v_b>
+        det = np.linalg.det(G).real
+        adj = np.ones_like(G)  # det G G^-1 = adj G: 1, or tr(G) I - G at r = 2
+        if r == 2:
+            adj = np.einsum("kaa->k", G)[:, None, None] * np.eye(2) - G
+        P = np.einsum("kai,kab,kbj->kij", -V, adj, V.conj())
+        P += det[:, None, None] * np.eye(N)
+    keep = det > SINGULAR_TOL
+    P = P[keep] / det[keep, None, None]
+    return P.reshape(-1, N * N).view(np.float64)[:, index] * weights, keep
+
+
+@functools.lru_cache(maxsize=None)
+def _span_table(n: int) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """Every distinct span of an r-subset of the n-qubit stabilizer table,
+    n <= 2 and 1 <= r < N, as (A, subsets, index), by r and then by first
+    subset in itertools.combinations order; subsets[k] is span k's. Row k of
+    A is span k's complement projector P as a real quadratic form, so that
+    A @ _form_coords(v, index) is v^H P v, v's squared residual, for every
+    span: real parts of conj(v_i) v_j, i <= j, and imaginary parts, i < j,
+    weighted 1 (i = j), 2 and -2.
+
+    A first subset less its last row is the first subset of its own span, so
+    the candidates at r extend each first subset at r - 1 by each later row,
+    in order, _SPAN_BLOCK at a time. A span is keyed by the table rows it
+    holds, s^H P s <= SINGULAR_TOL (at n = 2 the others give at least 1/12),
+    and a block's first candidate with a new key is its first subset."""
     if n > 2:
         raise MeasureError("span tables capped at n = 2")
     S = stabilizer_unit_matrix(n)
     M, N = S.shape
-    bits = np.uint64(1) << np.arange(M, dtype=np.uint64)
-    # sorted; a dependent subset gets key 0, which no span has, since a
-    # subset's own rows lie in its span
-    keys = np.zeros(1, np.uint64)
-    comps, subsets = [], []
-    for block in _combination_blocks(M, r, _PLANE_BLOCK // (N - r)):
-        Q, R = np.linalg.qr(S[block].swapaxes(1, 2), mode="complete")
-        C = Q[:, :, r:].conj().swapaxes(1, 2)
-        gram = np.prod(np.abs(np.diagonal(R, axis1=1, axis2=2)) ** 2, axis=1)
-        held = np.sum(np.abs(C @ S.T) ** 2, axis=1) <= SINGULAR_TOL
-        key = np.where(gram > SINGULAR_TOL, held @ bits, 0)
-        _, first = np.unique(key, return_index=True)
-        known = keys[np.minimum(np.searchsorted(keys, key[first]), len(keys) - 1)]
-        first = np.sort(first[known != key[first]])
-        keys = np.sort(np.concatenate([keys, key[first]]))
-        comps.append(C[first])
-        subsets.append(block[first])
-    table = np.ascontiguousarray(np.concatenate(comps)), np.concatenate(subsets)
-    for part in table:  # every caller shares the cached arrays
-        part.setflags(write=False)
-    return table
+    i, j = np.triu_indices(N)
+    off = i < j
+    index = np.concatenate([2 * (i * N + j), 2 * (i * N + j)[off] + 1])
+    weights = np.concatenate([np.where(off, 2.0, 1.0), np.full(off.sum(), -2.0)])
+    # 64 - M zero rows pad a key to 64 bits; every span holds them
+    rows = np.pad(_form_coords(S, index), ((0, 64 - M), (0, 0)))
+    keys = np.zeros(1, np.uint64)  # sorted; 0 is no span's key
+    forms, subsets = [], []
+    prev = np.full((1, 1), -1, np.int8)  # the empty subset, as if after row -1
+    for r in range(1, N):
+        later = np.arange(M, dtype=np.int8) > prev[:, -1:]
+        grid = np.broadcast_to(np.arange(M, dtype=np.int8), later.shape)
+        candidates = np.column_stack(
+            [np.repeat(prev, later.sum(1), axis=0), grid[later]])[:, -r:]
+        firsts = []
+        for lo in range(0, len(candidates), _SPAN_BLOCK):
+            block = candidates[lo:lo + _SPAN_BLOCK]
+            form, keep = _complement_forms(S[block], index, weights)
+            held = form @ rows.T <= SINGULAR_TOL
+            key = np.packbits(held, axis=1).view(np.uint64).ravel()
+            _, first = np.unique(key, return_index=True)
+            known = keys[np.minimum(np.searchsorted(keys, key[first]), len(keys) - 1)]
+            first = np.sort(first[known != key[first]])
+            keys = np.sort(np.concatenate([keys, key[first]]))
+            forms.append(form[first])
+            firsts.append(block[keep][first])
+        prev = np.concatenate(firsts)
+        subsets += zip(*prev.T.tolist())
+    A = np.concatenate(forms)
+    A.setflags(write=False)  # every caller shares the cached table
+    return A, tuple(subsets), index
 
 
-def _span_hit(n: int, r: int, v: np.ndarray, thr: float) -> Optional[tuple[int, ...]]:
-    """The first r-subset within thr of v once step r - 1 has missed: a
-    dependent subset spans no more than a smaller one, so it is the least
-    first subset of a span in _spans(n, r) with ||C v||^2 <= thr, or None."""
-    comps, subsets = _spans(n, r)
-    res = (np.abs(comps.reshape(-1, len(v)) @ v) ** 2).reshape(len(comps), -1)
-    hits = np.flatnonzero(res.sum(axis=1) <= thr)
-    return tuple(int(i) for i in subsets[hits[0]]) if len(hits) else None
+def _table_hit(n: int, v: np.ndarray, thr: float) -> Optional[tuple[int, ...]]:
+    """The first subset in _span_table(n) within thr of v, or None: the least
+    r, and the first r-subset, since a dependent one spans no more."""
+    A, subsets, index = _span_table(n)
+    hits = np.flatnonzero(A @ _form_coords(v, index) <= thr)
+    return subsets[hits[0]] if len(hits) else None
 
 
 def stabilizer_rank(
@@ -340,12 +341,13 @@ def stabilizer_rank(
     lexicographically first r-subset (enumeration indices) whose squared
     residual is at most delta^2 + RANK_RESIDUAL_TOL.
 
-    Step r = 1 is _row_hit's closed form, and r = 2 at n = 3 is
-    _floor_pair_hit. At n <= 2 each step 2 <= r < N is one lookup in a
-    cached span table (_span_hit); its ||C v||^2 rounds differently from
-    _first_hit's closed form, so where a pair's residual is the threshold to
-    within a few ulps the two may name different pairs. Step r = N needs no
-    search, since the computational basis opens the table."""
+    At n <= 2 the search is one product over the cached table of every span
+    of an r-subset, r < N (_table_hit): the first row within the threshold
+    names both r and the witness. It rounds differently from the pair
+    sweep's closed forms, so the two may name different subsets only where a
+    residual is the threshold to within a few ulps. A miss is rank N, with
+    the computational basis, the table's first N rows, as witness. At n = 3,
+    step r = 1 is _row_hit's closed form and r = 2 is _floor_pair_hit."""
     if not delta >= 0:  # NaN too, which every residual test would fail
         raise MeasureError("delta must be nonnegative")
     n = state.n
@@ -353,19 +355,16 @@ def stabilizer_rank(
         raise MeasureError("rank search capped at n = 3")
     tol = max(delta, RANK_RESIDUAL_TOL)
     thr = tol * tol + RANK_RESIDUAL_TOL  # inf, not OverflowError, for huge delta
-    S = stabilizer_unit_matrix(n)
     v = state.unit()
+    if n <= 2:
+        hit = _table_hit(n, v, thr)
+        return (len(hit), hit) if hit is not None else (state.N, tuple(range(state.N)))
+    S = stabilizer_unit_matrix(n)
     terms = _row_terms(S, v)
     if (hit := _row_hit(terms, thr)) is not None:
         return 1, hit
-    if n == 3:
-        hit = _floor_pair_hit(S, terms, thr)
-        return (2, hit) if hit is not None else ((3, state.N), None)
-    for r in range(2, state.N):
-        if (hit := _span_hit(n, r, v, thr)) is not None:
-            return r, hit
-    # rows 0..N-1 of S, the computational basis, are the first N-subset of all
-    return state.N, tuple(range(state.N))
+    hit = _floor_pair_hit(S, terms, thr)
+    return (2, hit) if hit is not None else ((3, state.N), None)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -371,6 +372,9 @@ def test_version_computed_once_per_process(monkeypatch, tmp_path):
         return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
 
     monkeypatch.setattr(subprocess, "run", fake_run)
+    # as in a checkout, also when the tests run from a copy with no .git
+    exists = os.path.exists
+    monkeypatch.setattr(os.path, "exists", lambda p: p.endswith(".git") or exists(p))
     cli.version_string.cache_clear()
     outs = [tmp_path / "a.json", tmp_path / "b.json"]
     try:
@@ -383,11 +387,10 @@ def test_version_computed_once_per_process(monkeypatch, tmp_path):
     assert [_read_json(out)["version"] for out in outs] == ["abc1234", "abc1234"]
 
 
-def _fresh_process(code: str) -> str:
-    """stdout of code run in a fresh interpreter that finds this checkout's
-    package first."""
-    src = str(pathlib.Path(__file__).parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+def _fresh_process(code: str, src=pathlib.Path(__file__).parent.parent / "src") -> str:
+    """stdout of code run in a fresh interpreter that finds the package
+    under src (this checkout's by default) first."""
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -408,6 +411,24 @@ def test_version_outside_git_is_the_package_version():
         "print(cli.version_string(), 'importlib.metadata' in sys.modules)\n"
     )
     assert _fresh_process(code).split() == [f"v{stab_lab.__version__}", "False"]
+
+
+def test_version_outside_any_checkout_runs_no_git(tmp_path):
+    # a copy of the package with no .git at or above it never starts git
+    # describe, which could only fail there
+    assert not any((p / ".git").exists() for p in [tmp_path, *tmp_path.parents])
+    shutil.copytree(pathlib.Path(stab_lab.__file__).parent, tmp_path / "stab_lab")
+    code = (
+        "import subprocess\n"
+        "def run(*args, **kwargs):\n"
+        "    raise AssertionError('subprocess.run called')\n"
+        "subprocess.run = run\n"
+        "from stab_lab import cli\n"
+        "print(cli.version_string(), cli.__file__)\n"
+    )
+    version, where = _fresh_process(code, tmp_path).split()
+    assert version == "v0.1.0" == f"v{stab_lab.__version__}"
+    assert pathlib.Path(where).parent == tmp_path / "stab_lab"
 
 
 def test_package_version_matches_pyproject():

@@ -24,7 +24,6 @@ from stab_lab.measures import (
     RANK_RESIDUAL_TOL,
     SINGULAR_TOL,
     MeasureError,
-    _first_hit,
     counterexample_state,
     delta_k_probe,
     gowers3,
@@ -146,7 +145,7 @@ def test_rank_validation():
         with pytest.raises(MeasureError, match="nonnegative"):
             stabilizer_rank(stab, float("nan"))
     with pytest.raises(MeasureError, match="span tables capped at n = 2"):
-        measures._spans(3, 2)
+        measures._span_table(3)
 
 
 def _subset_search(S, v, r, thr):
@@ -167,6 +166,45 @@ def _subset_search(S, v, r, thr):
         hits = np.flatnonzero(res <= thr)
         if len(hits):
             return tuple(int(i) for i in chunk[hits[0]])
+
+
+def _first_hit(U, w, depth, thr):
+    """Oracle: the lexicographically first depth-subset of U's rows whose
+    span leaves w a squared residual <= thr, or None. U and w arrive with
+    the span of the chosen prefix already projected out; a row whose
+    projected norm^2 is at most SINGULAR_TOL is dependent and adds nothing
+    to the span, as a pseudo-inverse of the subset's Gram matrix would drop
+    it. stabilizer_rank does not call it: it is the full pair sweep behind
+    the floor pair step and the span table's pairs, and by its prefix
+    recursion for r >= 3. Depth 1 is _row_hit. Depth 2 scores every pair,
+    _PAIR_ROWS rows of i at a time (_pair_residual), and the first hit in
+    row-major order is the first pair."""
+    M, rows = len(U), measures._PAIR_ROWS
+    Uc, nrm, inv, b, w2 = terms = measures._row_terms(U, w)
+    if depth == 1:
+        return measures._row_hit(terms, thr)
+    if depth == 2:
+        upper = ~np.tri(rows, dtype=bool)  # column c > row a of a block
+        for lo in range(0, M - 1, rows):
+            hi = min(lo + rows, M - 1)
+            h = hi - lo
+            G = Uc[lo:hi] @ U[lo:].T  # G[a, c] = <u_{lo+a}, u_{lo+c}>
+            res = measures._pair_residual(
+                G, b[lo:hi, None], inv[lo:hi, None], b[lo:], nrm[lo:], w2
+            )
+            ok = res <= thr
+            ok[:, :h] &= upper[:h, :h]
+            hits = np.flatnonzero(ok)
+            if len(hits):
+                a, c = divmod(int(hits[0]), M - lo)
+                return lo + a, lo + c
+        return None
+    for p in range(M - depth + 1):
+        rest = U[p + 1:] - np.outer(U[p + 1:] @ U[p].conj() * inv[p], U[p])
+        hit = _first_hit(rest, w - b[p] * inv[p] * U[p], depth - 1, thr)
+        if hit is not None:
+            return (p,) + tuple(p + 1 + h for h in hit)
+    return None
 
 
 def _subset_rank(state, delta=0.0):
@@ -252,49 +290,64 @@ def test_first_hit_rounding_dependent_rows_add_nothing():
             assert _first_hit(U, v, r, thr) == _subset_search(U, v, r, thr)
 
 
-@pytest.mark.parametrize("n, r, count", [(2, 2, 710), (2, 3, 1500)])
+@pytest.mark.parametrize(
+    "n, r, count", [(1, 1, 6), (2, 1, 60), (2, 2, 710), (2, 3, 1500)]
+)
 def test_span_tables(n, r, count):
     # against an SVD of every r-subset in itertools.combinations order: each
     # independent subset's span, keyed by the stabilizer rows it holds, is
-    # held exactly once, under the first subset that spans it, with an
-    # orthonormal basis of its complement, and the build stays small
+    # held exactly once, in the table's r group, under the first subset that
+    # spans it, as the quadratic form of its complement projector; the build
+    # stays small
     S = stabilizer_unit_matrix(n)
     M, N = S.shape
-    measures._spans.cache_clear()
+    measures._span_table.cache_clear()
     tracemalloc.start()
     try:
-        comps, subsets = measures._spans(n, r)
+        A, subsets, index = measures._span_table(n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert comps.shape == (count, N - r, N) and subsets.shape == (count, r)
-    # C-contiguous, so that _span_hit's reshape is a view, and shared read-only
-    assert comps.flags.c_contiguous and subsets.flags.c_contiguous
-    assert not comps.flags.writeable and not subsets.flags.writeable
-    gram = comps @ comps.conj().swapaxes(1, 2)
-    assert np.abs(gram - np.eye(N - r)).max() < 1e-12
+    assert A.shape == (len(subsets), N * N) and len(index) == N * N
+    # C-contiguous for the one product, and shared read-only
+    assert A.flags.c_contiguous and not A.flags.writeable
+    sizes = [len(subset) for subset in subsets]
+    assert sizes == sorted(sizes) and set(sizes) == set(range(1, N))
+    group = [k for k, size in enumerate(sizes) if size == r]
+    assert len(group) == count
     combos = np.array(list(itertools.combinations(range(M), r)))
     _, sv, vh = np.linalg.svd(S[combos])
     independent = sv[:, -1] > 1e-6
-    # the rows of vh past r span the complement of the subset's span
-    held = np.sum(np.abs(vh[independent, r:].conj() @ S.T) ** 2, axis=1) < 1e-12
-    first = {}
-    for subset, rows in zip(combos[independent].tolist(), held):
-        first.setdefault(np.packbits(rows).tobytes(), tuple(subset))
+    # the conjugated rows of vh past r: an orthonormal basis C of the
+    # complement of the subset's span, so ||C y||^2 is y's squared residual
+    comps = vh[independent, r:].conj()
     held = np.sum(np.abs(comps @ S.T) ** 2, axis=1) < 1e-12
+    first = {}
+    for subset, rows, comp in zip(combos[independent].tolist(), held, comps):
+        first.setdefault(np.packbits(rows).tobytes(), (tuple(subset), comp))
+    held = A[group] @ measures._form_coords(S, index).T < 1e-12
     assert [np.packbits(rows).tobytes() for rows in held] == list(first)
-    assert [tuple(row) for row in subsets.tolist()] == list(first.values())
+    assert [subsets[k] for k in group] == [subset for subset, _ in first.values()]
+    # each row's form is ||C y||^2 on random unit y
+    rng = np.random.default_rng(31 + r)
+    y = rng.standard_normal((count, N)) + 1j * rng.standard_normal((count, N))
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    form = np.einsum("kd,kd->k", A[group], measures._form_coords(y, index))
+    comps = np.array([comp for _, comp in first.values()])
+    residual = np.sum(np.abs(comps @ y[:, :, None]) ** 2, axis=(1, 2))
+    assert np.abs(form - residual).max() < 1e-14
 
 
-@pytest.mark.parametrize("r", [2, 3])
-def test_span_tables_reach_every_span_n2(r):
+@pytest.mark.parametrize("n, r", [(1, 1), (2, 1), (2, 2), (2, 3)])
+def test_span_tables_reach_every_span(n, r):
     # a seeded complex combination of each span's first subset has rank r
     # and that subset as its witness, so no span is shadowed
     rng = np.random.default_rng(28 + r)
-    for subset in measures._spans(2, r)[1].tolist():
-        state = _combination(2, subset, True, rng)
-        assert stabilizer_rank(state) == (r, tuple(subset))
+    for subset in measures._span_table(n)[1]:
+        if len(subset) == r:
+            state = _combination(n, list(subset), True, rng)
+            assert stabilizer_rank(state) == (r, subset)
 
 
 def test_rank_matches_subset_oracle_n3():
@@ -609,15 +662,16 @@ def _long_residual(S, v, pair):
 
 
 def test_span_table_at_plane_ties_n2():
-    # the r = 2 table step's caveat: ||C v||^2 rounds differently from the
-    # sweep's closed form. States at squared distance t from the plane of a
-    # random pair, with thr at that pair's residual as the sweep computes it
-    # and at the floats on either side. Where the table step (the r = 2
-    # step of stabilizer_rank at that thr) and the sweep differ, the one
-    # that skipped the earlier of the two named pairs computed that pair, or
-    # its plane, just above thr: its exact residual is within 8 eps of thr
-    # (3 eps was the most seen). The later pair, if any, may span another
-    # plane well inside thr; it is within thr + 8 eps
+    # the span table's caveat: its quadratic form rounds differently from
+    # the sweep's closed form. States at squared distance t from the plane
+    # of a random pair, with thr at that pair's residual as the sweep
+    # computes it and at the floats on either side. No single stabilizer
+    # state is within thr, so the table's first hit, when it names a pair,
+    # is stabilizer_rank's r = 2 answer at that thr. Where it and the sweep
+    # differ, the one that skipped the earlier of the two named pairs
+    # computed that pair, or its plane, just above thr: its exact residual
+    # is within 8 eps of thr (2.5 eps was the most seen). The later pair, if
+    # any, may span another plane well inside thr; it is within thr + 8 eps
     S = stabilizer_unit_matrix(2)
     pairs = list(itertools.combinations(range(len(S)), 2))
     rng = np.random.default_rng(28)
@@ -634,7 +688,9 @@ def test_span_table_at_plane_ties_n2():
         v += math.sqrt(t) * off / np.linalg.norm(off)
         tie = _sweep_residual(S, v, i, j)
         for thr in (np.nextafter(tie, 0), tie, np.nextafter(tie, 1)):
-            step = measures._span_hit(2, 2, v, thr)
+            hit = measures._table_hit(2, v, thr)
+            assert hit is None or len(hit) >= 2
+            step = hit if hit is not None and len(hit) == 2 else None
             sweep = _first_hit(S, v, 2, thr)
             if step == sweep:
                 continue
