@@ -24,6 +24,7 @@ from .states import StateVector, dot_parity, quadratic_parity, sign_table
 BALANCE_TRIES = 1000  # random real Cliffords balance draws before giving up
 SUPPORT_TOL = 1e-9  # the decoder's one tolerance: support and amplitude match
 TABLE_MAX_N = 4  # the stabilizer enumeration and its tables stop here
+_UNIT_CHUNK = 1 << 14  # amplitudes per ell chunk of stabilizer_unit_matrix
 
 
 class GateError(ValueError):
@@ -267,13 +268,13 @@ class StabilizerState:
         )
 
 
-def _amplitudes(N: int, m: int, ells, rows) -> np.ndarray:
-    """sqrt(N / 2^m) * i^<ell, y> * (-1)^Q(y) for y in range(2^m), on the
-    last axis. ells (an integer array) and the q_upper rows (m integer
-    arrays, see quadratic_parity) broadcast over the leading axes."""
+def _amplitudes(scale: float, m: int, ells, rows) -> np.ndarray:
+    """scale * i^<ell, y> * (-1)^Q(y) for y in range(2^m), on the last axis.
+    ells (an integer array) and the q_upper rows (m integer arrays, see
+    quadratic_parity) broadcast over the leading axes."""
     y = np.arange(1 << m)
     phase = np.where(dot_parity(y, ells), 1j, 1) * (1 - 2 * quadratic_parity(y, rows))
-    phase *= math.sqrt(N / (1 << m))
+    phase *= scale
     return phase
 
 
@@ -294,7 +295,7 @@ def stabilizer_vectors(states) -> np.ndarray:
         np.put_along_axis(
             out[start : start + len(run)],
             offsets ^ span_points(basis),
-            _amplitudes(N, len(basis), ells, rows),
+            _amplitudes(math.sqrt(N / (1 << len(basis))), len(basis), ells, rows),
             axis=1,
         )
         start += len(run)
@@ -420,22 +421,27 @@ def stabilizer_unit_matrix(n: int) -> np.ndarray:
     """Row k = unit-convention amplitudes of the k-th enumerated stabilizer.
 
     Built block by block from the layout, with no StabilizerState made: a
-    subspace's amplitudes over every (ell, sign form) are computed once and
-    written at each of its cosets."""
+    subspace's amplitudes over every (ell, sign form) are computed in ell
+    chunks of at most _UNIT_CHUNK amplitudes, each written at every coset."""
     layout = _layout(n)
     N = 1 << n
     out = np.zeros((expected_stabilizer_count(n), N), dtype=complex)
     for start, basis, offsets in layout:
         m = len(basis)
-        rows = np.array(_sign_rows(m, np.arange(1 << _form_bits(m))), dtype=np.int64)
-        # (ell, form, y); not C-ordered, so it is written without a reshape
-        block = _amplitudes(N, m, np.arange(1 << m)[:, None, None], rows)
-        size = block.shape[0] * block.shape[1]
+        forms = 1 << _form_bits(m)
+        rows = np.array(_sign_rows(m, np.arange(forms)), dtype=np.int64)
+        step = max(1, _UNIT_CHUNK // (forms << m))
+        # rounded as stabilizer_vectors' rows over sqrt(N), so the bytes match
+        scale = math.sqrt(N / (1 << m)) / math.sqrt(N)
         span = span_points(basis)
-        for o, offset in enumerate(offsets):
-            coset = out[start + o * size : start + (o + 1) * size]
-            coset.reshape(block.shape[:2] + (N,))[..., offset ^ span] = block
-    out /= math.sqrt(N)
+        for e0 in range(0, 1 << m, step):
+            ells = np.arange(e0, min(e0 + step, 1 << m))
+            # (ell, form, y); not C-ordered, so it is written without a reshape
+            chunk = _amplitudes(scale, m, ells[:, None, None], rows)
+            for o, offset in enumerate(offsets):
+                first = start + ((o << m) + e0) * forms
+                dest = out[first : first + len(ells) * forms]
+                dest.reshape(len(ells), forms, N)[..., offset ^ span] = chunk
     return out
 
 

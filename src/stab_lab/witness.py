@@ -58,6 +58,7 @@ from .states import (
 
 CONTRACT_TOL = 1e-9
 EXHAUSTIVE_MAX_N = 0  # read only by perfbench/spans.py's span names
+_SCAN_BLOCK = 1 << 12  # level-0 entries per block of best_affine_map's scan
 
 
 class PipelineError(RuntimeError, InvariantError):
@@ -163,9 +164,13 @@ def best_affine_map(t: CharTable) -> tuple[AffineMap, float]:
     Peeling the top qubit of a k-qubit table f, with v the upper part of
     column k-1 and H = 2^(k-1), gives score_k(f, M) = score_{k-1}(g_v, M')
     for the table g_v[y', a'] = f[y', a' + <v,y'>H] + f[y' + H, (a' + v) +
-    <v,y'>H]: two gathers per level for every v at once, each v of the
-    2^(n-1) at the top in turn (under 1 MB at n = 6). Mask bit j(j-1)/2 + i
-    holds entry (i, j), i < j; the smallest mask wins an exact tie, and the
+    <v,y'>H]: two gathers per level for every v at once. The top column's v
+    runs in blocks of consecutive values, each of at most _SCAN_BLOCK level-0
+    entries (and at least one v): every v in one block at n <= 5, four a
+    block at n = 6, where the scan's traced peak is 844 KiB. Mask bit
+    j(j-1)/2 + i holds entry (i, j), i < j, so a block's rows are in mask
+    order; a block replaces the best only when strictly heavier, so the
+    smallest mask wins an exact tie whatever the block size, and the
     recursion's tree-order rounding decides near-ties."""
     n = t.n
 
@@ -177,17 +182,20 @@ def best_affine_map(t: CharTable) -> tuple[AffineMap, float]:
 
     inner = [peel(k, np.arange(1 << (k - 1))[:, None, None])
              for k in range(n - 1, 0, -1)]
+    tops = 1 << (n - 1)
+    block = min(tops, max(1, _SCAN_BLOCK >> (2 * n - 2)))
     flat, best_val, best = t.flat(), -math.inf, 0
-    for v in range(1 << (n - 1)):
-        lo, hi = peel(n, v)
-        T = (flat[lo] + flat[hi]).reshape(1, -1)
+    for v0 in range(0, tops, block):
+        lo, hi = peel(n, np.arange(v0, v0 + block)[:, None, None])
+        T = (flat[lo] + flat[hi]).reshape(block, -1)
         for lo, hi in inner:
-            T = np.take(T, lo, axis=1) + np.take(T, hi, axis=1)
-            T = T.reshape(-1, T.shape[-1] ** 2)
+            U = np.take(T, lo, axis=1)
+            U += np.take(T, hi, axis=1)  # in place: one less block-sized array
+            T = U.reshape(-1, U.shape[-1] ** 2)
         local = int(np.argmax(T[:, 0]))
         if T[local, 0] > best_val:
             best_val = float(T[local, 0])
-            best = (v << ((n - 1) * (n - 2) // 2)) | local
+            best = (v0 << ((n - 1) * (n - 2) // 2)) + local
     upper = [(best >> (j * (j - 1) // 2)) & ((1 << j) - 1) for j in range(n)]
     upper = LinMap(n, tuple(upper))
     amap = AffineMap(upper.add(upper.transpose()), 0)

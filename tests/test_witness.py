@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_real_states, random_states
+from stab_lab import witness
 from stab_lab.charfn import CharTable, char_function
 from stab_lab.clifford import balance, stabilizer_at, stabilizer_to_statevector
 from stab_lab.gf2 import AffineMap, LinMap, linmap_from_images, nullspace, span_points
@@ -331,8 +332,7 @@ def test_zero_diagonal_scan_matches_oracle_n4(name):
     _assert_scan_matches_oracle(N4_CORPUS[name]())
 
 
-@pytest.mark.parametrize("n", [5, 6])
-@pytest.mark.parametrize(
+BALANCED_INPUTS = pytest.mark.parametrize(
     "state",
     [
         lambda n: random_states(n, 1, seed=n)[0],
@@ -341,12 +341,43 @@ def test_zero_diagonal_scan_matches_oracle_n4(name):
     ],
     ids=["haar", "t_tensor", "counterexample"],
 )
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@BALANCED_INPUTS
 def test_zero_diagonal_scan_matches_oracle_balanced(n, state):
     _assert_scan_matches_oracle(_balanced_table(state(n)))
 
 
-def test_zero_diagonal_scan_n6_stays_small():
-    t = _balanced_table(random_states(6, 1, seed=6)[0])
+def _scan_per_block_size(t, monkeypatch):
+    """best_affine_map(t) with one top column per block, the arithmetic of a
+    loop over the columns, and with every top column in one block."""
+    out = []
+    for cap in (1, 1 << 30):
+        monkeypatch.setattr(witness, "_SCAN_BLOCK", cap)
+        amap, val = best_affine_map(t)
+        out.append((amap, val.hex()))
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@BALANCED_INPUTS
+def test_zero_diagonal_scan_ignores_block_size(n, state, monkeypatch):
+    one, whole = _scan_per_block_size(_balanced_table(state(n)), monkeypatch)
+    assert one == whole
+
+
+def test_zero_diagonal_scan_ties_across_blocks(monkeypatch):
+    # every map ties exactly on a constant table, so the first block's zero
+    # map must win against each later block
+    t = CharTable(6, np.full((64, 64), 0.1))
+    for amap, _ in _scan_per_block_size(t, monkeypatch):
+        assert amap == AffineMap(LinMap.zero(6), 0)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_zero_diagonal_scan_stays_small(n):
+    t = _balanced_table(random_states(n, 1, seed=n)[0])
     tracemalloc.start()
     try:
         best_affine_map(t)
