@@ -80,7 +80,8 @@ def test_bench_pairs_summary_on_synthetic_runs():
         for i in range(10)
     ]
     change[3]["items_per_s"] = 99.0  # one lost pair still allows the claim
-    rows = {r["name"]: r for r in _bench_pairs().summarize(end_to_end, parent, change)}
+    bench = _bench_pairs()
+    rows = {r["name"]: r for r in bench.summarize(end_to_end, parent, change)}
     rate, rss, setup = rows["items_per_s"], rows["peak_rss_mb"], rows["setup_s"]
     assert rate["parent"] == (102.25, 104.5, 106.75)
     assert (rate["wins"], rate["pairs"]) == (9, 10)
@@ -90,9 +91,9 @@ def test_bench_pairs_summary_on_synthetic_runs():
     # ties win nothing and claim nothing, but stay within the bound
     assert setup["wins"] == 0 and not setup["claim_holds"] and setup["within_bound"]
     change[4]["items_per_s"] = 98.0  # 8 of 10 wins: too few to claim
-    rows = _bench_pairs().summarize(end_to_end[:1], parent, change)
+    rows = bench.summarize(end_to_end[:1], parent, change)
     assert rows[0]["wins"] == 8 and not rows[0]["claim_holds"]
-    text = _bench_pairs().format_summary(rows)
+    text = bench.format_summary(rows)
     assert "items_per_s" in text and " 8/10" in text
 
 
