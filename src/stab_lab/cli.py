@@ -65,7 +65,7 @@ def version_string() -> str:
                              capture_output=True, text=True, timeout=5)
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or git timed out
         pass
     return "v" + __version__
 

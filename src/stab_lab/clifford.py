@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,16 +48,17 @@ MAX_CIRCUIT_QUBITS = 15  # n^2 + 2n gate codes fit in one byte
 
 
 @functools.lru_cache(maxsize=None)
-def _gate_codes(n: int) -> tuple[tuple[tuple, ...], dict, np.ndarray]:
+def _gate_codes(n: int) -> tuple[tuple[tuple, ...], MappingProxyType, np.ndarray]:
     """The n-qubit gate table in code order, H_i, Z_i, S_i, then CNOT_ij for
     i != j; its inverse {gate: code}; and the codes of the real gates, in
-    table order, as uint8."""
+    table order, as uint8. Every caller shares them, so none is writable."""
     if not 0 <= n <= MAX_CIRCUIT_QUBITS:
         raise GateError(f"circuits are capped at n = {MAX_CIRCUIT_QUBITS}, got {n}")
     table = [(name, i) for name in ("H", "Z", "S") for i in range(n)]
     table += [("CNOT", i, j) for i in range(n) for j in range(n) if i != j]
-    real = [k for k, gate in enumerate(table) if gate[0] != "S"]
-    return tuple(table), {g: k for k, g in enumerate(table)}, np.array(real, np.uint8)
+    real = np.array([k for k, gate in enumerate(table) if gate[0] != "S"], np.uint8)
+    real.setflags(write=False)
+    return tuple(table), MappingProxyType({g: k for k, g in enumerate(table)}), real
 
 
 @functools.lru_cache(maxsize=None)
@@ -442,6 +444,7 @@ def stabilizer_unit_matrix(n: int) -> np.ndarray:
                 first = start + ((o << m) + e0) * forms
                 dest = out[first : first + len(ells) * forms]
                 dest.reshape(len(ells), forms, N)[..., offset ^ span] = chunk
+    out.setflags(write=False)  # every caller shares the cached table
     return out
 
 

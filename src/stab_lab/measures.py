@@ -10,6 +10,7 @@ span table) and at n = 3 for r <= 2 (a miss there gives the bound pair (3, 8)).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -50,48 +51,24 @@ class MeasureError(ValueError):
 
 def gowers_norm_direct(state: StateVector, d: int) -> float:
     """Brute-force E_{x,y_1..y_d}[D_{y_1}...D_{y_d} g(x)], the 2^d-th power
-    of the degree-d uniformity norm. Exponential loop; d=3 capped at n=4."""
+    of the degree-d uniformity norm: one product over the 2^d cube, a factor
+    per corner x + sum_{i in w} y_i, g there or conj(g) when d - |w| is odd.
+    The factors go largest w first, each size in itertools.combinations
+    order: einsum multiplies them in the order given, and another order moves
+    the last bits of the value. Exponential loop; d=3 capped at n=4."""
     if d not in (1, 2, 3):
         raise MeasureError("only degrees 1, 2, 3 are supported")
     if d == 3 and state.n > 4:
         raise MeasureError("degree-3 brute force capped at n = 4")
     g = state.g
     N = state.N
-    idx = np.arange(N)
-    if d == 1:
-        xy = idx[:, None] ^ idx[None, :]
-        acc = np.einsum("xy,x->", g[xy], np.conj(g)) / N**2
-    elif d == 2:
-        x = idx[:, None, None]
-        y1 = idx[None, :, None]
-        y2 = idx[None, None, :]
-        acc = np.einsum(
-            "abc,abc,abc,abc->",
-            g[x ^ y1 ^ y2],
-            np.conj(g[x ^ y1]),
-            np.conj(g[x ^ y2]),
-            g[x],
-        ) / N**3
-    else:
-        x = idx[:, None, None, None]
-        y1 = idx[None, :, None, None]
-        y2 = idx[None, None, :, None]
-        y3 = idx[None, None, None, :]
-        cg = np.conj(g)
-        acc = (
-            np.einsum(
-                "abcd,abcd,abcd,abcd,abcd,abcd,abcd,abcd->",
-                g[x ^ y1 ^ y2 ^ y3],
-                cg[x ^ y1 ^ y2],
-                cg[x ^ y1 ^ y3],
-                cg[x ^ y2 ^ y3],
-                g[x ^ y1],
-                g[x ^ y2],
-                g[x ^ y3],
-                cg[x],
-            )
-            / N**4
-        )
+    x, *ys = np.ix_(*[np.arange(N)] * (d + 1))
+    operands = []
+    for size in reversed(range(d + 1)):
+        for w in itertools.combinations(ys, size):
+            corner = g[functools.reduce(np.bitwise_xor, w, x)]
+            operands += [np.conj(corner) if (d - size) % 2 else corner, range(d + 1)]
+    acc = np.einsum(*operands, []) / N ** (d + 1)
     if abs(acc.imag) > 1e-10:
         raise MeasureError(f"uniformity average has imaginary part {acc.imag:g}")
     return float(acc.real)
@@ -319,6 +296,7 @@ def _span_table(n: int) -> tuple[np.ndarray, tuple, np.ndarray]:
         subsets += zip(*prev.T.tolist())
     A = np.concatenate(forms)
     A.setflags(write=False)  # every caller shares the cached table
+    index.setflags(write=False)
     return A, tuple(subsets), index
 
 

@@ -387,6 +387,28 @@ def test_version_computed_once_per_process(monkeypatch, tmp_path):
     assert [_read_json(out)["version"] for out in outs] == ["abc1234", "abc1234"]
 
 
+def test_version_after_git_timeout_is_the_package_version(monkeypatch, tmp_path):
+    """A git describe past its timeout falls back, not to an exit-1 traceback."""
+    calls = []
+
+    def slow_git(cmd, **kwargs):
+        calls.append(cmd)
+        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(subprocess, "run", slow_git)
+    exists = os.path.exists
+    monkeypatch.setattr(os.path, "exists", lambda p: p.endswith(".git") or exists(p))
+    cli.version_string.cache_clear()
+    out = tmp_path / "table.csv"
+    try:
+        argv = ["charfn", "--family", "t_tensor", "--n", "1", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+    finally:
+        cli.version_string.cache_clear()
+    assert len(calls) == 1
+    assert out.read_text().splitlines()[0] == "# version=v0.1.0"
+
+
 def _fresh_process(code: str, src=pathlib.Path(__file__).parent.parent / "src") -> str:
     """stdout of code run in a fresh interpreter that finds the package
     under src (this checkout's by default) first."""

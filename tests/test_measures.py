@@ -38,7 +38,13 @@ from stab_lab.measures import (
     stabilizer_fidelity,
     stabilizer_rank,
 )
-from stab_lab.states import FamilySpec, StateVector, haar_unit, make_state
+from stab_lab.states import (
+    FamilySpec,
+    StateVector,
+    haar_unit,
+    make_state,
+    walsh_hadamard,
+)
 
 ZERO = StabilizerState(1, 0, (), 0, ())
 ONE = StabilizerState(1, 1, (), 0, ())
@@ -62,10 +68,24 @@ def test_gowers_table_equals_direct():
             )
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gowers_direct_low_degrees_match_walsh_identities(n):
+    """U^1 is |ghat(0)|^2 and U^2 is sum_alpha |ghat(alpha)|^4."""
+    corpus = random_states(n, 3, seed=50 + n) + [
+        make_state(FamilySpec("t_tensor", n)),
+        make_state(FamilySpec("basis", n, x0=(1 << n) - 1)),
+    ]
+    for state in corpus:
+        ghat = walsh_hadamard(state.g)
+        assert abs(gowers_norm_direct(state, 1) - abs(ghat[0]) ** 2) <= 1e-12
+        assert abs(gowers_norm_direct(state, 2) - np.sum(np.abs(ghat) ** 4)) <= 1e-12
+
+
 def test_gowers_degree_validation():
-    state = make_state(FamilySpec("uniform", 2))
-    with pytest.raises(MeasureError):
-        gowers_norm_direct(state, 4)
+    for d, n in [(0, 2), (4, 2), (3, 5)]:
+        state = make_state(FamilySpec("uniform", n))
+        with pytest.raises(MeasureError):
+            gowers_norm_direct(state, d)
 
 
 def test_gowers_multiplicative(t_state, t2_state):

@@ -1,13 +1,16 @@
 """Source checks that stand in for a linter: every name a package, script
 or test module imports is used somewhere in that module, every name a
 package module defines at top level, and every method of its classes, is
-used somewhere in the repository's code, and no package module draws
-through Generator.choice with weights."""
+used somewhere in the repository's code, no package module draws
+through Generator.choice with weights, and no cached result is writable."""
 
 import ast
+import importlib
+import inspect
 import pathlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -154,3 +157,46 @@ def test_benchmark_span_targets_are_package_functions():
         body = ast.parse((PACKAGE / f"{module}.py").read_text()).body
         functions = {stmt.name for stmt in body if isinstance(stmt, ast.FunctionDef)}
         assert fname in functions, f"{modname}.{fname}"
+
+
+def _cached_by_n() -> list:
+    """Every package function with a cache that takes only n."""
+    found = []
+    for path in SOURCES:
+        if path.stem != "__init__":
+            module = importlib.import_module(f"stab_lab.{path.stem}")
+            found += [
+                fn for fn in vars(module).values()
+                if hasattr(fn, "cache_info") and fn.__module__ == module.__name__
+                and list(inspect.signature(fn).parameters) == ["n"]
+            ]
+    return found
+
+
+def _writable(value) -> list:
+    """The writable arrays, lists and dicts in value and its nested tuples."""
+    if isinstance(value, tuple):
+        return [w for item in value for w in _writable(item)]
+    if isinstance(value, np.ndarray):
+        return [value] if value.flags.writeable else []
+    return [value] if isinstance(value, (list, dict)) else []
+
+
+@pytest.mark.parametrize("fn", _cached_by_n(), ids=lambda f: f.__qualname__)
+def test_cached_results_are_read_only(fn):
+    # every caller shares a cached result, so one that writes to it would
+    # change every later caller's answer
+    for n in (1, 2):
+        assert _writable(fn(n)) == [], f"{fn.__qualname__}({n})"
+
+
+def test_cached_results_cover_the_shared_tables():
+    names = {fn.__qualname__ for fn in _cached_by_n()}
+    assert {"_gate_codes", "stabilizer_unit_matrix", "_span_table"} <= names
+
+
+def test_writable_cached_result_is_reported():
+    frozen = np.zeros(1)
+    frozen.setflags(write=False)
+    found = _writable((np.zeros(2), (frozen, {1: 2}), [], "text"))
+    assert [type(v) for v in found] == [np.ndarray, dict, list]
