@@ -223,8 +223,8 @@ def _cmd_extract_stabilizer(config: ExperimentConfig, state):
             "which_part": trace.which_part,
             "balance_gates": [list(g) for g in trace.balance_circuit.gates],
             "stage_values": trace.stage_values,
-            "q_upper_rows": list(trace.q_poly.upper_rows),
-            "q_alpha": trace.q_poly.alpha,
+            "q_upper_rows": [r & ~((2 << i) - 1) for i, r in enumerate(trace.q_upper)],
+            "q_alpha": sum(r & 1 << i for i, r in enumerate(trace.q_upper)),
             "correlation": trace.correlation,
             "final_overlap": trace.final_overlap,
             "theoretical_floor_log10": trace.theoretical_floor_log10,

@@ -223,10 +223,17 @@ def random_real_clifford(
 class StabilizerState:
     """Canonical form over affine support offset + span(basis).
 
-    basis is the RREF basis of the direction space (decreasing order);
-    parameter y_i selects basis[i]. ell holds the i-phase linear form, q_upper
-    the upper-triangular (diagonal included) sign form, both over the m
-    parameter bits.
+    Parameter y_i selects basis[i]. ell holds the i-phase linear form and
+    q_upper the sign form, both over the m parameter bits: row i of q_upper
+    holds bits j >= i, and its diagonal bit is the linear sign part, since
+    y_i^2 = y_i. stabilizer_from_statevector returns the RREF basis of the
+    direction space (decreasing order) and the coset's least point as offset.
+
+    __post_init__ checks widths only: 0 <= offset < 2^n, each basis vector in
+    [1, 2^n), 0 <= ell < 2^m, and each q_upper row in [0, 2^m) and upper
+    triangular. It does not check that the basis is independent or in RREF,
+    nor that the offset is reduced against it, so forms built by hand may
+    differ from the decoder's for the same state.
     """
 
     n: int
@@ -236,12 +243,18 @@ class StabilizerState:
     q_upper: tuple[int, ...] = ()
 
     def __post_init__(self):
-        m = len(self.basis)
+        n, m = self.n, len(self.basis)
+        if not 0 <= self.offset < 1 << n:
+            raise ValueError(f"offset {self.offset} does not fit n = {n}")
+        if self.basis and not (0 < min(self.basis) and max(self.basis) < 1 << n):
+            raise ValueError(f"basis vectors must lie in [1, 2^{n})")
+        if not 0 <= self.ell < 1 << m:
+            raise ValueError(f"ell {self.ell} does not fit m = {m}")
         if len(self.q_upper) != m:
             raise ValueError("need one q_upper row per basis vector")
         for i, row in enumerate(self.q_upper):
-            if row & ((1 << i) - 1):
-                raise ValueError("q_upper rows must be upper triangular")
+            if not 0 <= row < 1 << m or row & ((1 << i) - 1):
+                raise ValueError(f"q_upper rows must be upper triangular in [0, 2^{m})")
 
     @property
     def m(self) -> int:

@@ -5,12 +5,15 @@ stabilizer state with provable overlap. The pipeline: take the dominant real
 part, flatten amplitudes with a real Clifford, read off an approximately
 linear structure in the characteristic table, round it to a symmetric
 zero-diagonal linear map, and lift that map to a full-support quadratic-phase
-stabilizer. A successful run has passed five stage laws, each checked by
-_at_least, and the two-sided fourth-moment identity of extract_quadratic, so
-it certifies its own overlap bound. With S(m) = sum_y t(y, m(y)), the laws
-are shift removal S(l) >= S(l + c), the quadratic law S(l') >= S(l)^2 / N,
-zero-diagonal monotonicity S(l'') >= S(l'), the correlation floor
-corr^2 >= S(l'') / (N E[g^2]) and the overlap floor overlap >= nu corr^2.
+stabilizer. The phase q has one form throughout, StabilizerState.q_upper's:
+upper-triangular rows whose diagonal carries the linear part (x_i^2 = x_i),
+evaluated by states.quadratic_parity. A successful run has passed five stage
+laws, each checked by _at_least, and the two-sided fourth-moment identity of
+extract_quadratic, so it certifies its own overlap bound. With
+S(m) = sum_y t(y, m(y)), the laws are shift removal S(l) >= S(l + c), the
+quadratic law S(l') >= S(l)^2 / N, zero-diagonal monotonicity S(l'') >= S(l'),
+the correlation floor corr^2 >= S(l'') / (N E[g^2]) and the overlap floor
+overlap >= nu corr^2.
 
 The approximately-linear structure is found by direct exhaustive search
 rather than by additive-combinatorics covering arguments, whose constants are
@@ -249,28 +252,6 @@ def zero_diagonal_map(l: LinMap, t: CharTable) -> tuple[LinMap, float]:
 # Quadratic phase extraction
 
 
-@dataclass(frozen=True, slots=True)
-class QuadraticPoly:
-    """q(x) = sum_{i<j} M_ij x_i x_j + <alpha, x> over F2, M strict upper."""
-
-    n: int
-    upper_rows: tuple[int, ...]  # row i holds bits j > i
-    alpha: int = 0
-
-    def __post_init__(self):
-        for i, row in enumerate(self.upper_rows):
-            if row & ((1 << (i + 1)) - 1):
-                raise ValueError("rows must be strictly upper triangular")
-
-    def values(self) -> np.ndarray:
-        """q(x) for all x, as a 0/1 array."""
-        x = np.arange(1 << self.n)
-        return dot_parity(x, self.alpha) ^ quadratic_parity(x, self.upper_rows)
-
-    def signs(self) -> np.ndarray:
-        return 1 - 2 * self.values()
-
-
 def _strict_upper_rows(l: LinMap) -> tuple[int, ...]:
     """Rows of the strict upper triangle of a symmetric l (row i = col i)."""
     return tuple(int(c & ~((1 << (i + 1)) - 1)) for i, c in enumerate(l.cols))
@@ -278,11 +259,13 @@ def _strict_upper_rows(l: LinMap) -> tuple[int, ...]:
 
 def extract_quadratic(
     g: np.ndarray, l: LinMap, t: CharTable
-) -> tuple[QuadraticPoly, float]:
+) -> tuple[tuple[int, ...], float]:
     """Best linear correction to the quadratic phase of a symmetric
     zero-diagonal map: with H(x) = (-1)^{sum_{i<j} l_ij x_i x_j}, pick alpha
-    maximizing |E[g H (-1)^{<alpha, x>}]|. Returns the full polynomial, alpha
-    included, and the achieved correlation.
+    maximizing |E[g H (-1)^{<alpha, x>}]|, the least such alpha on a tie.
+    Returns the phase q as upper-triangular rows in StabilizerState.q_upper's
+    convention, row i = the strict upper part of l's row i plus bit i of
+    alpha on the diagonal (x_i^2 = x_i), and the achieved correlation.
 
     The choice is certified by the exact fourth-moment identity
     sum_alpha (Hg-hat)(alpha)^4 = (1/N) sum_y t(y, l(y)), where t is the
@@ -297,8 +280,7 @@ def extract_quadratic(
         raise PipelineError("quadratic extraction needs a real function")
     g = g.real.astype(float)
     rows = _strict_upper_rows(l)
-    base = QuadraticPoly(l.n, rows, 0)
-    Hg = g * base.signs()
+    Hg = g * (1 - 2 * quadratic_parity(np.arange(t.N), rows))
     hat = walsh_hadamard(Hg).real
     alpha = int(np.argmax(np.abs(hat)))
     corr = float(abs(hat[alpha]))
@@ -311,7 +293,7 @@ def extract_quadratic(
         )
     energy = float(np.mean(g**2))
     _at_least(corr**2, graph_mass / energy, "correlation floor")
-    return QuadraticPoly(l.n, rows, alpha), corr
+    return tuple(r | (alpha & 1 << i) for i, r in enumerate(rows)), corr
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +311,7 @@ class PipelineTrace:
     # lands in the zero-diagonal class, so the four are equal; the paper's
     # affine stage is checked only by the test oracle.
     stage_values: dict
-    q_poly: QuadraticPoly
+    q_upper: tuple[int, ...]  # the lifted phase q, rows as in StabilizerState
     correlation: float
     final_overlap: float
     # Documentation only: the worst-case guarantee gamma^C2 / C1 from the
@@ -366,9 +348,10 @@ def extract_stabilizer(
     l0, val_linear = drop_shift(amap, t)
     ls, val_sym = symmetrize_map(l0, t)
     lz, val_zd = zero_diagonal_map(ls, t)
-    qpoly, corr = extract_quadratic(balanced.g, lz, t)
+    q_upper, corr = extract_quadratic(balanced.g, lz, t)
 
-    s_prime = StateVector(state.n, qpoly.signs().astype(complex))
+    signs = 1 - 2 * quadratic_parity(np.arange(state.N), q_upper)
+    s_prime = StateVector(state.n, signs.astype(complex))
     s_vec = apply_clifford(circuit.inverse(), s_prime)
     witness = stabilizer_from_statevector(s_vec)
     overlap = _at_least(s_vec.overlap_sq(state), nu * corr**2, "overlap floor")
@@ -384,7 +367,7 @@ def extract_stabilizer(
             "symmetric": val_sym,
             "zero_diagonal": val_zd,
         },
-        q_poly=qpoly,
+        q_upper=q_upper,
         correlation=corr,
         final_overlap=overlap,
         theoretical_floor_log10=_theoretical_floor_log10(gamma),

@@ -43,6 +43,7 @@ from stab_lab.states import (
     StateVector,
     haar_unit,
     make_state,
+    quadratic_parity,
     walsh_hadamard,
 )
 from stab_lab.tester import (
@@ -52,7 +53,7 @@ from stab_lab.tester import (
     rank_vs_haar_test,
     tolerant_test,
 )
-from stab_lab.witness import QuadraticPoly, extract_stabilizer, sample_zeta, split_real
+from stab_lab.witness import extract_stabilizer, sample_zeta, split_real
 
 TOL = 1e-9
 
@@ -272,8 +273,9 @@ def _all_quadratic_phase_states(n):
     def rec(i, rows):
         if i == n:
             for alpha in range(N):
-                q = QuadraticPoly(n, tuple(rows), alpha)
-                vec = (1.0 - 2.0 * q.values()) / math.sqrt(N)
+                q_upper = [r | (alpha & 1 << j) for j, r in enumerate(rows)]
+                q = quadratic_parity(np.arange(N), q_upper)
+                vec = (1.0 - 2.0 * q) / math.sqrt(N)
                 out.append(StateVector.from_unit(vec.astype(complex)))
             return
         for r in row_choices[i]:

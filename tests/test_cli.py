@@ -19,9 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stab_lab
-from stab_lab import charfn, cli, clifford, tester, witness
+from stab_lab import charfn, cli, clifford, measures, tester, witness
 from stab_lab.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
-from stab_lab.states import FamilySpec, dump_state_json, haar_unit, make_state
+from stab_lab.states import (
+    FamilySpec,
+    StateVector,
+    dot_parity,
+    dump_state_json,
+    haar_unit,
+    load_state_json,
+    make_state,
+    quadratic_parity,
+)
 
 
 def run(args):
@@ -152,6 +161,29 @@ def test_extract_stabilizer_trace(t_state_file, tmp_path):
     assert "map_search_exhaustive" not in trace
     assert trace["final_overlap"] == doc["overlap"]
     assert trace["theoretical_floor_log10"] < -1000
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("family", ["t_tensor", "haar", "counterexample"])
+def test_extract_stabilizer_artifact_rebuilds_its_witness(family, n, tmp_path):
+    """From the JSON alone: the signs rebuilt from q_upper_rows and q_alpha,
+    with balance_gates undone, decode to the reported witness and overlap."""
+    state = (measures.counterexample_state(n, 0) if family == "counterexample"
+             else make_state(FamilySpec(family, n, seed=n)))
+    path, out = tmp_path / "s.json", tmp_path / "x.json"
+    path.write_text(dump_state_json(state))
+    assert run(["extract-stabilizer", "--state", str(path), "--out", str(out)]) == EXIT_OK
+    doc = _read_json(out)
+    trace = doc["trace"]
+    x = np.arange(state.N)
+    q = quadratic_parity(x, trace["q_upper_rows"]) ^ dot_parity(x, trace["q_alpha"])
+    undo = clifford.CliffordCircuit(n, trace["balance_gates"]).inverse()
+    vec = clifford.apply_clifford(undo, StateVector(n, (1 - 2 * q).astype(complex)))
+    wit = clifford.stabilizer_from_statevector(vec)
+    assert wit == clifford.StabilizerState.from_json(json.dumps(doc["witness"]))
+    loaded = load_state_json(path.read_text())
+    overlap = clifford.stabilizer_to_statevector(wit).overlap_sq(loaded)
+    assert overlap == pytest.approx(doc["overlap"], rel=0, abs=1e-12)
 
 
 def test_stage_law_failure_exits_3_and_writes_nothing(monkeypatch, capsys, tmp_path):

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -558,6 +559,29 @@ def test_stabilizer_json_roundtrip():
     data = json.loads(s.to_json())
     assert data["n"] == 3
     assert data["offset"] == "101"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 5, ()), "offset 5 does not fit n = 1"),
+        ((1, -1, ()), "offset -1 does not fit n = 1"),
+        ((1, 0, (0,), 0, (0,)), "basis vectors must lie in [1, 2^1)"),
+        ((1, 0, (2,), 0, (0,)), "basis vectors must lie in [1, 2^1)"),
+        ((1, 0, (1,), 2, (0,)), "ell 2 does not fit m = 1"),
+        ((1, 0, (1,), 0, (0b10,)), "q_upper rows must be upper triangular in [0, 2^1)"),
+        ((2, 0, (1, 2), 0, (0, 0b01)),
+         "q_upper rows must be upper triangular in [0, 2^2)"),
+        ((2, 0, (1, 2), 0, (0,)), "need one q_upper row per basis vector"),
+    ],
+    ids=["offset_high", "offset_negative", "basis_zero", "basis_high", "ell_high",
+         "row_high", "row_lower", "row_count"],
+)
+def test_stabilizer_state_rejects_bits_outside_widths(args, message):
+    # a stray row bit would give one vector two forms, and an offset beyond n
+    # would index past the vector when it is built
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        StabilizerState(*args)
 
 
 def test_fourth_moment_extremes():

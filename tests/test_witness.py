@@ -15,10 +15,9 @@ from stab_lab.charfn import CharTable, char_function
 from stab_lab.clifford import balance, stabilizer_at, stabilizer_to_statevector
 from stab_lab.gf2 import AffineMap, LinMap, linmap_from_images, nullspace, span_points
 from stab_lab.measures import counterexample_state, stabilizer_fidelity
-from stab_lab.states import FamilySpec, StateVector, make_state
+from stab_lab.states import FamilySpec, StateVector, make_state, quadratic_parity
 from stab_lab.witness import (
     PipelineError,
-    QuadraticPoly,
     best_affine_map,
     drop_shift,
     extract_quadratic,
@@ -33,6 +32,11 @@ from stab_lab.witness import (
 
 def _quad_state(n, g_signs):
     return StateVector(n, np.asarray(g_signs, dtype=complex))
+
+
+def _signs(n, q_upper):
+    """(-1)^q(x) for every x, q in StabilizerState.q_upper's convention."""
+    return 1 - 2 * quadratic_parity(np.arange(1 << n), q_upper)
 
 
 XOR_STATE = _quad_state(2, [1, 1, 1, -1])  # phase x1*x2
@@ -586,28 +590,35 @@ def test_stage_law_failure_names_the_law(stage, args, law):
 def test_extract_quadratic_exact_phase():
     l = LinMap(2, (0b10, 0b01))
     t = char_function(XOR_STATE)
-    qpoly, corr = extract_quadratic(XOR_STATE.g, l, t)
+    q_upper, corr = extract_quadratic(XOR_STATE.g, l, t)
     assert np.isclose(corr, 1.0)
-    assert qpoly.alpha == 0
-    assert np.allclose(qpoly.signs(), XOR_STATE.g.real)
+    assert q_upper == (0b10, 0)
+    assert np.allclose(_signs(2, q_upper), XOR_STATE.g.real)
 
 
 def test_extract_quadratic_trivial():
     g = np.ones(4)
     t = char_function(_quad_state(2, g))
-    qpoly, corr = extract_quadratic(g, LinMap.zero(2), t)
+    q_upper, corr = extract_quadratic(g, LinMap.zero(2), t)
     assert np.isclose(corr, 1.0)
-    assert qpoly.alpha == 0
-    assert qpoly.values().sum() == 0
+    assert q_upper == (0, 0)
 
 
 def test_extract_quadratic_t_real_part(t_state):
     tilde, _, _ = split_real(t_state)
     t = char_function(tilde)
-    qpoly, corr = extract_quadratic(tilde.g, LinMap.zero(1), t)
+    q_upper, corr = extract_quadratic(tilde.g, LinMap.zero(1), t)
     expected = (2 / math.sqrt(3) + math.sqrt(2 / 3)) / 2
     assert np.isclose(corr, expected, atol=1e-9)
-    assert qpoly.alpha == 0
+    assert q_upper == (0,)
+
+
+def test_extract_quadratic_tie_takes_least_alpha():
+    # |0> has |ghat(0)| = |ghat(1)|: both linear phases correlate equally
+    zero = make_state(FamilySpec("basis", 1, x0=0))
+    q_upper, corr = extract_quadratic(zero.g, LinMap.zero(1), char_function(zero))
+    assert q_upper == (0,)
+    assert np.isclose(corr, math.sqrt(2) / 2)
 
 
 def test_extract_quadratic_validation():
@@ -623,21 +634,18 @@ def test_extract_quadratic_validation():
         extract_quadratic(np.ones(4), LinMap.zero(2), CharTable(1, np.ones((2, 2))))
 
 
-def test_quadratic_poly_cocycle():
-    # q(x+y) + q(x) + q(y) = <y, M x> for the strict-upper polynomial
-    qpoly = QuadraticPoly(3, (0b110, 0b100, 0), alpha=0)
-    m = LinMap(3, (0b110, 0b101, 0b011))  # symmetric closure of the rows
-    vals = qpoly.values()
+@pytest.mark.parametrize(
+    "rows", [(0b110, 0b100, 0), (0b111, 0b100, 0b100)], ids=["strict", "diagonal"]
+)
+def test_quadratic_poly_cocycle(rows):
+    # q(x+y) + q(x) + q(y) = <y, M x>; a diagonal (linear) part cancels
+    m = LinMap(3, (0b110, 0b101, 0b011))  # symmetric closure of the strict rows
+    vals = quadratic_parity(np.arange(8), rows)
     for x in range(8):
         for y in range(8):
             lhs = vals[x ^ y] ^ vals[x] ^ vals[y]
             rhs = bin(y & m(x)).count("1") & 1
             assert lhs == rhs
-
-
-def test_quadratic_poly_validation():
-    with pytest.raises(ValueError):
-        QuadraticPoly(2, (0b01, 0))  # not strictly upper triangular
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +671,7 @@ def test_pipeline_recovers_quadratic_phase_states(n):
 def test_pipeline_exact_on_explicit_quadratics():
     cases = [
         _quad_state(2, [1, 1, 1, -1]),
-        _quad_state(3, QuadraticPoly(3, (0b110, 0b100, 0), 0b101).signs()),
+        _quad_state(3, _signs(3, (0b111, 0b100, 0b100))),
         make_state(FamilySpec("uniform", 3)),
     ]
     # seeded real quadratic phases at n = 5, 6, where the map search is the
@@ -671,10 +679,11 @@ def test_pipeline_exact_on_explicit_quadratics():
     for n in (5, 6):
         rng = np.random.default_rng(n)
         for _ in range(30):
-            rows = [int(r) >> (i + 1) << (i + 1)
-                    for i, r in enumerate(rng.integers(0, 1 << n, size=n))]
-            qpoly = QuadraticPoly(n, tuple(rows), int(rng.integers(0, 1 << n)))
-            cases.append(_quad_state(n, qpoly.signs()))
+            strict = [int(r) >> (i + 1) << (i + 1)
+                      for i, r in enumerate(rng.integers(0, 1 << n, size=n))]
+            alpha = int(rng.integers(0, 1 << n))
+            rows = [r | (alpha & 1 << i) for i, r in enumerate(strict)]
+            cases.append(_quad_state(n, _signs(n, rows)))
     for state in cases:
         wit, overlap, trace = extract_stabilizer(state, seed=0)
         assert np.isclose(overlap, 1.0, atol=1e-9)
