@@ -19,6 +19,14 @@ parent's interquartile spread) and whether the change stays within the
 metric's bound (its median no worse than the parent's by more than that
 fraction). It also says whether the output digests agree and how many items
 failed. Each run's metrics go to stderr as it ends.
+
+The benchmark holds every pass's outputs until a run ends, so a side that
+makes more passes in the same run time reads a higher peak_rss_mb for that
+alone. The script reads each run's pass count from its details line, prints
+each side's median, and fits peak_rss_mb against passes over all the runs:
+the slope is the memory held per pass, in KB (peak_rss_mb is ru_maxrss /
+1024), and slope times the difference of the median pass counts is the part
+of the change in peak_rss_mb that the extra passes explain.
 """
 
 import argparse
@@ -79,6 +87,31 @@ def format_summary(rows):
     return "\n".join(lines)
 
 
+def held_outputs(passes, rss_mb):
+    """From per-side lists of pass counts and of peak_rss_mb ({"parent": [...],
+    "change": [...]}, one entry per run): each side's median passes, the
+    least-squares slope of peak_rss_mb against passes over all runs in KB a
+    pass (None when every run made as many passes), and the MB that slope
+    gives the change's extra median passes."""
+    medians = {side: statistics.median(v) for side, v in passes.items()}
+    x = passes["parent"] + passes["change"]
+    y = rss_mb["parent"] + rss_mb["change"]
+    if len(set(x)) < 2:
+        return medians, None, None
+    slope = statistics.linear_regression(x, y).slope  # MB a pass
+    return medians, slope * 1024, slope * (medians["change"] - medians["parent"])
+
+
+def format_held_outputs(medians, kb_per_pass, extra_mb):
+    line = f"passes: parent median {medians['parent']:g}, change median {medians['change']:g}"
+    if kb_per_pass is None:
+        return line + "; peak_rss_mb not fitted: every run made as many passes"
+    return (
+        f"{line}\npeak_rss_mb against passes over all runs: {kb_per_pass:.1f} KB a pass;"
+        f" the change's extra passes account for {extra_mb:+.2f} MB"
+    )
+
+
 def _run(tree, workload, seed, seconds):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -92,7 +125,7 @@ def _run(tree, workload, seed, seconds):
         sys.exit(f"perfbench/run.py failed in {tree}:\n{proc.stderr}")
     details, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
     values = {k: m["value"] for k, m in result["metrics"].items()}
-    return values, details["digest"], result["failed"]
+    return values, details["digest"], result["failed"], details["passes"]
 
 
 def main(argv=None):
@@ -113,20 +146,25 @@ def main(argv=None):
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     trees = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}
+    passes = {"parent": [], "change": []}
     digests = set()
     failed = {"parent": 0, "change": 0}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            values, digest, fails = _run(
+            values, digest, fails, count = _run(
                 trees[side], args.workload, args.seed, bench["run_seconds"]
             )
             runs[side].append(values)
+            passes[side].append(count)
             digests.add(digest)
             failed[side] += fails
-            print(f"pair {i + 1} {side}: {json.dumps(values)}", file=sys.stderr, flush=True)
+            print(f"pair {i + 1} {side}: {json.dumps(values)} passes {count}",
+                  file=sys.stderr, flush=True)
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {bench['run_seconds']} s")
     print(format_summary(summarize(bench["end_to_end"], runs["parent"], runs["change"])))
+    rss = {side: [run["peak_rss_mb"] for run in v] for side, v in runs.items()}
+    print(format_held_outputs(*held_outputs(passes, rss)))
     print(f"digests {'equal' if len(digests) == 1 else 'DIFFER'}; failed items: "
           f"parent {failed['parent']}, change {failed['change']}")
     return 0

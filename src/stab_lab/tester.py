@@ -5,7 +5,10 @@ distinguisher.
 Shots are simulated at the distribution level: the outcome z is drawn from
 the exact difference distribution q = f*f and the agreement bit from
 Bernoulli((1 + f(z))/2). A run of shots is two arrays, the int64 outcomes z
-and the bool agreement bits, and R-hat is a count over the second. The z-law
+and the bool agreement bits, and R-hat is a count over the second. The shot
+step (_shots) takes a state's table and law; bell_difference_sample builds
+them for one state, and calibrate for a whole corpus through charfn's batch
+kernels, a chunk of states at a time, after drawing the corpus. The z-law
 is that of the physical 4-copy Bell measurement for every state, complex
 amplitudes included (Gross-Nezami-Walter, arXiv:1712.08628). A full 4-copy
 simulator (n <= 6) cross-checks it: the two laws agree to rounding (the
@@ -37,11 +40,18 @@ from typing import Optional
 
 import numpy as np
 
-from .charfn import bell_diff_distribution, char_function
+from .charfn import (
+    bell_diff_distribution,
+    char_function,
+    char_tables,
+    chunk_states,
+    diff_laws,
+)
 from .states import MAX_QUBITS, StateVector, convolve, fwht, haar_unit
 
 
 MAX_SHOTS = 10_000_000
+MAX_CORPUS = 10_000  # states per class of a calibrate corpus
 _CHUNK = 1 << 16  # shots per guide lookup in _draw
 
 
@@ -58,18 +68,30 @@ class TestDecision:
     seed: int
 
 
+def _check_shots(shots: int) -> None:
+    if not 1 <= shots <= MAX_SHOTS:
+        raise TesterError(f"shots must be in [1, {MAX_SHOTS}]")
+
+
 def bell_difference_sample(
     state: StateVector, shots: int, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw i.i.d. outcomes z ~ q and agreement bits ~ Bernoulli((1+f(z))/2);
     returns (z, same) as int64 and bool arrays of length shots."""
-    if not 1 <= shots <= MAX_SHOTS:
-        raise TesterError(f"shots must be in [1, {MAX_SHOTS}]")
+    _check_shots(shots)
     t = char_function(state.normalized())
-    q = bell_diff_distribution(t)
+    return _shots(t.flat(), bell_diff_distribution(t), shots, seed)
+
+
+def _shots(
+    f: np.ndarray, q: np.ndarray, shots: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The shot step of one state, given its flat table f and its law q:
+    outcomes z ~ q, then agreement bits ~ Bernoulli((1+f(z))/2), both from
+    one generator seeded by seed."""
     rng = np.random.default_rng(seed)
     zs = _draw(rng, q / q.sum(), shots)
-    f_at = t.flat()[zs]
+    f_at = f[zs]
     f_at += 1.0  # in place: the same two roundings as 0.5 * (1.0 + f_at)
     f_at *= 0.5
     same = rng.random(shots) < f_at
@@ -116,8 +138,11 @@ def _draw(rng: np.random.Generator, probs: np.ndarray, shots: int) -> np.ndarray
 def estimate_R(state: StateVector, shots: int, seed: int = 0) -> float:
     """R-hat = 2 * (fraction of agreement bits) - 1; unbiased for
     sum_z q(z) f(z) with standard error at most 1/sqrt(shots)."""
-    _, same = bell_difference_sample(state, shots, seed)
-    return 2.0 * int(np.count_nonzero(same)) / shots - 1.0
+    return _r_hat(bell_difference_sample(state, shots, seed)[1])
+
+
+def _r_hat(same: np.ndarray) -> float:
+    return 2.0 * int(np.count_nonzero(same)) / len(same) - 1.0
 
 
 def _decide(state: StateVector, tau: float, shots: int, seed: int) -> TestDecision:
@@ -176,23 +201,39 @@ def calibrate(
     shots: int = 10_000,
 ) -> dict:
     """Empirical threshold for rank<=k vs Haar at size n: the midpoint of the
-    class medians of R-hat over seeded corpora. The sizes and shots are
-    checked before the stabilizer table is looked up."""
+    class medians of R-hat over seeded corpora.
+
+    n, k, corpus_size (at most MAX_CORPUS) and shots are checked before
+    anything is drawn or the stabilizer table is looked up. The whole corpus
+    and each state's shot seed are drawn first, in the order of a per-state
+    loop: for each i a rank-k state, its seed, a Haar state, its seed. Their
+    tables and laws are then built a chunk of charfn.chunk_states(n) states
+    at a time, and each state of a chunk runs bell_difference_sample's shot
+    step. Every R-hat is the same bits as estimate_R on that state and seed.
+    """
     if min(n, k, corpus_size) < 1:
         raise TesterError("calibrate needs n, k and corpus_size of at least 1")
-    if not 1 <= shots <= MAX_SHOTS:
-        raise TesterError(f"shots must be in [1, {MAX_SHOTS}]")
+    if corpus_size > MAX_CORPUS:
+        raise TesterError(f"corpus_size must be at most {MAX_CORPUS}")
+    _check_shots(shots)
     from .measures import random_low_rank_state
 
     rng = np.random.default_rng(seed)
-    low, haar = [], []
-    for i in range(corpus_size):
-        ls = random_low_rank_state(n, k, rng)
-        low.append(estimate_R(ls, shots, seed=int(rng.integers(0, 2**63))))
-        hs = StateVector.from_unit(haar_unit(n, rng))
-        haar.append(estimate_R(hs, shots, seed=int(rng.integers(0, 2**63))))
-    med_low = float(np.median(low))
-    med_haar = float(np.median(haar))
+    amps, seeds = [], []
+    for _ in range(corpus_size):
+        amps.append(random_low_rank_state(n, k, rng).normalized().g)
+        seeds.append(int(rng.integers(0, 2**63)))
+        amps.append(StateVector.from_unit(haar_unit(n, rng)).normalized().g)
+        seeds.append(int(rng.integers(0, 2**63)))
+    g = np.array(amps)
+    r_hat = []
+    step = chunk_states(n)
+    for at in range(0, len(g), step):
+        f = char_tables(g[at : at + step]).reshape(-1, 4**n)
+        for fb, qb, sb in zip(f, diff_laws(f), seeds[at : at + step]):
+            r_hat.append(_r_hat(_shots(fb, qb, shots, sb)[1]))
+    med_low = float(np.median(r_hat[0::2]))
+    med_haar = float(np.median(r_hat[1::2]))
     return {
         "n": n,
         "k": k,

@@ -13,8 +13,11 @@ from conftest import random_real_states, random_states
 from stab_lab.charfn import (
     bell_diff_distribution,
     char_function,
+    char_tables,
+    chunk_states,
     exact_R,
     symplectic_fourier,
+    table_R,
 )
 from stab_lab.clifford import (
     apply_clifford,
@@ -103,7 +106,7 @@ def _check_identities(state, xor_cache, rng):
     lhs = flat @ (flat[xor_cache[M]] @ flat) / N**2
     assert abs(lhs - (flat**3).sum() / N) < TOL
     # self-duality under the symplectic Fourier transform
-    assert np.abs(symplectic_fourier(t).f - t.f).max() < TOL
+    assert np.abs(symplectic_fourier(t.f) - t.f).max() < TOL
     # subspace sums dominate every coset shift
     for _ in range(3):
         V = Subspace.from_vectors(2 * n, [int(v) for v in rng.integers(0, M, 3)])
@@ -126,18 +129,21 @@ def test_criterion_01_identity_suite():
     rng = np.random.default_rng(0)
     for state in _mixed_corpus(per_n=25, seed=0):
         _check_identities(state, xor_cache, rng)
+    # Every stabilizer table at n <= 4 (37,866 of them), through the batch
+    # kernels a chunk at a time. The triple sum is table_R, the XOR
+    # self-convolution q = f*f against f, which the gather form above checks
+    # on the mixed corpus.
     for n in range(1, 5):
-        for g in stabilizer_vectors(enumerate_stabilizers(n)):
-            t = char_function(StateVector(n, g))
-            flat = t.flat()
-            M = len(flat)
-            assert abs(flat.sum() / t.N - 1.0) < TOL
-            if M not in xor_cache:
-                idx = np.arange(M)
-                xor_cache[M] = idx[:, None] ^ idx[None, :]
-            lhs = flat @ (flat[xor_cache[M]] @ flat) / t.N**2
-            assert abs(lhs - (flat**3).sum() / t.N) < TOL
-            assert np.abs(symplectic_fourier(t).f - t.f).max() < TOL
+        N = 1 << n
+        g = stabilizer_vectors(enumerate_stabilizers(n))
+        step = chunk_states(n)
+        for at in range(0, len(g), step):
+            f = char_tables(g[at : at + step])
+            flat = f.reshape(len(f), -1)
+            assert np.abs(flat.sum(axis=1) / N - 1.0).max() < TOL
+            lhs = table_R(flat)
+            assert np.abs(lhs - (flat**3).sum(axis=1) / N).max() < TOL
+            assert np.abs(symplectic_fourier(f) - f).max() < TOL
     # character-sum lemma over subspaces of the doubled space
     for n in (1, 2, 3):
         M = 1 << (2 * n)

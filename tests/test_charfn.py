@@ -1,22 +1,31 @@
 """Characteristic tables, their exact identities, and the Bell difference
 distribution, each checked against independent brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_real_states, random_states
+from stab_lab import charfn
 from stab_lab.charfn import (
     CharTable,
     TableError,
     bell_diff_distribution,
     char_function,
     char_table_csv,
+    char_tables,
+    chunk_states,
+    diff_laws,
     exact_R,
     symplectic_fourier,
+    table_R,
 )
 from stab_lab.clifford import enumerate_stabilizers, stabilizer_to_statevector
 from stab_lab.gf2 import Subspace, dot, perp
-from stab_lab.measures import gowers3
+from stab_lab.measures import gowers3, table_gowers3
 from stab_lab.states import FamilySpec, StateFormatError, StateVector, fwht, make_state
 
 
@@ -77,21 +86,21 @@ def test_symplectic_fourier_self_dual_on_char_tables():
     for n in (1, 2, 3):
         for state in random_states(n, 2, seed=10 + n):
             t = char_function(state)
-            assert np.abs(symplectic_fourier(t).f - t.f).max() < 1e-10
+            assert np.abs(symplectic_fourier(t.f) - t.f).max() < 1e-10
 
 
 def test_symplectic_fourier_matches_definition():
     # generic (non-characteristic) tables transform nontrivially but exactly
     rng = np.random.default_rng(0)
-    t = CharTable(1, rng.random((2, 2)))
-    out = symplectic_fourier(t)
+    f = rng.random((2, 2))
+    out = symplectic_fourier(f).reshape(-1)
     from stab_lab.gf2 import symplectic_form
 
     for z in range(4):
         direct = sum(
-            (-1) ** symplectic_form(1, z, zp) * t.flat()[zp] for zp in range(4)
+            (-1) ** symplectic_form(1, z, zp) * f.flat[zp] for zp in range(4)
         ) / 2
-        assert np.isclose(out.flat()[z], direct)
+        assert np.isclose(out[z], direct)
 
 
 def test_stabilizer_table_is_lagrangian_indicator():
@@ -129,7 +138,7 @@ def test_real_tables_take_the_real_transform_path():
         q = bell_diff_distribution(t)
         assert q.dtype == np.float64 and np.array_equal(q, q_complex)
         f_complex = fwht(fwht(t.f.astype(complex), axis=0), axis=1).real.T / t.N
-        f = symplectic_fourier(t).f
+        f = symplectic_fourier(t.f)
         assert f.dtype == np.float64 and np.array_equal(f, f_complex)
 
 
@@ -191,3 +200,65 @@ def test_csv_rendering():
     assert lines[0] == "y_bits,alpha_bits,f_value"
     assert len(lines) == 5
     assert lines[1].startswith("0,0,")
+
+
+def _per_state(g):
+    """One state's table, law, gowers3 and R by the per-state expressions
+    that the batch kernels replaced: the oracle of the batched values."""
+    N = len(g)
+    idx = np.arange(N)
+    deriv = g[None, :] * np.conj(g[idx[:, None] ^ idx[None, :]])
+    f = np.abs(fwht(deriv, axis=1) / N) ** 2
+    flat = f.reshape(-1)
+    hat = fwht(flat)
+    q = np.maximum(fwht(hat * hat) / len(flat) ** 2, 0.0)
+    return f, q, float(np.sum(f**2) / N), float(np.dot(q, flat))
+
+
+def _kind_state(kind, n, seed):
+    if kind == "haar":
+        return random_states(n, 1, seed=seed)[0]
+    if kind == "real":
+        return random_real_states(n, 1, seed=seed)[0]
+    return make_state(FamilySpec(kind, n, x0=seed % (1 << n)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 6),
+    kinds=st.lists(st.sampled_from(["haar", "real", "basis", "t_tensor"]), min_size=1, max_size=6),
+    seed=st.integers(0, 2**16),
+    cap=st.sampled_from([1, 1 << 30]),
+)
+def test_batched_kernels_equal_per_state_values(n, kinds, seed, cap):
+    # cap 1 makes every state its own chunk; 2^30 puts the batch in one
+    states = [_kind_state(kind, n, seed + i) for i, kind in enumerate(kinds)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charfn, "_CHUNK_BYTES", cap)
+        f = char_tables(np.array([state.g for state in states]))
+        flat = f.reshape(len(f), -1)
+        q, r, g3, sf = diff_laws(flat), table_R(flat), table_gowers3(f), symplectic_fourier(f)
+    for b, state in enumerate(states):
+        f1, q1, g31, r1 = _per_state(state.g)
+        t = char_function(state)
+        assert f[b].tobytes() == f1.tobytes() == t.f.tobytes()
+        assert q[b].tobytes() == q1.tobytes() == bell_diff_distribution(t).tobytes()
+        assert float(g3[b]).hex() == g31.hex() == gowers3(state).hex()
+        assert float(r[b]).hex() == r1.hex() == exact_R(state).hex()
+        sf1 = fwht(fwht(f1, axis=0), axis=1).T / state.N
+        assert sf[b].tobytes() == sf1.tobytes() == symplectic_fourier(t.f).tobytes()
+
+
+def test_char_tables_memory_stays_per_chunk():
+    # 32 chunks at n = 4: past the output, the peak holds one chunk's
+    # temporaries (the derivative array and the transform's two buffers),
+    # not the 24 MiB of the whole batch's
+    g = np.array([state.g for state in random_states(4, 32 * chunk_states(4), seed=9)])
+    char_tables(g[:1])  # the cached XOR index
+    tracemalloc.start()
+    try:
+        f = char_tables(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - f.nbytes <= 4 * charfn._CHUNK_BYTES

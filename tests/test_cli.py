@@ -637,6 +637,7 @@ def test_artifacts_follow_umask(tmp_path):
         ["bell-sim", "--family", "haar", "--n", "2", "--shots", "10000001"],
         ["calibrate", "--n", "2", "--k", "0", "--corpus-size", "2"],
         ["calibrate", "--n", "2", "--k", "1", "--corpus-size", "0"],
+        ["calibrate", "--n", "2", "--k", "1", "--corpus-size", "1000000000"],
         ["relations", "--seed", "-1"],
         ["tolerant-test", "--family", "haar", "--n", "2", "--eps1", "0.9",
          "--eps2", "0.3", "--threshold", "nan"],

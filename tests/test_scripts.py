@@ -95,6 +95,19 @@ def test_bench_pairs_summary_on_synthetic_runs():
     assert rows[0]["wins"] == 8 and not rows[0]["claim_holds"]
     text = bench.format_summary(rows)
     assert "items_per_s" in text and " 8/10" in text
+    # held outputs: peak_rss_mb = 60 + 0.024 passes over every run, so the
+    # fit reads 0.024 * 1024 KB a pass and 50 extra passes 1.2 MB
+    passes = {"parent": [300 + 2 * i for i in range(10)], "change": [350 + 2 * i for i in range(10)]}
+    rss = {side: [60 + 0.024 * p for p in v] for side, v in passes.items()}
+    medians, kb, extra = bench.held_outputs(passes, rss)
+    assert medians == {"parent": 309, "change": 359}
+    assert kb == pytest.approx(24.576) and extra == pytest.approx(1.2)
+    text = bench.format_held_outputs(medians, kb, extra)
+    assert "parent median 309, change median 359" in text
+    assert "24.6 KB a pass" in text and "+1.20 MB" in text
+    same = {side: [300] * 10 for side in passes}
+    medians, kb, extra = bench.held_outputs(same, rss)
+    assert kb is None and "not fitted" in bench.format_held_outputs(medians, kb, extra)
 
 
 def test_bench_pairs_refuses_bytecode(tmp_path):

@@ -192,7 +192,7 @@ def test_cached_results_are_read_only(fn):
 
 def test_cached_results_cover_the_shared_tables():
     names = {fn.__qualname__ for fn in _cached_by_n()}
-    assert {"_gate_codes", "stabilizer_unit_matrix", "_span_table"} <= names
+    assert {"_gate_codes", "stabilizer_unit_matrix", "_span_table", "_xor_index"} <= names
 
 
 def test_writable_cached_result_is_reported():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_real_states, random_states
-from stab_lab import cli
+from stab_lab import charfn, cli
 from stab_lab.charfn import bell_diff_distribution, char_function, exact_R
 from stab_lab.clifford import (
     enumerate_stabilizers,
@@ -29,6 +29,7 @@ from stab_lab.states import (
 )
 from stab_lab.tester import (
     _CHUNK,
+    MAX_CORPUS,
     MAX_SHOTS,
     TesterError,
     _draw,
@@ -245,6 +246,8 @@ def test_tolerant_test_validation(t_state):
         bell_difference_sample(t_state, shots=0)
     with pytest.raises(TesterError):
         bell_difference_sample(t_state, shots=MAX_SHOTS + 1)
+    with pytest.raises(TesterError, match=f"corpus_size must be at most {MAX_CORPUS}"):
+        calibrate(2, 1, corpus_size=MAX_CORPUS + 1)
     for probs in ([np.nan, 1.0], [np.inf, 1.0], np.zeros(4)):
         with pytest.raises(TesterError, match="not finite and positive"):
             _draw(np.random.default_rng(0), np.asarray(probs), 10)
@@ -275,6 +278,39 @@ def test_rank_vs_haar_decisions():
     haar = StateVector.from_unit(haar_unit(3, rng))
     far = rank_vs_haar_test(haar, k=1, shots=2000, seed=1, thresholds=thresholds)
     assert far.verdict == "far"
+
+
+def _calibrate_per_state(n, k, seed, corpus_size, shots):
+    """calibrate as the loop it replaced, one estimate_R call per state: the
+    oracle of the batched corpus."""
+    rng = np.random.default_rng(seed)
+    low, haar = [], []
+    for _ in range(corpus_size):
+        ls = random_low_rank_state(n, k, rng)
+        low.append(estimate_R(ls, shots, seed=int(rng.integers(0, 2**63))))
+        hs = StateVector.from_unit(haar_unit(n, rng))
+        haar.append(estimate_R(hs, shots, seed=int(rng.integers(0, 2**63))))
+    med_low, med_haar = float(np.median(low)), float(np.median(haar))
+    return {
+        "n": n, "k": k, "seed": seed, "corpus_size": corpus_size, "shots": shots,
+        "median_low_rank": med_low, "median_haar": med_haar,
+        "threshold": 0.5 * (med_low + med_haar),
+    }
+
+
+def _hex(entry):
+    return {key: v.hex() if isinstance(v, float) else v for key, v in entry.items()}
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (4, 2)])
+@pytest.mark.parametrize("cap", [1, None, 1 << 30])
+def test_calibrate_equals_the_per_state_loop(n, k, cap, monkeypatch):
+    # cap 1 gives every state its own chunk, and 2^30 one chunk for all
+    if cap is not None:
+        monkeypatch.setattr(charfn, "_CHUNK_BYTES", cap)
+    for seed in range(3):
+        args = dict(n=n, k=k, seed=seed, corpus_size=9 + seed, shots=300 + 11 * seed)
+        assert _hex(calibrate(**args)) == _hex(_calibrate_per_state(**args))
 
 
 def test_calibrate_is_deterministic_and_separating():
@@ -383,6 +419,8 @@ def test_calibrate_checks_shots_before_the_table(capsys):
     for shots in (0, -5, MAX_SHOTS + 1):
         with pytest.raises(TesterError, match=r"shots must be in \[1, 10000000\]"):
             calibrate(4, 2, shots=shots)
+    with pytest.raises(TesterError, match="corpus_size must be at most 10000"):
+        calibrate(4, 2, corpus_size=10**9)
     assert cli.main(["calibrate", "--n", "4", "--k", "2", "--shots", "0"]) == cli.EXIT_USAGE
     assert "shots must be in [1, 10000000]" in capsys.readouterr().err
     assert stabilizer_unit_matrix.cache_info() == before
