@@ -48,17 +48,15 @@ MAX_CIRCUIT_QUBITS = 15  # n^2 + 2n gate codes fit in one byte
 
 
 @functools.lru_cache(maxsize=None)
-def _gate_codes(n: int) -> tuple[tuple[tuple, ...], MappingProxyType, np.ndarray]:
+def _gate_codes(n: int) -> tuple[tuple[tuple, ...], MappingProxyType]:
     """The n-qubit gate table in code order, H_i, Z_i, S_i, then CNOT_ij for
-    i != j; its inverse {gate: code}; and the codes of the real gates, in
-    table order, as uint8. Every caller shares them, so none is writable."""
+    i != j, and its inverse {gate: code}. Every caller shares them, so
+    neither is writable."""
     if not 0 <= n <= MAX_CIRCUIT_QUBITS:
         raise GateError(f"circuits are capped at n = {MAX_CIRCUIT_QUBITS}, got {n}")
     table = [(name, i) for name in ("H", "Z", "S") for i in range(n)]
     table += [("CNOT", i, j) for i in range(n) for j in range(n) if i != j]
-    real = np.array([k for k, gate in enumerate(table) if gate[0] != "S"], np.uint8)
-    real.setflags(write=False)
-    return tuple(table), MappingProxyType({g: k for k, g in enumerate(table)}), real
+    return tuple(table), MappingProxyType({g: k for k, g in enumerate(table)})
 
 
 @functools.lru_cache(maxsize=None)
@@ -80,7 +78,7 @@ class CliffordCircuit:
     word: bytes
 
     def __init__(self, n: int, gates=()):
-        _, codes, _ = _gate_codes(n)
+        codes = _gate_codes(n)[1]
         word = bytearray()
         for gate in gates:
             code = codes.get(tuple(gate))
@@ -198,25 +196,136 @@ def weyl_expectation(state: StateVector, z: int) -> complex:
     return complex(np.mean(np.conj(state.g) * shifted))
 
 
-def random_real_clifford(
-    n: int, depth: int | None = None, seed: int = 0
-) -> CliffordCircuit:
-    """Seeded random word over {H, Z, CNOT}; depth defaults to 40 n^2.
-    Criterion 9 checks that at n = 2, 3, 4 the mean of sum_x (C psi)(x)^4
-    over seeds 0..1999 is within three standard errors of 3 / (N + 2), its
-    value over the whole real Clifford group (an orthogonal 2-design). The
-    draw is not uniform at n = 1: H and Z have determinant -1 and the
-    default depth is even, so it reaches only the 4 elements of determinant
-    +1 (modulo sign) of the group's 8."""
+def _ones(bits: int) -> list[int]:
+    """The indices of the set bits of bits, in increasing order."""
+    out = []
+    while bits:
+        out.append((bits & -bits).bit_length() - 1)
+        bits &= bits - 1
+    return out
+
+
+def _sweep(n: int, k: int, v: int, w: int) -> bytes:
+    """An H/CNOT word on qubits k..n-1 whose conjugation takes the Paulis v
+    and w to X_k and Z_k, up to sign. v and w are symplectic points
+    (y << n | alpha) on those qubits, Q-singular (<y, alpha> = 0) and
+    paired (<v, w> = 1). Conjugation by H_i swaps bit i of y and alpha, and
+    by CNOT_ct adds y_c to y_t and alpha_t to alpha_c; both keep Q and the
+    pairing. The word has at most two H gates.
+
+    v: its Y's, an even number, go in pairs Y_a Y_b -> X_a Z_b (CNOT_ab);
+    its Z's gather on one qubit, which H turns to X; its X's gather on k.
+    w, followed through those gates, now has alpha_k = 1: CNOT_ik turns
+    each other Y_i to X_i, those X's gather on one qubit, which H turns to
+    Z, and CNOT_ik clears each Z_i. What is left of y_k is Q(w) = 0."""
+    table, codes = _gate_codes(n)
+    mask = (1 << n) - 1
+    word = []
+
+    def cnot(c, t):
+        word.append(codes[("CNOT", c, t)])
+
+    y, alpha = v >> n, v & mask
+    ys = _ones(y & alpha)
+    for a, b in zip(ys[::2], ys[1::2]):
+        cnot(a, b)
+        y ^= 1 << b
+        alpha ^= 1 << a
+    zs = _ones(alpha)
+    for i in zs[1:]:
+        cnot(i, zs[0])
+    if zs:
+        word.append(codes[("H", zs[0])])
+        y |= 1 << zs[0]
+    xs = _ones(y)
+    if xs[0] != k:
+        cnot(xs[0], k)
+    for i in xs:
+        if i != k:
+            cnot(k, i)
+    y, alpha = w >> n, w & mask
+    for gate in map(table.__getitem__, word):
+        if gate[0] == "H":
+            if (y ^ alpha) >> gate[1] & 1:
+                y ^= 1 << gate[1]
+                alpha ^= 1 << gate[1]
+        else:
+            y ^= (y >> gate[1] & 1) << gate[2]
+            alpha ^= (alpha >> gate[2] & 1) << gate[1]
+    others = mask ^ (1 << k)
+    for i in _ones(y & alpha & others):
+        cnot(i, k)
+    alpha &= ~y
+    xs = _ones(y & others)
+    for i in xs[1:]:
+        cnot(xs[0], i)
+    if xs:
+        word.append(codes[("H", xs[0])])
+        alpha |= 1 << xs[0]
+    for i in _ones(alpha & others):
+        cnot(i, k)
+    return bytes(word)
+
+
+def _real_clifford_word(n: int, pairs, frame: int) -> CliffordCircuit:
+    """The word of one leaf of random_real_clifford's choice tree: pairs[k]
+    = (v, w), the points that the step at qubit k takes to (X_k, Z_k), and
+    the frame (y << n | alpha), the Pauli X^y Z^alpha. The steps are undone
+    deepest first, each by its sweep reversed (H and CNOT are involutions),
+    then the frame follows, Z_i and X_i as H_i Z_i H_i."""
+    word = b"".join(_sweep(n, k, *pairs[k])[::-1] for k in reversed(range(n)))
+    y, alpha = symp_unpack(n, frame)
+    codes = _gate_codes(n)[1]
+    frame_word = []
+    for i in range(n):
+        h, z = codes[("H", i)], codes[("Z", i)]
+        frame_word += [z] * (alpha >> i & 1) + [h, z, h] * (y >> i & 1)
+    return CliffordCircuit._from_word(n, word + bytes(frame_word))
+
+
+_DRAW_BATCH = 8  # 64-bit generator outputs per call in random_real_clifford
+
+
+def random_real_clifford(n: int, seed: int = 0) -> CliffordCircuit:
+    """A seeded word over {H, Z, CNOT} that is exactly uniform, modulo sign,
+    on the real Clifford group. That group is the real Paulis extended by
+    O+(2n, 2), the isometries of Q(y, alpha) = <y, alpha> (Nebe-Rains-
+    Sloane, arXiv:math/0001038), of order 2^(2n) |O+(2n, 2)|. The draw is a
+    Koenig-Smolin recursion (arXiv:1406.2170) restricted to Q-singular
+    points: for k = 0..n-1, with m = n - k qubits left, v is uniform on the
+    (2^m - 1)(2^(m-1) + 1) nonzero singular points of qubits k..n-1, and w
+    on the 4^(m-1) singular points paired with v; then the frame is uniform
+    on the 4^n real Paulis. These counts multiply to the group's order, and
+    _real_clifford_word maps the choices one to one onto the group, so each
+    element has probability 1 / (2^(2n) |O+(2n, 2)|). v and w come by
+    rejection from uniform 2n-bit candidates, cut from the generator's raw
+    64-bit outputs, _DRAW_BATCH outputs a call. A word has at most 2n^2 + 5n
+    gates, at most 4n of them H (_sweep and _real_clifford_word)."""
     if n < 1:
         raise GateError("need at least one qubit")
-    if depth is None:
-        depth = 40 * n * n
-    if depth < 0:
-        raise GateError(f"circuit depth must be >= 0, got {depth}")
-    real = _gate_codes(n)[2]
-    picks = np.random.default_rng(seed).integers(0, len(real), size=depth)
-    return CliffordCircuit._from_word(n, real[picks].tobytes())
+    _gate_codes(n)  # raises past the circuit cap, before any draw
+    raw = np.random.default_rng(seed).bit_generator.random_raw
+    width, full = 2 * n, (1 << (2 * n)) - 1
+    draw = (
+        r >> shift & full
+        for _ in itertools.count()
+        for r in raw(_DRAW_BATCH).tolist()
+        for shift in range(0, 64 - width + 1, width)
+    ).__next__
+
+    def singular(z):
+        return not ((z >> n) & z).bit_count() & 1
+
+    pairs = []
+    for k in range(n):
+        qubits = ((1 << n) - (1 << k)) * ((1 << n) + 1)  # k..n-1 in both halves
+        v = w = 0
+        while not (v and singular(v)):
+            v = draw() & qubits
+        while not (singular(w) and ((v >> n) & w ^ (w >> n) & v).bit_count() & 1):
+            w = draw() & qubits
+        pairs.append((v, w))
+    return _real_clifford_word(n, pairs, draw())
 
 
 @dataclass(frozen=True, slots=True)
@@ -468,8 +577,15 @@ def fourth_moment(state: StateVector) -> float:
 
 def balance(state: StateVector, seed: int = 0) -> tuple[CliffordCircuit, StateVector]:
     """Real Clifford C with fourth moment of C|phi> at most 3/N. Identity is
-    tried first; then seeded rejection sampling over BALANCE_TRIES random
-    real Cliffords."""
+    tried first; then seeded rejection sampling over BALANCE_TRIES draws of
+    random_real_clifford, each exactly uniform on the real Clifford group
+    and seeded by the next draw of default_rng(seed). For a real state the
+    group is an orthogonal 2-design, so its mean fourth moment is
+    3 / (N + 2) and, by Markov's inequality, a try balances with probability
+    p >= 2 / (N + 2) (Hashagen-Flammia-Gross-Wallman, arXiv:1801.06121).
+    The tries are independent, so their number is geometric with mean 1 / p
+    and BalanceError has probability at most (N / (N + 2))^BALANCE_TRIES,
+    about 4e-14 at n = 6."""
     threshold = 3.0 / state.N
     identity = CliffordCircuit(state.n, ())
     best = fourth_moment(state)

@@ -351,7 +351,7 @@ def test_criterion_08_zeta_statistics():
 
 @_criterion(9)
 def test_criterion_09_two_design_and_balance():
-    for n in (2, 3, 4):
+    for n in (1, 2, 3, 4):
         N = 1 << n
         vec = np.random.default_rng(90 + n).standard_normal(N)
         state = StateVector.from_unit((vec / np.linalg.norm(vec)).astype(complex))

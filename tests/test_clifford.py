@@ -141,6 +141,13 @@ def _full_table_word(n, seed, depth=120):
     return CliffordCircuit._from_word(n, picks.astype(np.uint8).tobytes())
 
 
+def _real_depth_word(n, seed, depth):
+    """A seeded word of the given depth over the real gates H, Z and CNOT."""
+    real = [k for k, g in enumerate(clifford._gate_codes(n)[0]) if g[0] != "S"]
+    picks = np.random.default_rng(seed).integers(0, len(real), size=depth)
+    return CliffordCircuit._from_word(n, bytes(real[k] for k in picks))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_apply_clifford_equals_gate_loop_oracle(n):
     # Haar states, and planted-zero states, so that S words meet exact zeros
@@ -200,7 +207,7 @@ def test_first_word_memory_at_n6():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_inverse_and_is_real_match_decode_oracles(n):
-    real = random_real_clifford(n, depth=60, seed=n)
+    real = _real_depth_word(n, seed=n, depth=60)
     words = [real, CliffordCircuit(n, ()), CliffordCircuit(n, (("S", n - 1),))]
     words += [_full_table_word(n, seed, depth=60) for seed in range(6)]
     assert any(not _is_real_oracle(c) for c in words)
@@ -208,10 +215,10 @@ def test_inverse_and_is_real_match_decode_oracles(n):
         assert circuit.inverse() == _inverse_oracle(circuit)
 
 
-def test_random_real_clifford_rejects_negative_depth():
-    with pytest.raises(GateError, match="depth"):
-        random_real_clifford(3, depth=-1)
-    assert random_real_clifford(3, depth=0).word == b""
+def test_random_real_clifford_rejects_bad_sizes():
+    for n in (0, -1, MAX_CIRCUIT_QUBITS + 1):
+        with pytest.raises(GateError):
+            random_real_clifford(n)
 
 
 def test_circuit_validation():
@@ -229,7 +236,7 @@ def test_circuit_validation():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_circuit_inverse_roundtrip(seed):
-    circuit = random_real_clifford(3, depth=30, seed=seed)
+    circuit = _real_depth_word(3, seed=seed, depth=30)
     extra = CliffordCircuit(3, (("S", 0), ("S", 2)) + circuit.gates)
     state = random_states(3, 1, seed=seed)[0]
     back = apply_clifford(extra.inverse(), apply_clifford(extra, state))
@@ -237,7 +244,7 @@ def test_circuit_inverse_roundtrip(seed):
 
 
 def test_real_circuits_stay_real():
-    circuit = random_real_clifford(3, depth=50, seed=7)
+    circuit = _real_depth_word(3, seed=7, depth=50)
     assert _is_real_oracle(circuit)
     state = StateVector.from_unit(np.ones(8) / math.sqrt(8))
     out = apply_clifford(circuit, state)
@@ -264,27 +271,38 @@ def test_circuit_word_round_trip(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_random_real_clifford_draws_from_the_real_pool(n):
-    # The pool order H_i, Z_i, CNOT_ij fixes every seeded word.
-    pool = [("H", i) for i in range(n)] + [("Z", i) for i in range(n)]
-    pool += [("CNOT", i, j) for i in range(n) for j in range(n) if i != j]
-    for seed in range(3):
-        picks = np.random.default_rng(seed).integers(0, len(pool), size=40 * n * n)
-        want = tuple(pool[k] for k in picks)
-        assert random_real_clifford(n, seed=seed).gates == want
+    # a word has only H, Z and CNOT gates: each step's sweep at most 4m - 1
+    # gates on its m qubits, two of them H, and the Pauli frame at most four
+    # gates a qubit (Z, then X as H Z H), two of them H
+    for seed in range(20):
+        gates = random_real_clifford(n, seed=seed).gates
+        assert {g[0] for g in gates} <= {"H", "Z", "CNOT"}
+        assert len(gates) <= sum(4 * m - 1 for m in range(1, n + 1)) + 4 * n
+        assert sum(g[0] == "H" for g in gates) <= 4 * n
 
 
-def test_random_real_clifford_n1_reaches_determinant_one_only():
-    # every even-length word over H and Z (determinant -1 each) has
-    # determinant +1, so the default depth 40 reaches 4 of the 8 elements
-    basis = [StateVector.from_unit(np.eye(2, dtype=complex)[k]) for k in (0, 1)]
-    found = set()
-    for seed in range(2000):
-        circuit = random_real_clifford(1, seed=seed)
-        C = np.column_stack([apply_clifford(circuit, b).unit() for b in basis]).real
-        assert np.isclose(np.linalg.det(C), 1.0, atol=1e-12)
-        C = C * np.sign(C.flat[np.flatnonzero(np.abs(C) > 1e-9)[0]])  # modulo sign
-        found.add(tuple(np.round(C, 9).ravel()))
-    assert len(found) == 4
+def _word_matrix(circuit):
+    """The real N x N matrix of a real word, modulo sign: its first nonzero
+    entry made positive."""
+    C = np.eye(1 << circuit.n)
+    for gate in circuit.gates:
+        C = _gate_matrix(circuit.n, gate).real @ C
+    return C * np.sign(C.flat[np.flatnonzero(np.abs(C) > 1e-9)[0]])
+
+
+def _key(C):
+    return tuple(np.round(C, 9).ravel())
+
+
+def test_random_real_clifford_n1_reaches_all_eight():
+    # the draw is uniform on the 8 elements, so 200 seeds miss one with
+    # probability below 8 (7/8)^200 < 1e-10; half of the 8 are words with
+    # an odd number of H and Z, which have determinant -1
+    words = [random_real_clifford(1, seed=seed) for seed in range(200)]
+    found = {_key(_word_matrix(circuit)) for circuit in words}
+    assert found == {_key(C) for C in _real_clifford_group(1)}
+    dets = [round(np.linalg.det(np.reshape(key, (2, 2)))) for key in found]
+    assert sorted(dets) == [-1] * 4 + [1] * 4
 
 
 def _real_clifford_group(n):
@@ -322,19 +340,116 @@ def test_real_clifford_group_balances_on_average(n, order):
         assert np.mean(moments <= 3 / N) >= 2 / (N + 2)
 
 
-def test_balance_first_try_follows_the_group_fraction():
-    # the balancing law as seeded counts: at n = 2 a depth-160 word is within
-    # 4e-11 of uniform on the real Clifford group, so balance's first try
-    # balances a state with probability p, the exact fraction of the group
-    # that brings it to 3 / N. Over 2,000 seeds, the seeds on which balance
-    # returns its first draw are Binomial(2000, p), here within 3 sigma
+def _singular(n, z):
+    """Q(y, alpha) = <y, alpha> = 0 for the symplectic point z."""
+    y, alpha = z >> n, z & ((1 << n) - 1)
+    return dot(y, alpha) == 0
+
+
+def _paired(n, v, w):
+    return dot(v >> n, w) ^ dot(w >> n, v) == 1
+
+
+def _step_choices(n, k):
+    """Every (v, w) of the step at qubit k, by brute force: v a nonzero
+    Q-singular point of qubits k..n-1, w a singular point of them with
+    <v, w> = 1."""
+    qubits = ((1 << n) - (1 << k)) * ((1 << n) + 1)
+    points = [z for z in range(1 << (2 * n)) if not z & ~qubits and _singular(n, z)]
+    return [(v, w) for v in points if v for w in points if _paired(n, v, w)]
+
+
+def _orthogonal_plus_order(n):
+    """|O+(2n, 2)| = 2 q^(n(n-1)) (q^n - 1) prod_{i<n} (q^(2i) - 1), q = 2."""
+    return 2 * 2 ** (n * (n - 1)) * (2**n - 1) * math.prod(
+        4**i - 1 for i in range(1, n)
+    )
+
+
+@pytest.mark.parametrize("n, order", [(1, 8), (2, 1152)])
+def test_random_real_clifford_choice_tree_is_the_group(n, order):
+    # every leaf of the sampler's choice tree (a (v, w) pair per step, then
+    # one of the 4^n Pauli frames) is a different group element, and the
+    # leaves are the whole group, so uniform choices give a uniform element
+    steps = [_step_choices(n, k) for k in range(n)]
+    keys = [
+        _key(_word_matrix(clifford._real_clifford_word(n, pairs, frame)))
+        for pairs in itertools.product(*steps)
+        for frame in range(1 << (2 * n))
+    ]
+    assert len(keys) == len(set(keys)) == order
+    assert set(keys) == {_key(C) for C in _real_clifford_group(n)}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_step_counts_multiply_to_the_group_order(n):
+    # the step with m qubits has (2^m - 1)(2^(m-1) + 1) choices of v and
+    # 4^(m-1) of w for each; with the 4^n frames that is 2^(2n) |O+(2n, 2)|,
+    # the real Clifford group's order modulo sign
+    counts = [(2**m - 1) * (2 ** (m - 1) + 1) * 4 ** (m - 1) for m in range(1, n + 1)]
+    assert math.prod(counts) == _orthogonal_plus_order(n)
+    if n <= 3:  # enumerated by the tests at n = 1, 2
+        assert 4**n * math.prod(counts) == (8, 1152, 2_580_480)[n - 1]
+        assert len(_step_choices(n, 0)) == counts[-1]
+    # by brute force at every n: the nonzero singular points, and the
+    # singular points paired with a few of them
+    points = [z for z in range(1, 1 << (2 * n)) if _singular(n, z)]
+    assert len(points) == (2**n - 1) * (2 ** (n - 1) + 1)
+    for v in points[:: max(1, len(points) // 5)]:
+        assert sum(_paired(n, v, w) for w in points) == 4 ** (n - 1)
+
+
+def _pauli_matrix(n, z):
+    """X^y Z^alpha as a dense matrix, for the symplectic point z."""
+    y, alpha = z >> n, z & ((1 << n) - 1)
+    N = 1 << n
+    P = np.zeros((N, N))
+    for x in range(N):
+        P[x ^ y, x] = (-1) ** dot(alpha, x)
+    return P
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sweep_takes_the_pair_to_x_and_z_of_its_qubit(n):
+    # D P_v D^T = +-X_k and D P_w D^T = +-Z_k for the sweep D of (v, w),
+    # checked with dense matrices on random pairs of every step
+    rng = random.Random(n)
+    for k in range(n):
+        qubits = ((1 << n) - (1 << k)) * ((1 << n) + 1)
+        for _ in range(40):
+            v = w = 0
+            while not v or not _singular(n, v):
+                v = rng.getrandbits(2 * n) & qubits
+            while not (_singular(n, w) and _paired(n, v, w)):
+                w = rng.getrandbits(2 * n) & qubits
+            sweep = clifford._sweep(n, k, v, w)
+            D = _word_matrix(CliffordCircuit._from_word(n, sweep))
+            assert set(sweep) <= set(range(n)) | set(range(3 * n, n * n + 2 * n))
+            for point, image in ((v, 1 << (n + k)), (w, 1 << k)):
+                got = D @ _pauli_matrix(n, point) @ D.T
+                want = _pauli_matrix(n, image)
+                assert np.allclose(got, want) or np.allclose(got, -want)
+
+
+def _balance_law_case():
+    """A real n = 2 state that the identity leaves unbalanced, and p, the
+    exact fraction of the real Clifford group that brings it to 3 / N."""
     group = _real_clifford_group(2)
     state = next(
         s for s in random_real_states(2, 20, seed=28) if fourth_moment(s) > 3 / 4
     )
     moments = np.sum((group @ state.unit().real) ** 4, axis=1)
     assert np.abs(moments - 3 / 4).min() > 1e-6  # no rounding tie at 3 / N
-    p = float(np.mean(moments <= 3 / 4))
+    return state, float(np.mean(moments <= 3 / 4))
+
+
+def test_balance_first_try_follows_the_group_fraction():
+    # the balancing law as seeded counts: the draw is exactly uniform on the
+    # real Clifford group, so balance's first try balances a state with
+    # probability p, the exact fraction of the group that brings it to
+    # 3 / N. Over 2,000 seeds, the seeds on which balance returns its first
+    # draw are Binomial(2000, p), here within 3 sigma
+    state, p = _balance_law_case()
     assert p == 5 / 6
     hits = 0
     for seed in range(2000):
@@ -343,11 +458,32 @@ def test_balance_first_try_follows_the_group_fraction():
     assert abs(hits - 2000 * p) <= 3 * math.sqrt(2000 * p * (1 - p))
 
 
+def test_balance_try_counts_follow_the_geometric_law(monkeypatch):
+    # the tries are independent uniform draws, so the number balance makes
+    # is geometric with mean 1 / p = 6 / 5 and variance (1 - p) / p^2; over
+    # the same 2,000 seeds the mean count is within 3 sigma of 6 / 5
+    state, p = _balance_law_case()
+    draws = []
+    monkeypatch.setattr(
+        clifford,
+        "random_real_clifford",
+        lambda n, seed: draws.append(seed) or random_real_clifford(n, seed),
+    )
+    counts = []
+    for seed in range(2000):
+        draws.clear()
+        balance(state, seed)
+        counts.append(len(draws))
+    assert min(counts) >= 1
+    sigma = math.sqrt((1 - p) / p**2 / len(counts))
+    assert abs(np.mean(counts) - 1 / p) <= 3 * sigma
+
+
 def test_random_real_clifford_deterministic():
-    a = random_real_clifford(2, seed=5)
-    b = random_real_clifford(2, seed=5)
-    assert a == b
-    assert a != random_real_clifford(2, seed=6)
+    for n in range(1, 7):
+        a = random_real_clifford(n, seed=5)
+        assert a == random_real_clifford(n, seed=5)
+        assert a != random_real_clifford(n, seed=6)
 
 
 def _weyl_matrix(n, z):
