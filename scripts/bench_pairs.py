@@ -26,7 +26,11 @@ alone. The script reads each run's pass count from its details line, prints
 each side's median, and fits peak_rss_mb against passes over all the runs:
 the slope is the memory held per pass, in KB (peak_rss_mb is ru_maxrss /
 1024), and slope times the difference of the median pass counts is the part
-of the change in peak_rss_mb that the extra passes explain.
+of the change in peak_rss_mb that the extra passes explain. From the slope and
+the parent's medians it also prints the RSS headroom: how many more passes
+than the parent's the peak_rss_mb bound allows, and the items_per_s ratio
+those passes match (in runs of the same length, passes grow with
+items_per_s).
 """
 
 import argparse
@@ -112,6 +116,27 @@ def format_held_outputs(medians, kb_per_pass, extra_mb):
     )
 
 
+def rss_headroom(kb_per_pass, parent_rss_mb, parent_passes, bound):
+    """The passes beyond parent_passes that fit in the peak_rss_mb bound at
+    kb_per_pass (bound times parent_rss_mb, over the MB a pass), and the
+    items_per_s ratio they match, 1 + those passes / parent_passes. None
+    when no memory held per pass was fitted."""
+    if kb_per_pass is None or kb_per_pass <= 0:
+        return None
+    passes = bound * parent_rss_mb * 1024 / kb_per_pass
+    return passes, 1 + passes / parent_passes
+
+
+def format_rss_headroom(headroom, bound):
+    if headroom is None:
+        return "peak_rss_mb headroom not computed: no memory held per pass was fitted"
+    passes, ratio = headroom
+    return (
+        f"peak_rss_mb headroom: its {bound:.0%} bound allows {passes:.0f} passes beyond"
+        f" the parent's median, an items_per_s ratio of {ratio:.2f}"
+    )
+
+
 def _run(tree, workload, seed, seconds):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -164,7 +189,13 @@ def main(argv=None):
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {bench['run_seconds']} s")
     print(format_summary(summarize(bench["end_to_end"], runs["parent"], runs["change"])))
     rss = {side: [run["peak_rss_mb"] for run in v] for side, v in runs.items()}
-    print(format_held_outputs(*held_outputs(passes, rss)))
+    medians, kb_per_pass, extra_mb = held_outputs(passes, rss)
+    print(format_held_outputs(medians, kb_per_pass, extra_mb))
+    bound = next(m["bound"] for m in bench["end_to_end"] if m["name"] == "peak_rss_mb")
+    headroom = rss_headroom(
+        kb_per_pass, statistics.median(rss["parent"]), medians["parent"], bound
+    )
+    print(format_rss_headroom(headroom, bound))
     print(f"digests {'equal' if len(digests) == 1 else 'DIFFER'}; failed items: "
           f"parent {failed['parent']}, change {failed['change']}")
     return 0

@@ -306,6 +306,9 @@ def _cmd_rank_vs_haar(config: ExperimentConfig, state):
 def _cmd_calibrate(config: ExperimentConfig, _):
     from . import tester
 
+    # The merge file is read before calibrating, so a bad one costs nothing.
+    existing = config.extra.get("merge_into")
+    entries = _load_thresholds(existing) if existing and os.path.exists(existing) else []
     result = tester.calibrate(
         n=config.n,
         k=config.extra["k"],
@@ -313,13 +316,7 @@ def _cmd_calibrate(config: ExperimentConfig, _):
         corpus_size=config.extra["corpus_size"],
         shots=config.shots,
     )
-    entries = []
-    existing = config.extra.get("merge_into")
-    if existing and os.path.exists(existing):
-        entries = [
-            e for e in _load_thresholds(existing)
-            if (e["n"], e["k"]) != (result["n"], result["k"])
-        ]
+    entries = [e for e in entries if (e["n"], e["k"]) != (result["n"], result["k"])]
     entries.append(result)
     entries.sort(key=lambda e: (e["n"], e["k"]))
     _emit(config, {"entries": entries})

@@ -19,17 +19,21 @@ The outcomes are exactly those of Generator.choice(len(q), shots, p=q/sum q)
 on the same seed, drawn faster. choice builds cdf = p.cumsum() / its last
 entry, draws u = rng.random(shots) and returns searchsorted(cdf, u,
 side="right"), one binary search over all of cdf per shot. _draw keeps cdf and
-u and finds the same index through a guide table. The first entry above u is
-always an index where cdf strictly rises (the entry before it is at most u),
-so the search runs over the rising entries only. Their values c are bucketed
-into K equal cells of [0, 1), K a power of two at least twice the number of
-rises: c*K, u*K and the cell edges b/K are then exact, so one bincount of
-ceil(c*K) gives every cell's bounds, the counts of c at most b/K and (b+1)/K.
-A shot in a cell that no c splits is settled by that lookup; a vectorized
-binary search inside the bounds settles the rest. Every comparison is one of u
-with an entry of cdf, as in choice's search, so z is the same array bit for
-bit: tests/test_tester.py checks it against choice, and against searchsorted
-on cdf entries, cell edges and crowded cells.
+u and finds the same index through a guide table (Chen-Asau) and one probe.
+The first entry above u is always an index where cdf strictly rises (the
+entry before it is at most u), so the search runs over the rising entries
+only. Their values c are bucketed into K equal cells of [0, 1), K a power of
+two at least twice the number of rises: c*K, u*K and the cell edges b/K are
+then exact, so one bincount of ceil(c*K) gives guide[b], the count of c at
+most b/K. For u in cell b the answer lies in [guide[b], guide[b + 1]], and
+guide[b] < len(c) since b/K < 1 = c[-1]. One probe, j = guide[b] plus
+(c[j] <= u), settles every shot whose cell holds at most one rise; with K at
+least twice the rises, three cells in four or more do. A vectorized binary
+search inside the bounds settles the shots in cells holding two rises or
+more. Every comparison is one of u with an entry of cdf, as in choice's
+search, so z is the same array bit for bit: tests/test_tester.py checks it
+against choice, and against searchsorted on cdf entries, cell edges, one-rise
+and crowded cells and random laws.
 """
 
 from __future__ import annotations
@@ -98,31 +102,40 @@ def _shots(
     return zs, same
 
 
+def _guide_cells(rises: int) -> int:
+    """K, the number of guide cells for a cdf with this many rises: the
+    least power of two at least twice as large."""
+    return 1 << (2 * rises - 1).bit_length()
+
+
 def _draw(rng: np.random.Generator, probs: np.ndarray, shots: int) -> np.ndarray:
     """rng.choice(len(probs), size=shots, p=probs), bit for bit, by a guide
-    table over the rises of the cdf (see the module docstring). Like choice
-    it holds two arrays of shot length, u and the result; the lookup's own
-    arrays are per chunk of _CHUNK shots."""
+    table over the rises of the cdf and one probe per shot (see the module
+    docstring). Like choice it holds two arrays of shot length, u and the
+    result; the lookup's own arrays are per chunk of _CHUNK shots."""
     cdf = probs.cumsum()
     if not 0 < cdf[-1] < np.inf:  # also nan
         raise TesterError("the distribution's mass is not finite and positive")
     cdf /= cdf[-1]
     rise = np.flatnonzero(np.concatenate(([cdf[0] > 0], cdf[1:] > cdf[:-1])))
     c = cdf[rise]
-    K = 1 << (2 * len(c) - 1).bit_length()
+    K = _guide_cells(len(c))
     # guide[b] = #{c <= b/K} = #{ceil(c*K) <= b}; the answer for u in cell
-    # b = floor(u*K) lies in [guide[b], guide[b + 1]] (and below len(c))
+    # b = floor(u*K) lies in [guide[b], guide[b + 1]], and guide[b] < len(c)
+    # since b/K < 1 = c[-1]
     guide = np.bincount(np.ceil(c * K).astype(int), minlength=K + 1).cumsum()
-    split = guide[1:] > guide[:-1]  # the cells that some c splits
+    crowded = np.diff(guide) > 1  # the cells that hold two rises or more
     u = rng.random(shots)
     z = np.empty(shots, dtype=np.int64)
     for at in range(0, shots, _CHUNK):
         uc = u[at : at + _CHUNK]
         # floor(u*K), each shot's cell, cast straight into an index array
-        lo = np.multiply(uc, K, out=np.empty(len(uc), dtype=np.intp), casting="unsafe")
-        todo = np.flatnonzero(split[lo])
-        hi = guide[1:][lo[todo]]
-        lo = guide[lo]
+        b = np.multiply(uc, K, out=np.empty(len(uc), dtype=np.intp), casting="unsafe")
+        # The probe settles every shot in a cell holding at most one rise.
+        lo = guide[b]
+        lo += c[lo] <= uc
+        todo = np.flatnonzero(crowded[b])
+        hi = guide[1:][b[todo]]
         # A binary search inside the cell's bounds settles the shots left open.
         while todo.size:
             mid = (lo[todo] + hi) >> 1
@@ -216,6 +229,8 @@ def calibrate(
     if corpus_size > MAX_CORPUS:
         raise TesterError(f"corpus_size must be at most {MAX_CORPUS}")
     _check_shots(shots)
+    import statistics  # here: the cold CLI commands that load tester skip it
+
     from .measures import random_low_rank_state
 
     rng = np.random.default_rng(seed)
@@ -232,8 +247,10 @@ def calibrate(
         f = char_tables(g[at : at + step]).reshape(-1, 4**n)
         for fb, qb, sb in zip(f, diff_laws(f), seeds[at : at + step]):
             r_hat.append(_r_hat(_shots(fb, qb, shots, sb)[1]))
-    med_low = float(np.median(r_hat[0::2]))
-    med_haar = float(np.median(r_hat[1::2]))
+    # np.median's bits (the middle value, or (a + b) / 2) without the 1.3 MB
+    # of numpy.ma that np.median imports on its first call
+    med_low = statistics.median(r_hat[0::2])
+    med_haar = statistics.median(r_hat[1::2])
     return {
         "n": n,
         "k": k,

@@ -105,9 +105,17 @@ def test_bench_pairs_summary_on_synthetic_runs():
     text = bench.format_held_outputs(medians, kb, extra)
     assert "parent median 309, change median 359" in text
     assert "24.6 KB a pass" in text and "+1.20 MB" in text
+    # headroom: 5 % of the parent's median 60 + 0.024 * 309 = 67.416 MB is
+    # 3.3708 MB, 140.45 passes at 0.024 MB, and (309 + 140.45) / 309 = 1.4545
+    passes_left, ratio = bench.rss_headroom(kb, 60 + 0.024 * 309, medians["parent"], 0.05)
+    assert passes_left == pytest.approx(140.45) and ratio == pytest.approx(1.45453, rel=1e-5)
+    text = bench.format_rss_headroom((passes_left, ratio), 0.05)
+    assert "5% bound allows 140 passes" in text and "ratio of 1.45" in text
     same = {side: [300] * 10 for side in passes}
     medians, kb, extra = bench.held_outputs(same, rss)
     assert kb is None and "not fitted" in bench.format_held_outputs(medians, kb, extra)
+    headroom = bench.rss_headroom(kb, 67.2, 300, 0.05)
+    assert headroom is None and "not computed" in bench.format_rss_headroom(headroom, 0.05)
 
 
 def test_bench_pairs_refuses_bytecode(tmp_path):

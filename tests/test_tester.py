@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_real_states, random_states
 from stab_lab import charfn, cli
@@ -33,6 +35,7 @@ from stab_lab.tester import (
     MAX_SHOTS,
     TesterError,
     _draw,
+    _guide_cells,
     bell_difference_sample,
     bell_pair_distribution,
     calibrate,
@@ -126,16 +129,40 @@ def test_draw_breaks_ties_like_searchsorted_right():
         assert np.array_equal(_draw(_GivenUniforms(u), probs, len(u)), want)
 
 
+def _cells(probs):
+    """probs' cdf, the indices where it rises, _draw's cell count K for them
+    and the number of rises in each cell (b/K, (b + 1)/K]."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    rise = np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)
+    K = _guide_cells(len(rise))
+    return cdf, rise, K, np.bincount(np.ceil(cdf[rise] * K).astype(int) - 1, minlength=K)
+
+
+def _on_edge(c, K):
+    return bool(((c * K) % 1 == 0)[:-1].any())  # c[-1] = 1 is the last edge
+
+
 def _guide_edge_cases():
-    """Distributions at the edges of _draw's guide table."""
+    """Distributions at the edges of _draw's guide table, each with a check
+    that it still has the shape it is named for under _draw's cell count."""
     # n = 6: a single outcome holds mass ~1, so each cell next to it holds
     # about 1,000 rises and the binary search runs over wide bounds.
     crowded = np.full(4096, 1e-7)
     crowded[2048] = 1 - 4095e-7
-    # Dyadic: with 13 rises K = 32 and every c*K is a multiple of 1/2, so
-    # rises lie on cell edges (the ceil in the guide), some cells hold two.
+    # Dyadic: every c*K is a multiple of 1/2, so rises lie on cell edges (the
+    # ceil in the guide), and some cells hold two.
     counts = [6, 1, 1, 0, 2, 8, 0, 1, 3, 4, 0, 10, 2, 1, 5, 20]
-    return {"crowded": crowded, "dyadic": np.array(counts) / 64}
+    return {
+        "crowded": (crowded, lambda c, K, m: m.max() > 500),
+        "dyadic": (np.array(counts) / 64, lambda c, K, m: _on_edge(c, K) and m.max() == 2),
+        # the probe alone: a cell holding one rise, strictly inside it
+        "one_rise": (np.array([0.3, 0.7]), lambda c, K, m: m.max() == 1 and not _on_edge(c, K)),
+        # the probe and then the search: a cell holding exactly two rises
+        "two_rises": (np.array([0.26, 0.05, 0.69]), lambda c, K, m: m.max() == 2),
+        "rise_on_edge": (np.array([0.25, 0.75]), lambda c, K, m: _on_edge(c, K)),
+        "point_mass_n1": (np.array([0.0, 0.0, 1.0, 0.0]), lambda c, K, m: len(c) == 1),
+    }
 
 
 GUIDE_EDGE_CASES = _guide_edge_cases()
@@ -143,18 +170,51 @@ GUIDE_EDGE_CASES = _guide_edge_cases()
 
 @pytest.mark.parametrize("name", GUIDE_EDGE_CASES)
 def test_draw_guide_edge_cases(name):
-    probs = GUIDE_EDGE_CASES[name]
+    probs, shape = GUIDE_EDGE_CASES[name]
+    cdf, rise, K, per_cell = _cells(probs)
+    c = cdf[rise]
+    assert shape(c, K, per_cell)
     for seed in range(10):
         want = np.random.default_rng(seed).choice(len(probs), size=2 * _CHUNK + 7, p=probs)
         assert np.array_equal(_draw(np.random.default_rng(seed), probs, len(want)), want)
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    K = 1 << (2 * int(np.count_nonzero(probs)) - 1).bit_length()
     edges = np.arange(K) / K
-    u = np.concatenate([cdf[cdf < 1], edges, np.nextafter(edges[1:], 0)])
-    u = np.concatenate([u, np.nextafter(u[u > 0], 0), (cdf[:-1] + cdf[1:]) / 2])
+    # every rise and one below it, every cell edge and one below it, midpoints
+    u = np.concatenate([c, edges, (cdf[:-1] + cdf[1:]) / 2])
+    u = np.concatenate([u[u < 1], np.nextafter(u[u > 0], 0)])
     want = np.searchsorted(cdf, u, side="right")
     assert np.array_equal(_draw(_GivenUniforms(u), probs, len(u)), want)
+
+
+@st.composite
+def _laws(draw):
+    """A law of 1 to 4,096 outcomes: masses from 1e-16 to 1 with runs of
+    zeros, or dyadic masses k/2^m whose cdf entries land on cell edges."""
+    size = draw(st.integers(1, 4096))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    run = draw(st.integers(1, 64))  # zeros come in runs of this length
+    zero = np.repeat(rng.random(-(-size // run)) < draw(st.floats(0, 0.9)), run)[:size]
+    if draw(st.booleans()):
+        counts = rng.integers(1, 4, size) * ~zero
+        counts[-1] += (1 << max(int(counts.sum()) - 1, 0).bit_length()) - counts.sum()
+        return counts / counts.sum()
+    masses = 10.0 ** rng.uniform(-16, 0, size) * ~zero
+    masses[rng.integers(size)] += 1e-3  # at least one outcome has mass
+    return masses / masses.sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_laws(), st.integers(0, 2**32 - 1))
+def test_draw_matches_searchsorted_on_random_laws(probs, seed):
+    cdf, rise, K, _ = _cells(probs)
+    c = cdf[rise]
+    edges = np.arange(K) / K
+    u = np.concatenate([c, np.nextafter(c, 0), edges, np.random.default_rng(seed).random(256)])
+    u = u[u < 1]
+    want = np.searchsorted(cdf, u, side="right")
+    assert np.array_equal(rise[np.searchsorted(c, u, side="right")], want)
+    assert np.array_equal(_draw(_GivenUniforms(u), probs, len(u)), want)
+    want = np.random.default_rng(seed).choice(len(probs), size=10_000, p=probs)
+    assert np.array_equal(_draw(np.random.default_rng(seed), probs, 10_000), want)
 
 
 def test_draw_keeps_per_chunk_memory():
