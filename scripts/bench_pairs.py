@@ -30,7 +30,9 @@ of the change in peak_rss_mb that the extra passes explain. From the slope and
 the parent's medians it also prints the RSS headroom: how many more passes
 than the parent's the peak_rss_mb bound allows, and the items_per_s ratio
 those passes match (in runs of the same length, passes grow with
-items_per_s).
+items_per_s). On cli_cold it fits neither: there peak_rss_mb is run.py's own
+memory, not the commands', and does not follow passes, so it prints one line
+that says so instead.
 """
 
 import argparse
@@ -188,14 +190,18 @@ def main(argv=None):
                   file=sys.stderr, flush=True)
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {bench['run_seconds']} s")
     print(format_summary(summarize(bench["end_to_end"], runs["parent"], runs["change"])))
-    rss = {side: [run["peak_rss_mb"] for run in v] for side, v in runs.items()}
-    medians, kb_per_pass, extra_mb = held_outputs(passes, rss)
-    print(format_held_outputs(medians, kb_per_pass, extra_mb))
-    bound = next(m["bound"] for m in bench["end_to_end"] if m["name"] == "peak_rss_mb")
-    headroom = rss_headroom(
-        kb_per_pass, statistics.median(rss["parent"]), medians["parent"], bound
-    )
-    print(format_rss_headroom(headroom, bound))
+    if args.workload == "cli_cold":
+        print("peak_rss_mb not fitted against passes: on cli_cold it is"
+              " perfbench/run.py's own memory, which does not follow passes")
+    else:
+        rss = {side: [run["peak_rss_mb"] for run in v] for side, v in runs.items()}
+        medians, kb_per_pass, extra_mb = held_outputs(passes, rss)
+        print(format_held_outputs(medians, kb_per_pass, extra_mb))
+        bound = next(m["bound"] for m in bench["end_to_end"] if m["name"] == "peak_rss_mb")
+        headroom = rss_headroom(
+            kb_per_pass, statistics.median(rss["parent"]), medians["parent"], bound
+        )
+        print(format_rss_headroom(headroom, bound))
     print(f"digests {'equal' if len(digests) == 1 else 'DIFFER'}; failed items: "
           f"parent {failed['parent']}, change {failed['change']}")
     return 0

@@ -267,40 +267,35 @@ def _sweep(n: int, k: int, v: int, w: int) -> bytes:
     return bytes(word)
 
 
-def _real_clifford_word(n: int, pairs, frame: int) -> CliffordCircuit:
+def _real_clifford_word(n: int, pairs) -> CliffordCircuit:
     """The word of one leaf of random_real_clifford's choice tree: pairs[k]
-    = (v, w), the points that the step at qubit k takes to (X_k, Z_k), and
-    the frame (y << n | alpha), the Pauli X^y Z^alpha. The steps are undone
-    deepest first, each by its sweep reversed (H and CNOT are involutions),
-    then the frame follows, Z_i and X_i as H_i Z_i H_i."""
+    = (v, w), the points that the step at qubit k takes to (X_k, Z_k). The
+    steps are undone deepest first, each by its sweep reversed (H and CNOT
+    are involutions)."""
     word = b"".join(_sweep(n, k, *pairs[k])[::-1] for k in reversed(range(n)))
-    y, alpha = symp_unpack(n, frame)
-    codes = _gate_codes(n)[1]
-    frame_word = []
-    for i in range(n):
-        h, z = codes[("H", i)], codes[("Z", i)]
-        frame_word += [z] * (alpha >> i & 1) + [h, z, h] * (y >> i & 1)
-    return CliffordCircuit._from_word(n, word + bytes(frame_word))
+    return CliffordCircuit._from_word(n, word)
 
 
 _DRAW_BATCH = 8  # 64-bit generator outputs per call in random_real_clifford
 
 
 def random_real_clifford(n: int, seed: int = 0) -> CliffordCircuit:
-    """A seeded word over {H, Z, CNOT} that is exactly uniform, modulo sign,
-    on the real Clifford group. That group is the real Paulis extended by
-    O+(2n, 2), the isometries of Q(y, alpha) = <y, alpha> (Nebe-Rains-
-    Sloane, arXiv:math/0001038), of order 2^(2n) |O+(2n, 2)|. The draw is a
-    Koenig-Smolin recursion (arXiv:1406.2170) restricted to Q-singular
-    points: for k = 0..n-1, with m = n - k qubits left, v is uniform on the
-    (2^m - 1)(2^(m-1) + 1) nonzero singular points of qubits k..n-1, and w
-    on the 4^(m-1) singular points paired with v; then the frame is uniform
-    on the 4^n real Paulis. These counts multiply to the group's order, and
-    _real_clifford_word maps the choices one to one onto the group, so each
-    element has probability 1 / (2^(2n) |O+(2n, 2)|). v and w come by
-    rejection from uniform 2n-bit candidates, cut from the generator's raw
-    64-bit outputs, _DRAW_BATCH outputs a call. A word has at most 2n^2 + 5n
-    gates, at most 4n of them H (_sweep and _real_clifford_word)."""
+    """A seeded H/CNOT word that is exactly uniform on O+(2n, 2), the
+    isometries of Q(y, alpha) = <y, alpha>: the real Clifford group modulo
+    sign and the 4^n real Paulis (Nebe-Rains-Sloane, arXiv:math/0001038).
+    A real Pauli P applied last only permutes the amplitudes and flips their
+    signs, which keeps the fourth moment, and P W_z P^T = +-W_z keeps
+    f(z) = |<C phi|W_z|C phi>|^2; so both are constant on each Pauli coset,
+    and one word a coset serves balance as the whole group would. The draw is a Koenig-Smolin recursion (arXiv:1406.2170)
+    restricted to Q-singular points: for k = 0..n-1, with m = n - k qubits
+    left, v is uniform on the (2^m - 1)(2^(m-1) + 1) nonzero singular
+    points of qubits k..n-1, and w on the 4^(m-1) singular points paired
+    with v. These counts multiply to |O+(2n, 2)|, and _real_clifford_word
+    maps the choices one to one onto it, so each element has probability
+    1 / |O+(2n, 2)|. v and w come by rejection from uniform 2n-bit
+    candidates, cut from the generator's raw 64-bit outputs, _DRAW_BATCH
+    outputs a call. A word has at most 2n^2 + n gates, at most 2n of them
+    H (_sweep)."""
     if n < 1:
         raise GateError("need at least one qubit")
     _gate_codes(n)  # raises past the circuit cap, before any draw
@@ -325,7 +320,7 @@ def random_real_clifford(n: int, seed: int = 0) -> CliffordCircuit:
         while not (singular(w) and ((v >> n) & w ^ (w >> n) & v).bit_count() & 1):
             w = draw() & qubits
         pairs.append((v, w))
-    return _real_clifford_word(n, pairs, draw())
+    return _real_clifford_word(n, pairs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -578,14 +573,15 @@ def fourth_moment(state: StateVector) -> float:
 def balance(state: StateVector, seed: int = 0) -> tuple[CliffordCircuit, StateVector]:
     """Real Clifford C with fourth moment of C|phi> at most 3/N. Identity is
     tried first; then seeded rejection sampling over BALANCE_TRIES draws of
-    random_real_clifford, each exactly uniform on the real Clifford group
-    and seeded by the next draw of default_rng(seed). For a real state the
-    group is an orthogonal 2-design, so its mean fourth moment is
-    3 / (N + 2) and, by Markov's inequality, a try balances with probability
-    p >= 2 / (N + 2) (Hashagen-Flammia-Gross-Wallman, arXiv:1801.06121).
-    The tries are independent, so their number is geometric with mean 1 / p
-    and BalanceError has probability at most (N / (N + 2))^BALANCE_TRIES,
-    about 4e-14 at n = 6."""
+    random_real_clifford, each exactly uniform on O+(2n, 2) and seeded by
+    the next draw of default_rng(seed). For a real state the real Clifford
+    group is an orthogonal 2-design, so its mean fourth moment is 3 / (N + 2)
+    (Hashagen-Flammia-Gross-Wallman, arXiv:1801.06121). The fourth moment
+    is constant on each coset of the real Paulis, so a uniform element of
+    O+(2n, 2) has the same law, and by Markov's inequality a try balances
+    with probability p >= 2 / (N + 2). The tries are independent, so their
+    number is geometric with mean 1 / p and BalanceError has probability at
+    most (N / (N + 2))^BALANCE_TRIES, about 4e-14 at n = 6."""
     threshold = 3.0 / state.N
     identity = CliffordCircuit(state.n, ())
     best = fourth_moment(state)

@@ -360,15 +360,15 @@ def doubling_stats(n: int, S: Iterable[int]) -> tuple[float, float]:
 
 
 def all_subspaces(n: int) -> list[Subspace]:
-    """Every linear subspace of F2^n (desk scale: n <= 4), built as the RREF
+    """Every linear subspace of F2^n (the lab's n <= 6), built as the RREF
     basis of each pivot pattern: row i is its pivot bit plus any bits below
     it that are not pivots. Sorted by dimension, then by the basis read in
     increasing order. That is the greedy least basis (each vector the least
     one of the subspace outside the span of those before), so a subspace
     comes where its first spanning set in itertools.combinations order
     would put it."""
-    if n > 4:
-        raise ValueError("subspace enumeration capped at n = 4")
+    if n > 6:  # states.MAX_QUBITS; states imports gf2, so not imported here
+        raise ValueError("subspace enumeration capped at n = 6")
     out = []
     for m in range(n + 1):
         for pivots in itertools.combinations(range(n - 1, -1, -1), m):

@@ -535,8 +535,7 @@ def lambda_star_scan(
     any subset with a at place i and b at place j (a test checks every
     budget row), so a subset's k^2 codes name its G. Sampled rows reach
     n = 4, where the table would hold 1.35e9 pairs, so each block computes
-    its own G, keys it by its bytes and is scanned on its own, as such keys
-    seldom repeat across blocks.
+    its own G and keys it by its bytes.
 
     The k = 1 rows are the exact value 1.0, the lambda_min of the 1 x 1 Gram
     matrix [1] of any unit vector, on state (0,); the computed diagonal can
@@ -570,10 +569,7 @@ def lambda_star_scan(
             else:
                 samples = trials if k <= len(S) else 0
                 rng = rng or np.random.default_rng(seed)
-                # a scan per block: byte keys seldom repeat across blocks,
-                # and min keeps the earlier block of a tie
-                best = min((_scan_min([b]) for b in _drawn_blocks(S, k, rng, samples)),
-                           key=lambda r: r[0], default=(math.inf, None))
+                best = _scan_min(_drawn_blocks(S, k, rng, samples))
                 rows.append(ScanRow(k, n, *best, False, samples))
     return rows
 

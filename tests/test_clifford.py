@@ -271,14 +271,13 @@ def test_circuit_word_round_trip(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_random_real_clifford_draws_from_the_real_pool(n):
-    # a word has only H, Z and CNOT gates: each step's sweep at most 4m - 1
-    # gates on its m qubits, two of them H, and the Pauli frame at most four
-    # gates a qubit (Z, then X as H Z H), two of them H
+    # a word has only H and CNOT gates: each step's sweep at most 4m - 1
+    # gates on its m qubits, two of them H, so 2n^2 + n gates in all
     for seed in range(20):
         gates = random_real_clifford(n, seed=seed).gates
-        assert {g[0] for g in gates} <= {"H", "Z", "CNOT"}
-        assert len(gates) <= sum(4 * m - 1 for m in range(1, n + 1)) + 4 * n
-        assert sum(g[0] == "H" for g in gates) <= 4 * n
+        assert {g[0] for g in gates} <= {"H", "CNOT"}
+        assert len(gates) <= sum(4 * m - 1 for m in range(1, n + 1)) == 2 * n * n + n
+        assert sum(g[0] == "H" for g in gates) <= 2 * n
 
 
 def _word_matrix(circuit):
@@ -290,19 +289,15 @@ def _word_matrix(circuit):
     return C * np.sign(C.flat[np.flatnonzero(np.abs(C) > 1e-9)[0]])
 
 
-def _key(C):
-    return tuple(np.round(C, 9).ravel())
-
-
-def test_random_real_clifford_n1_reaches_all_eight():
-    # the draw is uniform on the 8 elements, so 200 seeds miss one with
-    # probability below 8 (7/8)^200 < 1e-10; half of the 8 are words with
-    # an odd number of H and Z, which have determinant -1
-    words = [random_real_clifford(1, seed=seed) for seed in range(200)]
-    found = {_key(_word_matrix(circuit)) for circuit in words}
-    assert found == {_key(C) for C in _real_clifford_group(1)}
-    dets = [round(np.linalg.det(np.reshape(key, (2, 2)))) for key in found]
-    assert sorted(dets) == [-1] * 4 + [1] * 4
+def test_random_real_clifford_n1_reaches_both():
+    # O+(2, 2) has two elements, the identity and the swap of X and Z; the
+    # draw is uniform on them, so 200 seeds miss one with probability
+    # 2 (1/2)^200. Their words are the empty word and H, one of each
+    # determinant
+    words = {random_real_clifford(1, seed=seed) for seed in range(200)}
+    assert words == {CliffordCircuit(1, ()), CliffordCircuit(1, (("H", 0),))}
+    dets = sorted(round(np.linalg.det(_word_matrix(circuit))) for circuit in words)
+    assert dets == [-1, 1]
 
 
 def _real_clifford_group(n):
@@ -366,30 +361,76 @@ def _orthogonal_plus_order(n):
     )
 
 
-@pytest.mark.parametrize("n, order", [(1, 8), (2, 1152)])
-def test_random_real_clifford_choice_tree_is_the_group(n, order):
-    # every leaf of the sampler's choice tree (a (v, w) pair per step, then
-    # one of the 4^n Pauli frames) is a different group element, and the
-    # leaves are the whole group, so uniform choices give a uniform element
+def _word_action(circuit):
+    """The symplectic action of a word on the Paulis, bit-sliced: row r holds,
+    at bit b, bit r of the image of the basis point 1 << b under conjugation.
+    H_i swaps y_i and alpha_i, CNOT_ct adds y_c to y_t and alpha_t to
+    alpha_c, and Z_i and S_i change only signs and phases, which are
+    dropped."""
+    n = circuit.n
+    rows = [1 << r for r in range(2 * n)]
+    for gate in circuit.gates:
+        if gate[0] == "H":
+            i = gate[1]
+            rows[i], rows[n + i] = rows[n + i], rows[i]
+        elif gate[0] == "CNOT":
+            c, t = gate[1], gate[2]
+            rows[n + t] ^= rows[n + c]
+            rows[c] ^= rows[t]
+    return tuple(rows)
+
+
+def _matrix_action(C):
+    """The same action read off a dense real Clifford C: C P_z C^T is
+    +-X^y Z^alpha, with y the row of the nonzero entry of column 0 and
+    alpha_i set where column 1 << i's entry differs in sign from it."""
+    n = int(C.shape[0]).bit_length() - 1
+    rows = [0] * (2 * n)
+    for b in range(2 * n):
+        M = C @ _pauli_matrix(n, 1 << b) @ C.T
+        y = int(np.argmax(np.abs(M[:, 0])))
+        flips = [np.sign(M[y ^ 1 << i, 1 << i]) != np.sign(M[y, 0]) for i in range(n)]
+        image = y << n | sum(int(f) << i for i, f in enumerate(flips))
+        for r in range(2 * n):
+            rows[r] |= (image >> r & 1) << b
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("n, order", [(1, 2), (2, 72), (3, 40_320)])
+def test_random_real_clifford_choice_tree_is_o_plus(n, order, monkeypatch):
+    # every leaf of the sampler's choice tree (a (v, w) pair per step) acts
+    # on the Paulis by a different map that keeps Q and the pairing, and
+    # there are |O+(2n, 2)| of them, so the leaves are O+(2n, 2) and uniform
+    # choices give a uniform element. At n = 1, 2 they are also the actions
+    # of the 8 and 1,152 matrices of the enumerated real Clifford group
+    monkeypatch.setattr(clifford, "_sweep", functools.cache(clifford._sweep))
     steps = [_step_choices(n, k) for k in range(n)]
-    keys = [
-        _key(_word_matrix(clifford._real_clifford_word(n, pairs, frame)))
+    actions = {
+        _word_action(clifford._real_clifford_word(n, pairs))
         for pairs in itertools.product(*steps)
-        for frame in range(1 << (2 * n))
-    ]
-    assert len(keys) == len(set(keys)) == order
-    assert set(keys) == {_key(C) for C in _real_clifford_group(n)}
+    }
+    assert math.prod(map(len, steps)) == len(actions) == order
+    assert order == _orthogonal_plus_order(n)
+    rows = np.array(sorted(actions))[:, :, None]
+    images = np.sum((rows >> np.arange(2 * n) & 1) << np.arange(2 * n)[:, None], axis=1)
+    y, alpha = images >> n, images & ((1 << n) - 1)
+    assert not np.any(np.bitwise_count(y & alpha) & 1)  # each image singular
+    pairing = y[:, :, None] & alpha[:, None, :] ^ y[:, None, :] & alpha[:, :, None]
+    basis = np.arange(2 * n)
+    want = np.abs(basis[:, None] - basis) == n  # X_i pairs with Z_i only
+    assert np.array_equal(np.bitwise_count(pairing) & 1, np.broadcast_to(want, pairing.shape))
+    if n <= 2:
+        assert actions == {_matrix_action(C) for C in _real_clifford_group(n)}
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_step_counts_multiply_to_the_group_order(n):
     # the step with m qubits has (2^m - 1)(2^(m-1) + 1) choices of v and
-    # 4^(m-1) of w for each; with the 4^n frames that is 2^(2n) |O+(2n, 2)|,
-    # the real Clifford group's order modulo sign
+    # 4^(m-1) of w for each; together that is |O+(2n, 2)|
     counts = [(2**m - 1) * (2 ** (m - 1) + 1) * 4 ** (m - 1) for m in range(1, n + 1)]
     assert math.prod(counts) == _orthogonal_plus_order(n)
-    if n <= 3:  # enumerated by the tests at n = 1, 2
-        assert 4**n * math.prod(counts) == (8, 1152, 2_580_480)[n - 1]
+    if n <= 3:  # the choice tree is walked whole at n = 1, 2, 3
+        assert math.prod(counts) == (2, 72, 40_320)[n - 1]
         assert len(_step_choices(n, 0)) == counts[-1]
     # by brute force at every n: the nonzero singular points, and the
     # singular points paired with a few of them
@@ -480,10 +521,14 @@ def test_balance_try_counts_follow_the_geometric_law(monkeypatch):
 
 
 def test_random_real_clifford_deterministic():
+    # O+(2, 2) has two elements, so at n = 1 two seeds collide half the time;
+    # there twenty seeds must give both words
     for n in range(1, 7):
         a = random_real_clifford(n, seed=5)
         assert a == random_real_clifford(n, seed=5)
-        assert a != random_real_clifford(n, seed=6)
+        if n >= 2:
+            assert a != random_real_clifford(n, seed=6)
+    assert len({random_real_clifford(1, seed=seed) for seed in range(20)}) == 2
 
 
 def _weyl_matrix(n, z):
@@ -576,7 +621,6 @@ def test_stabilizer_at_matches_enumeration(n):
         (enumerate_stabilizers, "stabilizer enumeration capped at n = 4"),
         (stabilizer_unit_matrix, "stabilizer enumeration capped at n = 4"),
         (lambda n: stabilizer_at(n, 0), "stabilizer enumeration capped at n = 4"),
-        (all_subspaces, "subspace enumeration capped at n = 4"),
     ],
 )
 def test_enumeration_capped_at_n4(build, message):

@@ -244,12 +244,23 @@ def _combination_subspaces(n):
 
 def test_all_subspaces_counts():
     # total number of subspaces of F2^n: sum of Gaussian binomials
-    expected = {1: 2, 2: 5, 3: 16, 4: 67}
+    expected = {1: 2, 2: 5, 3: 16, 4: 67, 5: 374, 6: 2825}
     for n, count in expected.items():
         subs = all_subspaces(n)
         assert len(subs) == count
         assert len({s.basis for s in subs}) == count
-        assert subs == _combination_subspaces(n)
+        # independent bases with distinct spans: no subspace comes twice
+        spans = [frozenset(span_points(s.basis).tolist()) for s in subs]
+        assert all(len(span) == 1 << s.dim for span, s in zip(spans, subs))
+        assert len(set(spans)) == count
+        if n <= 4:
+            assert subs == _combination_subspaces(n)
+
+
+def test_all_subspaces_capped_at_n6():
+    # the lab's qubit cap; the stabilizer table's own n <= 4 is _layout's
+    with pytest.raises(ValueError, match="^subspace enumeration capped at n = 6$"):
+        all_subspaces(7)
 
 
 @given(st.integers(1, 3), st.data())

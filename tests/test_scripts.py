@@ -118,6 +118,43 @@ def test_bench_pairs_summary_on_synthetic_runs():
     assert headroom is None and "not computed" in bench.format_rss_headroom(headroom, 0.05)
 
 
+@pytest.mark.parametrize("workload", ["cli_cold", "extraction"])
+def test_bench_pairs_main_fits_memory_a_pass_except_on_cli_cold(
+    tmp_path, monkeypatch, capsys, workload
+):
+    # cli_cold's peak_rss_mb is run.py's own memory, so a fit against
+    # passes means nothing there: main says so in one line and prints
+    # neither the fit nor the headroom. _run is stubbed: a side's runs read
+    # 60 MB plus 0.024 MB a pass, and the change makes 50 more passes
+    bench = _bench_pairs()
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text()
+    )
+    calls = []
+
+    def run(tree, workload_arg, seed, seconds):
+        count = 300 + 50 * (tree.name == "change") + 2 * len(calls)
+        calls.append((tree.name, workload_arg, seed))
+        values = {"setup_s": 0.1, "items_per_s": count / 20.0, "item_p50_s": 0.01,
+                  "item_tail_s": 0.02, "peak_rss_mb": 60 + 0.024 * count}
+        return values, "digest", 0, count
+
+    monkeypatch.setattr(bench, "_run", run)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", workload, "--seed", "3", "--pairs", "2"]
+    assert bench.main(argv) == 0
+    assert calls == [("parent", workload, 3), ("change", workload, 3),
+                     ("change", workload, 3), ("parent", workload, 3)]
+    out = capsys.readouterr().out
+    assert "digests equal; failed items: parent 0, change 0" in out
+    fitted = "24.6 KB a pass" in out and "headroom" in out
+    skipped = "peak_rss_mb not fitted against passes: on cli_cold" in out
+    assert (fitted, skipped) == ((False, True) if workload == "cli_cold" else (True, False))
+
+
 def test_bench_pairs_refuses_bytecode(tmp_path):
     for side in ("parent", "change"):
         (tmp_path / side / "perfbench").mkdir(parents=True)
