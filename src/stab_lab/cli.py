@@ -276,7 +276,10 @@ def _load_thresholds(path: str) -> list:
     """The entries of a thresholds file; each must carry integer n and k and
     a finite threshold."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise ValueError(f"{path}: {exc}") from None
     entries = data.get("entries") if isinstance(data, dict) else None
     if not isinstance(entries, list) or not all(map(_valid_entry, entries)):
         raise ValueError(

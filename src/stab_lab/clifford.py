@@ -44,17 +44,17 @@ class BalanceError(RuntimeError, InvariantError):
         self.best_moment = best_moment
 
 
-MAX_CIRCUIT_QUBITS = 15  # n^2 + 2n gate codes fit in one byte
+MAX_CIRCUIT_QUBITS = 15  # n^2 gate codes fit in one byte
 
 
 @functools.lru_cache(maxsize=None)
 def _gate_codes(n: int) -> tuple[tuple[tuple, ...], MappingProxyType]:
-    """The n-qubit gate table in code order, H_i, Z_i, S_i, then CNOT_ij for
+    """The n-qubit gate table in code order, H_i at code i, then CNOT_ij for
     i != j, and its inverse {gate: code}. Every caller shares them, so
     neither is writable."""
     if not 0 <= n <= MAX_CIRCUIT_QUBITS:
         raise GateError(f"circuits are capped at n = {MAX_CIRCUIT_QUBITS}, got {n}")
-    table = [(name, i) for name in ("H", "Z", "S") for i in range(n)]
+    table = [("H", i) for i in range(n)]
     table += [("CNOT", i, j) for i in range(n) for j in range(n) if i != j]
     return tuple(table), MappingProxyType({g: k for k, g in enumerate(table)})
 
@@ -70,9 +70,8 @@ def _halves(n: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True, init=False, slots=True)
 class CliffordCircuit:
-    """A gate word on n qubits; gates are ("H", i) | ("S", i) | ("Z", i) |
-    ("CNOT", i, j). The word holds one byte per gate, its code in the
-    n-qubit gate table."""
+    """A gate word on n qubits; gates are ("H", i) | ("CNOT", i, j). The
+    word holds one byte per gate, its code in the n-qubit gate table."""
 
     n: int
     word: bytes
@@ -84,7 +83,7 @@ class CliffordCircuit:
             code = codes.get(tuple(gate))
             if code is None:
                 name = gate[0]
-                if name not in ("H", "S", "Z", "CNOT"):
+                if name not in ("H", "CNOT"):
                     raise GateError(f"unknown gate {name}")
                 if any(q >= n or q < 0 for q in gate[1:]):
                     raise GateError(f"gate {gate} is out of range for n={n}")
@@ -112,30 +111,22 @@ class CliffordCircuit:
         return f"CliffordCircuit(n={self.n}, gates={self.gates!r})"
 
     def inverse(self) -> "CliffordCircuit":
-        """The reversed word with each S_i expanded to S_i then Z_i, since
-        S_i^-1 = Z_i S_i; H, Z and CNOT are involutions."""
-        word = self.word[::-1]
-        for k in range(2 * self.n, 3 * self.n):
-            word = word.replace(bytes([k]), bytes([k, k - self.n]))
-        return CliffordCircuit._from_word(self.n, word)
+        """The reversed word, since H and CNOT are involutions."""
+        return CliffordCircuit._from_word(self.n, self.word[::-1])
 
 
 def apply_clifford(circuit: CliffordCircuit, state: StateVector) -> StateVector:
     """circuit |state>, one gate code of the word at a time, in Python
-    numbers, touching amplitudes only at H and S. The state is held as
-    (-1)^<z, x> G[L x]: Z_i flips bit i of z; CNOT_ct, x -> C x =
-    x ^ (x_c << t), takes L to L C (column c gains column t), row t of L^-1
-    gains row c, and z becomes C^T z. With w = L e_i and f row i of L^-1,
-    the y with <f, y> = 0 are _halves(n)[f] and the y ^ w are the rest. H_i,
-    with b = (-1)^(z_i), takes each pair (u, v) = (G[y], G[y ^ w]) to
-    ((u + b v) k, (b u - v) k), k = 1 / sqrt 2, the factor numpy's complex
-    division by sqrt 2 scales by. S_i multiplies each G[y ^ w] by 1j; a
-    diagonal gate commutes with the sign frame, so z stays. Up to the signs
-    of both terms these are the gate-at-a-time loop's sum, difference and
-    product by i, and rounding commutes with negation, so every amplitude equals
-    the loop's, though a zero may come out with the other sign
+    numbers, touching amplitudes only at H. The state is held as G[L x]:
+    CNOT_ct, x -> C x = x ^ (x_c << t), takes L to L C (column c gains
+    column t) and row t of L^-1 gains row c. With w = L e_i and f row i of
+    L^-1, the y with <f, y> = 0 are _halves(n)[f] and the y ^ w are the
+    rest. H_i takes each pair (u, v) = (G[y], G[y ^ w]) to ((u + v) k,
+    (u - v) k), k = 1 / sqrt 2, the factor numpy's complex division by
+    sqrt 2 scales by. These are the gate-at-a-time loop's sum and
+    difference, so every amplitude equals the loop's
     (test_apply_clifford_equals_gate_loop_oracle)."""
-    n, N = circuit.n, state.N
+    n = circuit.n
     if n != state.n:
         raise GateError("circuit and state sizes differ")
     gates, halves = _gate_codes(n)[0], _halves(n)
@@ -143,33 +134,18 @@ def apply_clifford(circuit: CliffordCircuit, state: StateVector) -> StateVector:
     k = 1 / math.sqrt(2)
     cols = [1 << j for j in range(n)]
     rows = cols.copy()
-    z = 0
     for code in circuit.word:
-        if code >= 3 * n:  # CNOT
+        if code >= n:  # CNOT
             _, c, t = gates[code]
             cols[c] ^= cols[t]
             rows[t] ^= rows[c]
-            z ^= (z >> t & 1) << c
-        elif code >= 2 * n:  # S
-            i = code - 2 * n
-            w = cols[i]
-            for y in halves[rows[i]]:
-                G[y ^ w] *= 1j
-        elif code >= n:  # Z
-            z ^= 1 << (code - n)
-        elif z >> code & 1:  # H, b = -1
-            w = cols[code]
-            for y in halves[rows[code]]:
-                yw = y ^ w
-                u, v = G[y], G[yw]
-                G[y], G[yw] = (u - v) * k, (-u - v) * k
-        else:  # H, b = 1
+        else:  # H
             w = cols[code]
             for y in halves[rows[code]]:
                 yw = y ^ w
                 u, v = G[y], G[yw]
                 G[y], G[yw] = (u + v) * k, (u - v) * k
-    return StateVector(n, np.array(G)[span_points(cols)] * sign_table(N, z))
+    return StateVector(n, np.array(G)[span_points(cols)])
 
 
 def _weyl_label(n: int, z: int) -> tuple[int, int]:
@@ -286,16 +262,16 @@ def random_real_clifford(n: int, seed: int = 0) -> CliffordCircuit:
     A real Pauli P applied last only permutes the amplitudes and flips their
     signs, which keeps the fourth moment, and P W_z P^T = +-W_z keeps
     f(z) = |<C phi|W_z|C phi>|^2; so both are constant on each Pauli coset,
-    and one word a coset serves balance as the whole group would. The draw is a Koenig-Smolin recursion (arXiv:1406.2170)
-    restricted to Q-singular points: for k = 0..n-1, with m = n - k qubits
-    left, v is uniform on the (2^m - 1)(2^(m-1) + 1) nonzero singular
-    points of qubits k..n-1, and w on the 4^(m-1) singular points paired
-    with v. These counts multiply to |O+(2n, 2)|, and _real_clifford_word
-    maps the choices one to one onto it, so each element has probability
-    1 / |O+(2n, 2)|. v and w come by rejection from uniform 2n-bit
-    candidates, cut from the generator's raw 64-bit outputs, _DRAW_BATCH
-    outputs a call. A word has at most 2n^2 + n gates, at most 2n of them
-    H (_sweep)."""
+    and one word a coset serves balance as the whole group would. The draw
+    is a Koenig-Smolin recursion (arXiv:1406.2170) restricted to Q-singular
+    points: for k = 0..n-1, with m = n - k qubits left, v is uniform on the
+    (2^m - 1)(2^(m-1) + 1) nonzero singular points of qubits k..n-1, and w
+    on the 4^(m-1) singular points paired with v. These counts multiply to
+    |O+(2n, 2)|, and _real_clifford_word maps the choices one to one onto
+    it, so each element has probability 1 / |O+(2n, 2)|. v and w come by
+    rejection from uniform 2n-bit candidates, cut from the generator's raw
+    64-bit outputs, _DRAW_BATCH outputs a call. A word has at most
+    2n^2 + n gates, at most 2n of them H (_sweep)."""
     if n < 1:
         raise GateError("need at least one qubit")
     _gate_codes(n)  # raises past the circuit cap, before any draw

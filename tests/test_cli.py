@@ -768,19 +768,22 @@ def _thresholds_file_text(kind, n, k, threshold):
 
 
 @pytest.mark.parametrize("kind", BAD_THRESHOLDS_FILES)
-def test_malformed_thresholds_file_exits_2(tmp_path, kind, monkeypatch):
+def test_malformed_thresholds_file_exits_2(tmp_path, kind, monkeypatch, capsys):
+    # each error names the file it read
     path = tmp_path / "thresholds.json"
     text = _thresholds_file_text(kind, 2, 1, 0.5)
     if text is not None:
         path.write_text(text)
     assert run(["rank-vs-haar", "--family", "haar", "--n", "2", "--k", "1",
                 "--thresholds", str(path)]) == EXIT_USAGE
+    assert str(path) in capsys.readouterr().err
     if text is not None:  # --merge-into may name a file not yet written
         started = []
         monkeypatch.setattr(tester, "calibrate", lambda **kw: started.append(kw))
         assert run(["calibrate", "--n", "1", "--k", "1", "--corpus-size", "1",
                     "--shots", "10", "--merge-into", str(path)]) == EXIT_USAGE
         assert started == []  # the merge file is checked before calibrating
+        assert str(path) in capsys.readouterr().err
 
 
 def _float_flag(draw, name, lo, hi, in_range):

@@ -65,12 +65,12 @@ def test_apply_clifford_matches_dense_oracle(seed):
     n = rng.choice([1, 2, 3])
     gates = []
     for _ in range(6):
-        kind = rng.choice(["H", "Z", "S", "CNOT"])
+        kind = rng.choice(["H", "CNOT"])
         if kind == "CNOT" and n > 1:
             i, j = rng.sample(range(n), 2)
             gates.append(("CNOT", i, j))
-        elif kind != "CNOT":
-            gates.append((kind, rng.randrange(n)))
+        elif kind == "H":
+            gates.append(("H", rng.randrange(n)))
     circuit = CliffordCircuit(n, tuple(gates))
     state = random_states(n, 1, seed=seed)[0]
     out = apply_clifford(circuit, state)
@@ -95,31 +95,11 @@ def _apply_clifford_oracle(circuit, state):
             a, b = g[idx[lo]], g[idx[lo] | q]
             g[idx[lo]] = (a + b) / math.sqrt(2)
             g[idx[lo] | q] = (a - b) / math.sqrt(2)
-        elif gate[0] == "Z":
-            q = 1 << gate[1]
-            g[(idx & q) != 0] *= -1
-        elif gate[0] == "S":
-            q = 1 << gate[1]
-            g[(idx & q) != 0] *= 1j
         else:  # CNOT control -> target, |x> -> |x ^ (x_c << t)>
             c, t = gate[1], gate[2]
             perm = idx ^ (((idx >> c) & 1) << t)
             g = g[perm]
     return StateVector(state.n, g)
-
-
-def _inverse_oracle(circuit):
-    """The decode-based inverse: gates reversed, S_i followed by Z_i."""
-    gates = []
-    for gate in reversed(circuit.gates):
-        gates.append(gate)
-        if gate[0] == "S":
-            gates.append(("Z", gate[1]))
-    return CliffordCircuit(circuit.n, gates)
-
-
-def _is_real_oracle(circuit):
-    return all(g[0] != "S" for g in circuit.gates)
 
 
 def _planted_zero_state(n, rng, seed):
@@ -136,21 +116,16 @@ def _planted_zero_state(n, rng, seed):
 
 
 def _full_table_word(n, seed, depth=120):
-    """A seeded word over every gate code of the n-qubit table, S included."""
-    picks = np.random.default_rng(seed).integers(0, n * n + 2 * n, size=depth)
+    """A seeded word over every gate code of the n-qubit table: the n H
+    codes and the n^2 - n CNOT codes."""
+    picks = np.random.default_rng(seed).integers(0, n * n, size=depth)
     return CliffordCircuit._from_word(n, picks.astype(np.uint8).tobytes())
-
-
-def _real_depth_word(n, seed, depth):
-    """A seeded word of the given depth over the real gates H, Z and CNOT."""
-    real = [k for k, g in enumerate(clifford._gate_codes(n)[0]) if g[0] != "S"]
-    picks = np.random.default_rng(seed).integers(0, len(real), size=depth)
-    return CliffordCircuit._from_word(n, bytes(real[k] for k in picks))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_apply_clifford_equals_gate_loop_oracle(n):
-    # Haar states, and planted-zero states, so that S words meet exact zeros
+    # Haar states, and planted-zero states, so that H meets exact zeros and
+    # sums that cancel to them
     rng = np.random.default_rng(n)
     for seed in range(8):
         circuit = _full_table_word(n, seed)
@@ -206,13 +181,13 @@ def test_first_word_memory_at_n6():
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_inverse_and_is_real_match_decode_oracles(n):
-    real = _real_depth_word(n, seed=n, depth=60)
-    words = [real, CliffordCircuit(n, ()), CliffordCircuit(n, (("S", n - 1),))]
+def test_inverse_is_the_reversed_word(n):
+    # H and CNOT are involutions, so the inverse reverses the gates
+    words = [CliffordCircuit(n, ()), CliffordCircuit(n, (("H", n - 1),))]
     words += [_full_table_word(n, seed, depth=60) for seed in range(6)]
-    assert any(not _is_real_oracle(c) for c in words)
     for circuit in words:
-        assert circuit.inverse() == _inverse_oracle(circuit)
+        assert circuit.inverse().gates == circuit.gates[::-1]
+        assert circuit.inverse().inverse() == circuit
 
 
 def test_random_real_clifford_rejects_bad_sizes():
@@ -222,8 +197,9 @@ def test_random_real_clifford_rejects_bad_sizes():
 
 
 def test_circuit_validation():
-    with pytest.raises(GateError):
-        CliffordCircuit(1, (("X", 0),))
+    for name in ("X", "S", "Z"):  # every word is H/CNOT, so S and Z are unknown
+        with pytest.raises(GateError, match=f"unknown gate {name}"):
+            CliffordCircuit(1, ((name, 0),))
     with pytest.raises(GateError):
         CliffordCircuit(1, (("H", 1),))
     with pytest.raises(GateError):
@@ -236,16 +212,14 @@ def test_circuit_validation():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_circuit_inverse_roundtrip(seed):
-    circuit = _real_depth_word(3, seed=seed, depth=30)
-    extra = CliffordCircuit(3, (("S", 0), ("S", 2)) + circuit.gates)
+    circuit = _full_table_word(3, seed=seed, depth=30)
     state = random_states(3, 1, seed=seed)[0]
-    back = apply_clifford(extra.inverse(), apply_clifford(extra, state))
+    back = apply_clifford(circuit.inverse(), apply_clifford(circuit, state))
     assert np.allclose(back.g, state.g)
 
 
 def test_real_circuits_stay_real():
-    circuit = _real_depth_word(3, seed=7, depth=50)
-    assert _is_real_oracle(circuit)
+    circuit = _full_table_word(3, seed=7, depth=50)
     state = StateVector.from_unit(np.ones(8) / math.sqrt(8))
     out = apply_clifford(circuit, state)
     assert np.abs(out.g.imag).max() < 1e-12
@@ -255,7 +229,7 @@ def test_real_circuits_stay_real():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_circuit_word_round_trip(n):
     rng = random.Random(n)
-    names = ["H", "Z", "S"] + (["CNOT"] if n > 1 else [])
+    names = ["H"] + (["CNOT"] if n > 1 else [])
     gates = []
     for _ in range(200):
         name = rng.choice(names)
@@ -266,7 +240,12 @@ def test_circuit_word_round_trip(n):
     assert len(circuit.word) == len(gates)
     assert circuit == CliffordCircuit(n, tuple(gates))
     assert hash(circuit) == hash(CliffordCircuit(n, tuple(gates)))
-    assert _is_real_oracle(circuit) == ("S" not in {g[0] for g in gates})
+    # the gate table: H_i at code i, then CNOT_ij, n^2 codes in all
+    table, codes = clifford._gate_codes(n)
+    cnots = [("CNOT", i, j) for i in range(n) for j in range(n) if i != j]
+    assert list(table) == [("H", i) for i in range(n)] + cnots
+    assert len(table) == n * n
+    assert all(codes[gate] == k for k, gate in enumerate(table))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -305,7 +284,9 @@ def _real_clifford_group(n):
     array: a breadth-first search over products of the H, Z and CNOT
     matrices, keyed by each product with its first nonzero entry made
     positive."""
-    gens = [_gate_matrix(n, g).real for g in clifford._gate_codes(n)[0] if g[0] != "S"]
+    gates = [(name, i) for name in ("H", "Z") for i in range(n)]
+    gates += [("CNOT", i, j) for i in range(n) for j in range(n) if i != j]
+    gens = [_gate_matrix(n, g).real for g in gates]
     found = {}
     frontier = [np.eye(1 << n)]
     while frontier:
@@ -364,16 +345,15 @@ def _orthogonal_plus_order(n):
 def _word_action(circuit):
     """The symplectic action of a word on the Paulis, bit-sliced: row r holds,
     at bit b, bit r of the image of the basis point 1 << b under conjugation.
-    H_i swaps y_i and alpha_i, CNOT_ct adds y_c to y_t and alpha_t to
-    alpha_c, and Z_i and S_i change only signs and phases, which are
-    dropped."""
+    H_i swaps y_i and alpha_i, and CNOT_ct adds y_c to y_t and alpha_t to
+    alpha_c; the signs are dropped."""
     n = circuit.n
     rows = [1 << r for r in range(2 * n)]
     for gate in circuit.gates:
         if gate[0] == "H":
             i = gate[1]
             rows[i], rows[n + i] = rows[n + i], rows[i]
-        elif gate[0] == "CNOT":
+        else:
             c, t = gate[1], gate[2]
             rows[n + t] ^= rows[n + c]
             rows[c] ^= rows[t]
@@ -464,8 +444,9 @@ def test_sweep_takes_the_pair_to_x_and_z_of_its_qubit(n):
             while not (_singular(n, w) and _paired(n, v, w)):
                 w = rng.getrandbits(2 * n) & qubits
             sweep = clifford._sweep(n, k, v, w)
-            D = _word_matrix(CliffordCircuit._from_word(n, sweep))
-            assert set(sweep) <= set(range(n)) | set(range(3 * n, n * n + 2 * n))
+            circuit = CliffordCircuit._from_word(n, sweep)
+            assert {g[0] for g in circuit.gates} <= {"H", "CNOT"}
+            D = _word_matrix(circuit)
             for point, image in ((v, 1 << (n + k)), (w, 1 << k)):
                 got = D @ _pauli_matrix(n, point) @ D.T
                 want = _pauli_matrix(n, image)
@@ -485,11 +466,12 @@ def _balance_law_case():
 
 
 def test_balance_first_try_follows_the_group_fraction():
-    # the balancing law as seeded counts: the draw is exactly uniform on the
-    # real Clifford group, so balance's first try balances a state with
-    # probability p, the exact fraction of the group that brings it to
-    # 3 / N. Over 2,000 seeds, the seeds on which balance returns its first
-    # draw are Binomial(2000, p), here within 3 sigma
+    # the balancing law as seeded counts: the draw is exactly uniform on
+    # O+(2n, 2), and the fourth moment is constant on each real-Pauli coset,
+    # so balance's first try balances a state with probability p, the exact
+    # fraction of the real Clifford group that brings it to 3 / N. Over
+    # 2,000 seeds, the seeds on which balance returns its first draw are
+    # Binomial(2000, p), here within 3 sigma
     state, p = _balance_law_case()
     assert p == 5 / 6
     hits = 0
@@ -777,7 +759,7 @@ def test_balance_reaches_threshold():
         state = make_state(FamilySpec("basis", n, x0=1))
         circuit, out = balance(state, seed=3)
         assert fourth_moment(out) <= 3.0 / state.N + 1e-9
-        assert _is_real_oracle(circuit)
+        assert {g[0] for g in circuit.gates} <= {"H", "CNOT"}
         assert np.allclose(apply_clifford(circuit, state).g, out.g)
 
 
